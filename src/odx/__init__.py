@@ -8,8 +8,8 @@ superhedges of claims.  A Monte Carlo backend covers Euler-discretized
 diffusions.
 """
 from .tree import (AdaptedProcess, ArbitrageError, EventTree, ModelError,
-                   PredictableProcess, build_tree, conditional_moment,
-                   doob_decompose, quadratic_covariation)
+                   PredictableProcess, SolverError, build_tree,
+                   conditional_moment, doob_decompose, quadratic_covariation)
 from .structure import (Characteristics, StructureReport,
                         extract_characteristics, solve_structure)
 from .deflators import (DeflatorFamily, build_deflator_family,
@@ -23,7 +23,7 @@ from .superhedge import (Claim, PortfolioView, SuperhedgeResult,
 
 __all__ = [
     "AdaptedProcess", "ArbitrageError", "EventTree", "ModelError",
-    "PredictableProcess", "build_tree", "conditional_moment",
+    "PredictableProcess", "SolverError", "build_tree", "conditional_moment",
     "doob_decompose", "quadratic_covariation",
     "Characteristics", "StructureReport", "extract_characteristics",
     "solve_structure",

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success / PASS, 1 input error, 2 mathematical FAIL
-(arbitrage certificate, supermartingale violation, failed verification)
-with a machine-readable witness document on stdout.
+(arbitrage certificate, supermartingale violation, failed verification,
+or a per-node solve that failed on valid input) with a machine-readable
+witness document on stdout.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from .decompose import (MarketLP, check_uniqueness, decompose_kw,
 from .deflators import build_deflator_family
 from .structure import extract_characteristics, solve_structure
 from .superhedge import superhedge
-from .tree import ArbitrageError, ModelError
+from .tree import ArbitrageError, ModelError, SolverError
 from . import mc
 
 EXIT_OK = 0
@@ -161,7 +162,7 @@ def cmd_verify(args):
     return EXIT_OK if verdict == "PASS" else EXIT_FAIL
 
 
-def _coeff(spec_obj, key, d, square):
+def _coeff(spec_obj, key):
     form = spec_obj[key]
     if form["form"] == "const":
         return mc.const_fn(form["value"])
@@ -177,8 +178,8 @@ def cmd_simulate(args):
     m = int(obj.get("m", d))
     spec = mc.DiffusionSpec(
         d=d, m=m,
-        drift=_coeff(obj, "drift", d, False),
-        sigma=_coeff(obj, "sigma", d, True),
+        drift=_coeff(obj, "drift"),
+        sigma=_coeff(obj, "sigma"),
         T=float(obj.get("T", 1.0)),
         steps=args.steps or int(obj.get("steps", mc.DEFAULT_STEPS)),
         paths=args.paths or int(obj.get("paths", mc.DEFAULT_PATHS)),
@@ -271,8 +272,10 @@ def main(argv=None):
         return EXIT_INPUT
     try:
         return args.func(args)
-    except ArbitrageError as exc:
-        doc = {"odx_schema": odx_io.SCHEMA_VERSION, "status": "ARBITRAGE",
+    except (ArbitrageError, SolverError) as exc:
+        status = ("ARBITRAGE" if isinstance(exc, ArbitrageError)
+                  else "SOLVER_ERROR")
+        doc = {"odx_schema": odx_io.SCHEMA_VERSION, "status": status,
                "error": str(exc)}
         if exc.node is not None:
             doc["node"] = exc.node

@@ -18,7 +18,8 @@ from scipy.optimize import linprog
 
 from .deflators import build_deflator_family
 from .tree import (AdaptedProcess, ArbitrageError, ModelError,
-                   PredictableProcess, doob_decompose, path_cumsum)
+                   PredictableProcess, SolverError, child_weighted_sums,
+                   doob_decompose, path_cumsum, spread_to_children)
 
 SUPERMART_TOL = 1e-10
 FEAS_TOL = 1e-9
@@ -30,7 +31,8 @@ VERTEX_ENUM_MAX_BRANCHES = 8
 # ---------------------------------------------------------------------------
 
 def _node_vertices(dX):
-    """Vertices of {q >= 0, sum q = 1, sum q dX = 0} for dX of shape (k, d).
+    """Vertices of {q >= 0, sum q = 1, sum q dX = 0} for dX of shape (k, d),
+    as the rows of an (m, k) array.
 
     Basic feasible solutions have at most rank + 1 positive weights, so we
     enumerate supports up to size d + 1 and keep exactly-solved ones.
@@ -53,28 +55,59 @@ def _node_vertices(dX):
             q /= q.sum()
             if not any(np.max(np.abs(q - v)) < 1e-10 for v in verts):
                 verts.append(q)
-    return verts
+    return np.array(verts).reshape(-1, k)
+
+
+def _line_vertices(x):
+    """Vertices of {q >= 0, sum q = 1, sum q x = 0} for every row of the
+    (n, k) one-asset increments x, as a list of (m, k) arrays.
+
+    The vertices of a row are every child with x = 0 (q on that child
+    alone), then every pair of children on opposite sides of 0, in
+    lexicographic order, with q_i = x_j / (x_j - x_i) and
+    q_j = x_i / (x_i - x_j).  A row with no vertex gets an empty (0, k) array.
+    """
+    n, k = x.shape
+    i, j = np.triu_indices(k, 1)
+    zero_node, zero_kid = np.nonzero(x == 0.0)
+    xi, xj = x[:, i], x[:, j]
+    pair_node, pair = np.nonzero(((xi > 0.0) & (xj < 0.0))
+                                 | ((xi < 0.0) & (xj > 0.0)))
+    xi, xj = xi[pair_node, pair], xj[pair_node, pair]
+    n0 = zero_node.size
+    rows = np.zeros((n0 + pair_node.size, k))
+    rows[np.arange(n0), zero_kid] = 1.0
+    at = n0 + np.arange(pair_node.size)
+    rows[at, i[pair]] = xj / (xj - xi)
+    rows[at, j[pair]] = xi / (xi - xj)
+    # stable sort by node keeps the zero children ahead of the pairs
+    owner = np.concatenate([zero_node, pair_node])
+    rows = rows[np.argsort(owner, kind="stable")]
+    return np.split(rows, np.cumsum(np.bincount(owner, minlength=n))[:-1])
 
 
 class MarketLP:
     """Per-node martingale-measure polytopes of a market process X.
 
     Nodes with at most :data:`VERTEX_ENUM_MAX_BRANCHES` children are
-    handled by exact vertex enumeration; larger nodes fall back to a
-    simplex solve.  An empty polytope at some node signals arbitrage.
+    handled by their vertex sets, in closed form for one asset and by
+    exact enumeration otherwise; larger nodes fall back to a simplex
+    solve.  An empty polytope at some node signals arbitrage.
     """
 
     def __init__(self, X):
         self.X = X
         self.tree = X.tree
         self._vertices = {}
-        self._dX = {}
-        for node in self.tree.nonleaf_nodes:
-            kids = self.tree.children(node)
-            dX = X.values[kids] - X.values[node]
-            self._dX[int(node)] = dX
-            if kids.size <= VERTEX_ENUM_MAX_BRANCHES:
-                self._vertices[int(node)] = _node_vertices(dX)
+        for g in self.tree.branch_groups:
+            if g.k > VERTEX_ENUM_MAX_BRANCHES:
+                continue
+            dX = g.increments(X.values)
+            if X.dim == 1:
+                verts = _line_vertices(dX[:, :, 0])
+            else:
+                verts = [_node_vertices(dx) for dx in dX]
+            self._vertices.update(zip(g.nodes.tolist(), verts))
 
     def node_max(self, node, child_values):
         """(max over polytope of q . child_values, attaining vertex q).
@@ -84,13 +117,14 @@ class MarketLP:
         node = int(node)
         if node in self._vertices:
             verts = self._vertices[node]
-            if not verts:
+            if not verts.size:
                 raise ArbitrageError(
                     f"no martingale measure at node {node}", node=node)
-            vals = [float(q @ child_values) for q in verts]
+            vals = verts @ np.asarray(child_values, dtype=float)
             i = int(np.argmax(vals))
-            return vals[i], verts[i]
-        dX = self._dX[node]
+            return float(vals[i]), verts[i]
+        kids = self.tree.children(node)
+        dX = self.X.values[kids] - self.X.values[node]
         k = dX.shape[0]
         A_eq = np.vstack([np.ones((1, k)), dX.T])
         b_eq = np.zeros(A_eq.shape[0])
@@ -101,7 +135,8 @@ class MarketLP:
             raise ArbitrageError(f"no martingale measure at node {node}",
                                  node=node)
         if not res.success:
-            raise RuntimeError(f"LP failed at node {node}: {res.message}")
+            raise SolverError(f"LP failed at node {node}: {res.message}",
+                              node=node)
         return -res.fun, res.x
 
 
@@ -147,7 +182,6 @@ def is_supermartingale_under_all(V, X, tol=SUPERMART_TOL, lp=None,
             yv = Y.values[:, 0] * V.values[:, 0]
             d_yv = yv - yv[np.maximum(tree.parent, 0)]
             d_yv[0] = 0.0
-            from .tree import child_weighted_sums
             drift = child_weighted_sums(tree, d_yv)
             bad = np.flatnonzero(drift > tol)
             if bad.size:
@@ -199,6 +233,22 @@ def _nnls(A, b, max_iter=None):
                 break
     return x
 
+
+def _line_superhedge(x, dV):
+    """Minimum-norm H with H x_c >= dV_c for every child c, row by row.
+
+    x and dV are (n, k) one-asset increments.  Returns (H, feasible), both
+    (n,): H is the point of the feasible interval [lo, hi] nearest 0.
+    """
+    pos, neg = x > 0, x < 0
+    ratio = np.divide(dV, x, out=np.zeros_like(dV), where=pos | neg)
+    lo = np.max(np.where(pos, ratio, -np.inf), axis=1)
+    hi = np.min(np.where(neg, ratio, np.inf), axis=1)
+    feasible = (~np.any((x == 0) & (dV > FEAS_TOL), axis=1)
+                & ~(lo > hi + FEAS_TOL))
+    return np.clip(0.0, np.minimum(lo, hi), hi), feasible
+
+
 def min_norm_superhedge(dX, dV, order=None):
     """Minimum-norm H with <H, dX_c> >= dV_c for every child c.
 
@@ -212,19 +262,8 @@ def min_norm_superhedge(dX, dV, order=None):
     if order is not None:
         dX, dV = dX[order], dV[order]
     if d == 1:
-        x = dX[:, 0]
-        lo, hi = -np.inf, np.inf
-        pos, neg, zer = x > 0, x < 0, x == 0
-        if np.any(dV[zer] > FEAS_TOL):
-            return None
-        if np.any(pos):
-            lo = np.max(dV[pos] / x[pos])
-        if np.any(neg):
-            hi = np.min(dV[neg] / x[neg])
-        if lo > hi + FEAS_TOL:
-            return None
-        lo = min(lo, hi)
-        return np.array([np.clip(0.0, lo, hi)])
+        H, feasible = _line_superhedge(dX.T, dV[None, :])
+        return H if feasible[0] else None
     # LDP: min |H| s.t. G H >= h, via the nonnegative least-squares
     # transformation on E = [G^T; h^T], f = e_{d+1}
     E = np.vstack([dX.T, dV[None, :]])
@@ -236,14 +275,19 @@ def min_norm_superhedge(dX, dV, order=None):
         return None  # infeasible
     H = -r[:-1] / r[-1]
     scale = max(1.0, np.max(np.abs(dV), initial=0.0))
-    # polish: re-solve the active equality system at minimum norm, which
-    # recovers the exact minimizer once the active set is identified
     slack = dX @ H - dV
-    active = slack <= 1e-7 * scale
+    feasible = np.min(slack) >= -FEAS_TOL * scale
+    # polish: re-solve the active equality system at minimum norm, which
+    # recovers the exact minimizer once the active set is identified.  The
+    # NNLS support holds the rows with positive multipliers; the slack test
+    # adds rows that are active without one.  The norm of the NNLS H only
+    # bounds the minimum when that H is feasible.
+    active = (u > 0.0) | (slack <= 1e-7 * scale)
     if np.any(active):
         H_ref, *_ = np.linalg.lstsq(dX[active], dV[active], rcond=None)
         if (np.min(dX @ H_ref - dV) >= -1e-11 * scale
-                and H_ref @ H_ref <= H @ H * (1.0 + 1e-6) + 1e-9):
+                and (not feasible
+                     or H_ref @ H_ref <= H @ H * (1.0 + 1e-6) + 1e-9)):
             H = H_ref
             slack = dX @ H - dV
     if np.min(slack) < -FEAS_TOL * scale:
@@ -273,39 +317,60 @@ def _assemble(tree, V0, H_vals, dC, diagnostics):
                          C=C, diagnostics=diagnostics)
 
 
+def _gains(H_vals, X):
+    """Per-node one-step gains <H(parent), dX> (zero at the root)."""
+    return np.vecdot(X.increments(), spread_to_children(X.tree, H_vals))
+
+
 def decompose_lp(V, X, lp=None, tie_break_seed=None):
     """Hedge/consumption split via per-node minimum-norm superhedging.
 
     Requires (and reproduces) the universal-supermartingale property; the
     per-child slack <H, dX> - dV becomes the consumption increment, so the
-    reconstruction is exact by construction.
+    reconstruction is exact by construction.  Raises :class:`SolverError`
+    naming the first node whose hedge cannot be solved.
     """
     tree = X.tree
     d = X.dim
     lp = lp if lp is not None else MarketLP(X)
-    rng = None if tie_break_seed is None else np.random.default_rng(tie_break_seed)
+    v = V.values[:, 0]
     H_vals = np.zeros((tree.n_nodes, d))
-    dC = np.zeros(tree.n_nodes)
+    infeasible = np.zeros(tree.n_nodes, dtype=bool)
+    if d == 1:
+        for g in tree.branch_groups:
+            H, feasible = _line_superhedge(g.increments(X.values)[:, :, 0],
+                                           g.increments(v))
+            H_vals[g.nodes, 0] = H
+            infeasible[g.nodes] = ~feasible
+    else:
+        rng = (None if tie_break_seed is None
+               else np.random.default_rng(tie_break_seed))
+        for node in tree.nonleaf_nodes:
+            kids = tree.children(node)
+            order = None if rng is None else rng.permutation(kids.size)
+            H = min_norm_superhedge(X.values[kids] - X.values[node],
+                                    v[kids] - v[node], order=order)
+            if H is None:
+                infeasible[node] = True
+            else:
+                H_vals[node] = H
+    dC = _gains(H_vals, X) - V.increments()[:, 0]
+    negative = np.zeros(tree.n_nodes, dtype=bool)
+    negative[tree.parent[1:][dC[1:] < -1e-8]] = True
+    failed = infeasible | negative
     gap = 0.0
     for node in tree.nonleaf_nodes:
-        kids = tree.children(node)
-        dX = X.values[kids] - X.values[node]
-        dV = V.values[kids, 0] - V.values[node, 0]
-        order = None if rng is None else rng.permutation(kids.size)
-        H = min_norm_superhedge(dX, dV, order=order)
-        if H is None:
-            raise RuntimeError(
-                f"superhedge LP infeasible at node {node}; "
-                "run is_supermartingale_under_all first")
-        H_vals[node] = H
-        slack = dX @ H - dV
-        if np.min(slack) < -1e-8:
-            raise RuntimeError(f"negative consumption at node {node}")
-        dC[kids] = slack
-        best, _ = lp.node_max(node, V.values[kids, 0])
-        gap = max(gap, V.values[node, 0] - best)
+        if failed[node]:
+            if infeasible[node]:
+                raise SolverError(
+                    f"superhedge LP infeasible at node {node}; "
+                    "run is_supermartingale_under_all first", node=int(node))
+            raise SolverError(f"negative consumption at node {node}",
+                              node=int(node))
+        best, _ = lp.node_max(node, v[tree.children(node)])
+        gap = max(gap, v[node] - best)
     diags = {"route": "LP", "duality_gap": float(gap)}
-    return _assemble(tree, V.values[0, 0], H_vals, dC, diags)
+    return _assemble(tree, v[0], H_vals, dC, diags)
 
 
 def decompose_kw(V, X, deflators=None, defer_tol=1e-8, lp=None):
@@ -334,49 +399,52 @@ def decompose_kw(V, X, deflators=None, defer_tol=1e-8, lp=None):
     dC = np.zeros(tree.n_nodes)
     dB_steps = np.zeros(tree.n_nodes)  # per-step drift, indexed by parent node
     n_sq = np.zeros(tree.n_nodes)      # conditional second moment of dN
-    deferred = []
-    for node in tree.nonleaf_nodes:
+    defer = np.zeros(tree.n_nodes, dtype=bool)
+    for g in tree.branch_groups:
+        nodes = g.nodes
+        p = tree.p[g.kids]
+        dX = g.increments(X.values)
+        dM = g.increments(M.values)
+        dA = np.vecmat(p, dX)  # predictable step drift of X
+        W = (1.0 + np.matvec(dX, rho[nodes])) * g.increments(U)
+        pdM = p[:, :, None] * dM
+        cov = dM.mT @ pdM
+        theta = np.matvec(np.linalg.pinv(cov, rcond=1e-12, hermitian=True),
+                          np.vecmat(W, pdM))
+        resid = W - np.matvec(dM, theta)
+        alpha = np.vecdot(p, resid)
+        dN = resid - alpha[:, None]
+        dB = np.vecdot(theta, dA) - alpha
+        theta_vals[nodes] = theta
+        dB_steps[nodes] = dB
+        n_sq[nodes] = np.vecdot(p, dN**2)
+        scale = np.maximum(1.0, np.max(np.abs(W), axis=1))
+        defer[nodes] = np.max(np.abs(dN), axis=1) > defer_tol * scale
+        H_vals[nodes] = Vh[nodes, None] * (U[nodes, None] * rho[nodes] + theta)
+        dC[g.kids] = Vh[nodes, None] * (dB[:, None] - dN)
+    deferred = np.flatnonzero(defer)
+    for node in deferred:
         kids = tree.children(node)
-        p = tree.p[kids]
         dX = X.values[kids] - X.values[node]
-        dM = M.values[kids] - M.values[node]
-        dA = (p @ dX)  # predictable step drift of X
-        r = dX @ rho[node]
-        dU = U[kids] - U[node]
-        W = (1.0 + r) * dU
-        cov = dM.T @ (p[:, None] * dM)
-        theta = np.linalg.pinv(cov, rcond=1e-12, hermitian=True) @ (dM.T @ (p * W))
-        alpha = p @ (W - dM @ theta)
-        dN = W - dM @ theta - alpha
-        dB = float(theta @ dA - alpha)
-        theta_vals[node] = theta
-        dB_steps[node] = dB
-        n_sq[node] = float(p @ dN**2)
-        scale = max(1.0, np.max(np.abs(W), initial=0.0))
-        if np.max(np.abs(dN), initial=0.0) > defer_tol * scale:
-            deferred.append(int(node))
-            dV = V.values[kids, 0] - V.values[node, 0]
-            H = min_norm_superhedge(dX, dV)
-            if H is None:
-                raise RuntimeError(f"deferred LP infeasible at node {node}")
-            H_vals[node] = H
-            dC[kids] = dX @ H - dV
-        else:
-            H_vals[node] = Vh[node] * (U[node] * rho[node] + theta)
-            dC[kids] = Vh[node] * (dB - dN)
+        dV = V.values[kids, 0] - V.values[node, 0]
+        H = min_norm_superhedge(dX, dV)
+        if H is None:
+            raise SolverError(f"deferred LP infeasible at node {node}",
+                              node=int(node))
+        H_vals[node] = H
+        dC[kids] = dX @ H - dV
     nonleaf = tree.nonleaf_nodes
     n_norm = float(np.sqrt(np.mean(n_sq[nonleaf]))) if nonleaf.size else 0.0
-    dB_nodes = np.zeros(tree.n_nodes)
-    for node in nonleaf:
-        dB_nodes[tree.children(node)] = dB_steps[node]
     diags = {
         "route": "KW",
         "theta": PredictableProcess(tree, theta_vals),
-        "B": AdaptedProcess(tree, path_cumsum(tree, dB_nodes)),
+        "B": AdaptedProcess(tree, path_cumsum(
+            tree, spread_to_children(tree, dB_steps))),
         "N_norm": n_norm,
-        "node_N_norm": {int(n): float(np.sqrt(n_sq[n])) for n in nonleaf},
+        "node_N_norm": dict(zip(nonleaf.tolist(),
+                                np.sqrt(n_sq[nonleaf]).tolist())),
         "min_dB": float(np.min(dB_steps[nonleaf])) if nonleaf.size else 0.0,
-        "deferred_nodes": tuple(deferred),
+        "deferred_nodes": tuple(deferred.tolist()),
     }
     if lp is not None:
         gap = 0.0
@@ -390,20 +458,13 @@ def decompose_kw(V, X, deflators=None, defer_tol=1e-8, lp=None):
 def reconstruct(V0, H, C, X):
     """V(node) = V0 + sum over the path of <H(parent), dX> - C(node)."""
     tree = X.tree
-    dX = X.increments()
-    gains = np.einsum("nd,nd->n", dX, H.values[np.maximum(tree.parent, 0)])
-    gains[0] = 0.0
-    vals = float(V0) + path_cumsum(tree, gains) - C.values[:, 0]
+    vals = float(V0) + path_cumsum(tree, _gains(H.values, X)) - C.values[:, 0]
     return AdaptedProcess(tree, vals)
 
 
 def gains_process(H, X):
     """Running stochastic integral sum <H, dX> as an AdaptedProcess."""
-    tree = X.tree
-    dX = X.increments()
-    g = np.einsum("nd,nd->n", dX, H.values[np.maximum(tree.parent, 0)])
-    g[0] = 0.0
-    return AdaptedProcess(tree, path_cumsum(tree, g))
+    return AdaptedProcess(X.tree, path_cumsum(X.tree, _gains(H.values, X)))
 
 
 def check_uniqueness(d1, d2, X, tol=1e-8):

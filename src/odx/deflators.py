@@ -2,7 +2,8 @@
 
 On a tree the stochastic exponential is the running product of (1 + dZ).
 The numeraire portfolio is solved exactly per node from the first-order
-condition of log-wealth, which makes 1/V_hat and X_i/V_hat exact
+condition of log-wealth (one Newton iteration per branch group, with
+per-node stopping), which makes 1/V_hat and X_i/V_hat exact
 martingales; product deflators (1/V_hat) * E(L) are generated from jump
 martingales orthogonal (under the implied martingale measure) to the
 martingale part of the market.
@@ -12,11 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import null_space
-
 from .tree import (AdaptedProcess, ArbitrageError, ModelError,
                    PredictableProcess, child_weighted_sums,
-                   doob_decompose, path_cumprod)
+                   doob_decompose, path_cumprod, path_cumsum)
 
 NEWTON_TOL = 1e-15
 NEWTON_MAXITER = 100
@@ -45,37 +44,57 @@ def stochastic_exponential(Z, strict=False):
     return AdaptedProcess(Z.tree, vals)
 
 
-def _log_optimal_node(p, dX, tol=NEWTON_TOL, max_iter=NEWTON_MAXITER):
-    """Damped Newton solve of sum_c p_c dX_c / (1 + <rho, dX_c>) = 0."""
-    d = dX.shape[1]
-    rho = np.zeros(d)
-    scale = max(1.0, np.max(np.abs(dX)))
-    best_rho, best_norm = rho, np.inf
+def _log_optimal(p, dX, tol=NEWTON_TOL, max_iter=NEWTON_MAXITER):
+    """Damped Newton solve of sum_c p_c dX_c / (1 + <rho, dX_c>) = 0 at a
+    stack of nodes: p is (n, k), dX is (n, k, d).
+
+    Every node runs its own iteration: it stops once its gradient is below
+    ``tol`` times its increment scale, when its step stalls at the
+    floating-point floor, or when |rho| passes RHO_CAP.  Returns the
+    iterate of smallest gradient of each node and the gradient there.
+    """
+    n, _, d = dX.shape
+    rho = np.zeros((n, d))
+    scale = np.maximum(1.0, np.max(np.abs(dX), axis=(1, 2)))
+    best_rho = rho.copy()
+    best_norm = np.full(n, np.inf)
+    live = np.arange(n)
     for _ in range(max_iter):
-        w = 1.0 + dX @ rho
-        grad = (p / w) @ dX
-        g_norm = np.max(np.abs(grad))
-        if g_norm < best_norm:
-            best_rho, best_norm = rho, g_norm
-        if g_norm <= tol * scale:
-            return rho, grad
-        hess = dX.T @ ((p / w**2)[:, None] * dX)
-        step = np.linalg.pinv(hess, rcond=1e-13) @ grad
-        # halve until wealth stays positive and log-wealth does not drop
-        obj = p @ np.log(w)
-        for _ in range(60):
-            w_new = 1.0 + dX @ (rho + step)
-            if np.min(w_new) > 1e-12 and p @ np.log(w_new) >= obj - 1e-13:
-                break
-            step *= 0.5
-        if np.max(np.abs(step)) <= 1e-16 * max(1.0, np.max(np.abs(rho))):
-            break  # stalled at the floating-point floor
-        rho = rho + step
-        if np.max(np.abs(rho)) > RHO_CAP:
+        x, pl, r = dX[live], p[live], rho[live]
+        w = 1.0 + np.matvec(x, r)
+        grad = np.vecmat(pl / w, x)
+        g_norm = np.max(np.abs(grad), axis=1)
+        better = g_norm < best_norm[live]
+        best_rho[live[better]] = r[better]
+        best_norm[live[better]] = g_norm[better]
+        go = g_norm > tol * scale[live]
+        live, x, pl, r, w, grad = live[go], x[go], pl[go], r[go], w[go], grad[go]
+        if live.size == 0:
             break
-    w = 1.0 + dX @ best_rho
-    grad = (p / w) @ dX
-    return best_rho, grad
+        hess = x.mT @ ((pl / w**2)[:, :, None] * x)
+        step = np.matvec(np.linalg.pinv(hess, rcond=1e-13), grad)
+        # halve until wealth stays positive and log-wealth does not drop
+        obj = np.vecdot(pl, np.log(w))
+        todo = np.arange(live.size)
+        for _ in range(60):
+            w_new = 1.0 + np.matvec(x[todo], r[todo] + step[todo])
+            ok = np.min(w_new, axis=1) > 1e-12
+            ok[ok] = (np.vecdot(pl[todo[ok]], np.log(w_new[ok]))
+                      >= obj[todo[ok]] - 1e-13)
+            todo = todo[~ok]
+            if todo.size == 0:
+                break
+            step[todo] *= 0.5
+        # stalled at the floating-point floor
+        moving = (np.max(np.abs(step), axis=1)
+                  > 1e-16 * np.maximum(1.0, np.max(np.abs(r), axis=1)))
+        r = r + step
+        rho[live] = r
+        live = live[moving & (np.max(np.abs(r), axis=1) <= RHO_CAP)]
+        if live.size == 0:
+            break
+    w = 1.0 + np.matvec(dX, best_rho)
+    return best_rho, np.vecmat(p / w, dX)
 
 
 def numeraire_portfolio(X, tol=1e-10):
@@ -88,25 +107,27 @@ def numeraire_portfolio(X, tol=1e-10):
     d = X.dim
     rho_vals = np.zeros((tree.n_nodes, d))
     factors = np.ones(tree.n_nodes)
-    for node in tree.nonleaf_nodes:
-        kids = tree.children(node)
-        p = tree.p[kids]
-        dX = X.values[kids] - X.values[node]
-        rho, grad = _log_optimal_node(p, dX)
-        scale = max(1.0, np.max(np.abs(dX)))
-        if np.max(np.abs(grad)) > tol * scale or np.max(np.abs(rho)) > RHO_CAP:
-            raise ArbitrageError(
-                f"log-utility unbounded at node {node} (no numeraire portfolio)",
-                node=int(node))
-        rho_vals[node] = rho
-        factors[kids] = 1.0 + dX @ rho
+    unbounded = np.zeros(tree.n_nodes, dtype=bool)
+    for g in tree.branch_groups:
+        dX = g.increments(X.values)
+        rho, grad = _log_optimal(tree.p[g.kids], dX)
+        scale = np.maximum(1.0, np.max(np.abs(dX), axis=(1, 2)))
+        unbounded[g.nodes] = ((np.max(np.abs(grad), axis=1) > tol * scale)
+                              | (np.max(np.abs(rho), axis=1) > RHO_CAP))
+        rho_vals[g.nodes] = rho
+        factors[g.kids] = 1.0 + np.matvec(dX, rho)
+    if np.any(unbounded):
+        node = int(np.argmax(unbounded))
+        raise ArbitrageError(
+            f"log-utility unbounded at node {node} (no numeraire portfolio)",
+            node=node)
     V_hat = AdaptedProcess(tree, path_cumprod(tree, factors))
     if np.min(V_hat.values) <= 0.0:
         raise ArbitrageError("numeraire wealth not strictly positive")
     return PredictableProcess(tree, rho_vals), V_hat
 
 
-def implied_measure(X, rho_hat, V_hat):
+def implied_measure(X, V_hat):
     """Branch weights of the martingale measure induced by the numeraire.
 
     Returns (n_nodes,) q with q[child] = p * Y_hat(child)/Y_hat(parent),
@@ -114,11 +135,11 @@ def implied_measure(X, rho_hat, V_hat):
     the Newton residual, which is below 1e-12).
     """
     tree = X.tree
+    vh = V_hat.values[:, 0]
     q = np.ones(tree.n_nodes)
-    for node in tree.nonleaf_nodes:
-        kids = tree.children(node)
-        raw = tree.p[kids] * V_hat.values[node, 0] / V_hat.values[kids, 0]
-        q[kids] = raw / raw.sum()
+    for g in tree.branch_groups:
+        raw = tree.p[g.kids] * vh[g.nodes][:, None] / vh[g.kids]
+        q[g.kids] = raw / raw.sum(axis=1, keepdims=True)
     return q
 
 
@@ -153,30 +174,39 @@ def orthogonal_jump_martingale(tree, M, rng, weights=None, margin=DEFAULT_MARGIN
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
     w_all = tree.p if weights is None else np.asarray(weights, dtype=np.float64)
-    dL_all = np.zeros((n_samples, tree.n_nodes))
-    for node in tree.nonleaf_nodes:
-        kids = tree.children(node)
-        k = kids.size
-        w = w_all[kids]
-        dM = M.values[kids] - M.values[node]
-        cons = np.vstack([w[None, :], (w[:, None] * dM).T])
-        basis = null_space(cons, rcond=1e-12)
-        if basis.shape[1] == 0:
-            continue
-        coeff = rng.standard_normal((basis.shape[1], n_samples))
-        dL = basis @ coeff  # (k, n_samples)
-        sup = np.max(np.abs(dL), axis=0)
-        nz = sup > 1e-14
-        dL[:, nz] *= (1.0 - margin) / sup[nz]
-        dL[:, ~nz] = 0.0
-        dL_all[:, kids] = dL.T
-    out = []
-    for s in range(n_samples):
-        L_vals = np.zeros(tree.n_nodes)
-        for i in range(1, tree.n_nodes):
-            L_vals[i] = L_vals[tree.parent[i]] + dL_all[s, i]
-        out.append(AdaptedProcess(tree, L_vals))
-    return out
+    # per node: the rank of the constraints and the right singular vectors,
+    # whose trailing rows span {sum w dL = 0, sum w dL dM^T = 0}
+    free = np.zeros(tree.n_nodes, dtype=np.int64)
+    svd = []
+    for g in tree.branch_groups:
+        w = w_all[g.kids]
+        dM = g.increments(M.values)
+        cons = np.concatenate([w[:, None, :], (w[:, :, None] * dM).mT], axis=1)
+        _, sv, vh = np.linalg.svd(cons, full_matrices=True)
+        r = np.sum(sv > np.max(sv, axis=1, keepdims=True) * 1e-12, axis=1)
+        free[g.nodes] = g.k - r
+        svd.append((g, r, vh))
+    # the normals are drawn node by node in id order, one (free, n_samples)
+    # block per node, so a seed gives the same deflators in any layout
+    offset = np.concatenate([[0], np.cumsum(free * n_samples)])
+    normals = rng.standard_normal(offset[-1])
+    dL_all = np.zeros((tree.n_nodes, n_samples))
+    for g, r, vh in svd:
+        for rk in np.unique(r):
+            dim = g.k - rk
+            if dim == 0:
+                continue
+            sel = r == rk
+            nodes = g.nodes[sel]
+            coeff = normals[offset[nodes][:, None]
+                            + np.arange(dim * n_samples)]
+            dL = vh[sel, rk:, :].mT @ coeff.reshape(-1, dim, n_samples)
+            sup = np.max(np.abs(dL), axis=1, keepdims=True)
+            nz = sup > 1e-14
+            dL_all[g.kids[sel]] = np.where(
+                nz, dL * ((1.0 - margin) / np.where(nz, sup, 1.0)), 0.0)
+    L = path_cumsum(tree, dL_all)
+    return [AdaptedProcess(tree, L[:, s].copy()) for s in range(n_samples)]
 
 
 def build_deflator_family(X, n_extras=DEFAULT_EXTRAS, seed=0,
@@ -185,7 +215,7 @@ def build_deflator_family(X, n_extras=DEFAULT_EXTRAS, seed=0,
     tree = X.tree
     rho_hat, V_hat = numeraire_portfolio(X)
     Y_hat = AdaptedProcess(tree, 1.0 / V_hat.values[:, 0])
-    q = implied_measure(X, rho_hat, V_hat)
+    q = implied_measure(X, V_hat)
     _, M = doob_decompose(X)
     rng = np.random.default_rng(seed)
     extras = []

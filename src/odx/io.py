@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+from functools import lru_cache
 
 import numpy as np
 
@@ -54,9 +55,14 @@ def tree_from_json(obj):
     return tree
 
 
+@lru_cache(maxsize=4)
+def _node_keys(n):
+    return tuple(map(str, range(n)))
+
+
 def process_to_json(P):
     vals = P.values
-    return {str(i): [float(v) for v in vals[i]] for i in range(vals.shape[0])}
+    return dict(zip(_node_keys(vals.shape[0]), vals.tolist()))
 
 
 def adapted_from_json(tree, obj, name="process"):

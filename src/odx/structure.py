@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .tree import (AdaptedProcess, ModelError, PredictableProcess,
-                   conditional_moment, doob_decompose, path_cumsum)
+                   _first_failure, doob_decompose, path_cumsum,
+                   spread_to_children)
 
 SYM_TOL = 1e-12
 EIG_TOL = 1e-10
@@ -36,17 +37,24 @@ class Characteristics:
         d = self.d
         return self.c.values[node].reshape(d, d)
 
-    def validate(self):
-        tree = self.a.tree
+    def c_stack(self, nodes):
+        """(len(nodes), d, d) covariance matrices at the given nodes."""
         d = self.d
-        for node in tree.nonleaf_nodes:
-            C = self.c_matrix(node)
-            if np.max(np.abs(C - C.T)) > SYM_TOL:
-                raise ModelError(f"node {node}: covariance not symmetric")
-            if np.min(np.linalg.eigvalsh(0.5 * (C + C.T))) < -EIG_TOL:
-                raise ModelError(f"node {node}: covariance not PSD")
-            if not self.dG.values[node, 0] > 0.0:
-                raise ModelError(f"node {node}: dG must be positive")
+        return self.c.values[nodes].reshape(-1, d, d)
+
+    def validate(self):
+        nodes = self.a.tree.nonleaf_nodes
+        C = self.c_stack(nodes)
+        failure = _first_failure([
+            (np.max(np.abs(C - C.mT), axis=(1, 2)) > SYM_TOL,
+             "covariance not symmetric"),
+            (np.min(np.linalg.eigvalsh(0.5 * (C + C.mT)), axis=1) < -EIG_TOL,
+             "covariance not PSD"),
+            (~(self.dG.values[nodes, 0] > 0.0), "dG must be positive"),
+        ])
+        if failure is not None:
+            i, msg = failure
+            raise ModelError(f"node {nodes[i]}: {msg}")
         return self
 
 
@@ -72,10 +80,12 @@ def extract_characteristics(X):
     a_vals = np.zeros((tree.n_nodes, d))
     c_vals = np.zeros((tree.n_nodes, d * d))
     dG_vals = np.zeros((tree.n_nodes, 1))
-    for node in tree.nonleaf_nodes:
-        a_vals[node] = conditional_moment(X, node, 1)
-        c_vals[node] = conditional_moment(M, node, 2).ravel()
-        dG_vals[node, 0] = 1.0
+    for g in tree.branch_groups:
+        w = tree.p[g.kids]
+        dM = g.increments(M.values)
+        a_vals[g.nodes] = np.vecmat(w, g.increments(X.values))
+        c_vals[g.nodes] = ((w[:, :, None] * dM).mT @ dM).reshape(-1, d * d)
+        dG_vals[g.nodes, 0] = 1.0
     return Characteristics(a=PredictableProcess(tree, a_vals),
                            c=PredictableProcess(tree, c_vals),
                            dG=PredictableProcess(tree, dG_vals))
@@ -85,19 +95,18 @@ def psd_pinv_apply(C, v, reltol=PINV_RELTOL):
     """Minimum-norm solution of C x = v for symmetric PSD C, plus the
     residual projection of v onto the kernel of C.
 
-    Eigenvalues below ``reltol * lambda_max`` are treated as zero, so rank
-    decisions are stable under uniform scaling of C.
+    C may be one (d, d) matrix or a (..., d, d) stack, with v of shape (d,)
+    or (..., d).  Eigenvalues below ``reltol * lambda_max`` of their own
+    matrix are treated as zero, so rank decisions are stable under uniform
+    scaling of C.
     """
-    C = 0.5 * (C + C.T)
-    w, Q = np.linalg.eigh(C)
-    lam_max = max(w.max(initial=0.0), 0.0)
-    cutoff = reltol * lam_max
-    keep = w > cutoff
-    coeff = Q.T @ v
+    w, Q = np.linalg.eigh(0.5 * (C + C.mT))
+    keep = w > reltol * np.maximum(w[..., -1:], 0.0)  # eigh sorts ascending
+    coeff = np.vecmat(v, Q)
     inv = np.zeros_like(w)
     inv[keep] = 1.0 / w[keep]
-    x = Q @ (inv * coeff)
-    kernel_part = Q @ (np.where(keep, 0.0, 1.0) * coeff)
+    x = np.matvec(Q, inv * coeff)
+    kernel_part = np.matvec(Q, ~keep * coeff)
     return x, kernel_part
 
 
@@ -113,24 +122,22 @@ def solve_structure(ch, tol=DEFAULT_STRUCT_TOL,
     ch.validate()
     tree = ch.a.tree
     d = ch.d
+    nodes = tree.nonleaf_nodes
+    C = ch.c_stack(nodes)
+    a = ch.a.values[nodes]
+    rho, kernel_part = psd_pinv_apply(C, a)
+    C_rho = np.matvec(C, rho)
+    flagged = np.max(np.abs(C_rho - a), axis=1) > tol
+    bad = nodes[flagged].tolist()
     rho_vals = np.zeros((tree.n_nodes, d))
+    rho_vals[nodes] = rho
     zeta_vals = np.zeros((tree.n_nodes, d))
-    mass_terms = np.zeros(tree.n_nodes)
-    bad = []
-    for node in tree.nonleaf_nodes:
-        C = ch.c_matrix(node)
-        a = ch.a.values[node]
-        dG = ch.dG.values[node, 0]
-        rho, kernel_part = psd_pinv_apply(C, a)
-        rho_vals[node] = rho
-        resid = C @ rho - a
-        if np.max(np.abs(resid)) > tol:
-            zeta_vals[node] = kernel_part
-            bad.append(int(node))
-        # spread the step mass onto the children so it accumulates along paths
-        kids = tree.children(node)
-        mass_terms[kids] = float(rho @ (C @ rho)) * dG
-    mass = AdaptedProcess(tree, path_cumsum(tree, mass_terms))
+    zeta_vals[nodes[flagged]] = kernel_part[flagged]
+    step_mass = np.zeros(tree.n_nodes)
+    step_mass[nodes] = np.vecdot(rho, C_rho) * ch.dG.values[nodes, 0]
+    # the step mass sits on the children so it accumulates along paths
+    mass = AdaptedProcess(tree, path_cumsum(tree,
+                                            spread_to_children(tree, step_mass)))
     mass_flag = bool(np.max(mass.values) > mass_threshold)
     if bad:
         return StructureReport(status="ARBITRAGE", rho=None,

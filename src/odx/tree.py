@@ -3,11 +3,15 @@
 A tree node carries a time index, a parent, and the transition probability
 from its parent.  Node ids are assigned breadth-first, so the children of
 any node occupy a contiguous id range; several hot loops exploit that via
-``np.add.reduceat`` style segment sums.
+``np.add.reduceat`` style segment sums.  Per-node work runs over two
+precomputed layouts instead of one node at a time: the time levels (path
+accumulation, one step per level) and the branch groups (all non-leaf nodes
+with the same number of children, as one child-index matrix).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,6 +29,55 @@ class ArbitrageError(RuntimeError):
         super().__init__(message)
         self.node = node
         self.witness = witness
+
+
+class SolverError(RuntimeError):
+    """A per-node solve failed on valid input; carries the offending node."""
+
+    def __init__(self, message, node=None):
+        super().__init__(message)
+        self.node = node
+
+
+def _first_failure(checks):
+    """(index, message) of the lowest index failing any check, with the
+    message of the first check it fails; None when all pass.
+
+    ``checks`` is a sequence of (boolean mask, message) pairs over the same
+    index range, in the order a per-index loop would test them.
+    """
+    masks = [np.asarray(mask) for mask, _ in checks]
+    failing = np.flatnonzero(np.logical_or.reduce(masks))
+    if failing.size == 0:
+        return None
+    i = int(failing[0])
+    return i, next(msg for mask, (_, msg) in zip(masks, checks) if mask[i])
+
+
+@dataclass(frozen=True)
+class BranchGroup:
+    """The non-leaf nodes with the same number k of children.
+
+    ``nodes`` is (n_k,) ascending; ``kids`` is the (n_k, k) matrix of their
+    child ids in sibling order.
+    """
+
+    nodes: np.ndarray
+    kids: np.ndarray
+
+    @property
+    def k(self):
+        return self.kids.shape[1]
+
+    def increments(self, values):
+        """(n_k, k, ...) stack of child value minus node value."""
+        return values[self.kids] - values[self.nodes][:, None]
+
+
+def _levels(time):
+    """Node ids per time index, root level first."""
+    order = np.argsort(time, kind="stable")
+    return tuple(np.split(order, np.cumsum(np.bincount(time))[:-1]))
 
 
 @dataclass(frozen=True)
@@ -73,6 +126,23 @@ class EventTree:
     def leaves(self):
         return np.flatnonzero(self.n_children == 0)
 
+    @cached_property
+    def levels(self):
+        """Node ids per time index, root level first."""
+        return _levels(self.time)
+
+    @cached_property
+    def branch_groups(self):
+        """One :class:`BranchGroup` per branching factor, by increasing k."""
+        nonleaf = self.nonleaf_nodes
+        ks = self.n_children[nonleaf]
+        groups = []
+        for k in np.unique(ks):
+            nodes = nonleaf[ks == k]
+            groups.append(BranchGroup(
+                nodes, self.first_child[nodes][:, None] + np.arange(k)))
+        return tuple(groups)
+
     def __eq__(self, other):
         if self is other:
             return True
@@ -98,36 +168,41 @@ def _finalize_tree(time, parent, p):
     if np.count_nonzero(parent == -1) != 1:
         raise ModelError("exactly one root required")
 
-    n_children = np.zeros(n, dtype=np.int64)
-    first_child = np.full(n, -1, dtype=np.int64)
-    for i in range(1, n):
-        par = parent[i]
-        if par < 0 or par >= i:
-            raise ModelError(f"node {i}: parent must precede it (breadth-first ids)")
-        if time[i] != time[par] + 1:
-            raise ModelError(f"node {i}: child time must be parent time + 1")
-        if not (p[i] > 0.0):
-            raise ModelError(f"node {i}: zero or negative branch probability "
-                             "violates measure equivalence")
-        if n_children[par] == 0:
-            first_child[par] = i
-        elif first_child[par] + n_children[par] != i:
-            raise ModelError("children of a node must be contiguous in id")
-        n_children[par] += 1
+    ids = np.arange(1, n)
+    par = parent[1:]
+    bad_parent = (par < 0) | (par >= ids)
+    par = np.where(bad_parent, 0, par)
+    # lowest child id per parent, over the nodes whose parent is valid
+    first = np.full(n, n, dtype=np.int64)
+    np.minimum.at(first, par[~bad_parent], ids[~bad_parent])
+    failure = _first_failure([
+        (bad_parent, "node {}: parent must precede it (breadth-first ids)"),
+        (time[1:] != time[par] + 1, "node {}: child time must be parent time + 1"),
+        (~(p[1:] > 0.0), "node {}: zero or negative branch probability "
+                         "violates measure equivalence"),
+        # a later sibling must directly follow the previous one
+        ((first[par] != ids) & (parent[:-1] != par),
+         "children of a node must be contiguous in id"),
+    ])
+    if failure is not None:
+        i, msg = failure
+        raise ModelError(msg.format(i + 1))
+    n_children = np.bincount(par, minlength=n)
+    first_child = np.where(n_children > 0, first, -1)
 
     horizon = int(time.max())
     leaf = n_children == 0
     if np.any(time[leaf] != horizon):
         raise ModelError("all leaves must sit at the horizon")
-    for i in np.flatnonzero(~leaf):
-        lo = first_child[i]
-        s = p[lo:lo + n_children[i]].sum()
-        if abs(s - 1.0) > PROB_TOL:
-            raise ModelError(f"node {i}: probabilities must sum to 1 (got {s!r})")
+    sums = np.bincount(par, weights=p[1:], minlength=n)
+    bad = np.flatnonzero(~leaf & (np.abs(sums - 1.0) > PROB_TOL))
+    if bad.size:
+        raise ModelError(f"node {bad[0]}: probabilities must sum to 1 "
+                         f"(got {sums[bad[0]]!r})")
 
     path_prob = np.ones(n)
-    for i in range(1, n):
-        path_prob[i] = path_prob[parent[i]] * p[i]
+    for level in _levels(time)[1:]:
+        path_prob[level] = path_prob[parent[level]] * p[level]
     return EventTree(horizon=horizon, time=time, parent=parent, p=p,
                      first_child=first_child, n_children=n_children,
                      path_prob=path_prob)
@@ -260,15 +335,6 @@ class PredictableProcess:
 # Conditional moments, Doob decomposition, quadratic covariation
 # ---------------------------------------------------------------------------
 
-def child_increments(X, node):
-    """Increments of X from ``node`` to each of its children, (k, dim)."""
-    tree = X.tree
-    if tree.is_leaf(node):
-        raise ModelError(f"node {node} is a leaf")
-    kids = tree.children(node)
-    return X.values[kids] - X.values[node]
-
-
 def conditional_moment(X, node, order):
     """Exact conditional moment of the one-step increment of X at a node.
 
@@ -276,8 +342,11 @@ def conditional_moment(X, node, order):
     sum_children p * dX dX^T (a matrix).
     """
     tree = X.tree
-    dX = child_increments(X, node)
-    w = tree.p[tree.children(node)]
+    if tree.is_leaf(node):
+        raise ModelError(f"node {node} is a leaf")
+    kids = tree.children(node)
+    dX = X.values[kids] - X.values[node]
+    w = tree.p[kids]
     if order == 1:
         return w @ dX
     if order == 2:
@@ -314,29 +383,20 @@ def doob_decompose(X):
     conditional one-step mean at every non-leaf node.
     """
     tree = X.tree
-    dX = X.increments()
-    drift = np.zeros_like(X.values)
-    means = child_weighted_sums(tree, dX)
-    nonleaf = tree.nonleaf_nodes
-    # step drift at each non-root node = conditional mean at its parent
-    step = np.zeros_like(X.values)
-    for idx, node in enumerate(nonleaf):
-        kids = tree.children(node)
-        step[kids] = means[idx]
-    for i in range(1, tree.n_nodes):
-        drift[i] = drift[tree.parent[i]] + step[i]
+    means = np.zeros_like(X.values)
+    means[tree.nonleaf_nodes] = child_weighted_sums(tree, X.increments())
+    drift = path_cumsum(tree, spread_to_children(tree, means))
     A = AdaptedProcess(tree, drift)
     M = AdaptedProcess(tree, X.values - drift)
     return A, M
 
 
-def step_drift(X):
-    """Per-step conditional mean of dX as a PredictableProcess (dG = 1)."""
-    tree = X.tree
-    means = child_weighted_sums(tree, X.increments())
-    vals = np.zeros_like(X.values)
-    vals[tree.nonleaf_nodes] = means
-    return PredictableProcess(tree, vals)
+def spread_to_children(tree, node_values):
+    """Per-node values moved onto the children: row i of the result is the
+    value at the parent of i (zero at the root)."""
+    out = np.asarray(node_values)[np.maximum(tree.parent, 0)]
+    out[0] = 0.0
+    return out
 
 
 def quadratic_covariation(M, N):
@@ -351,28 +411,20 @@ def quadratic_covariation(M, N):
     dM = M.increments()
     dN = N.increments()
     step = dM[:, :, None] * dN[:, None, :]
-    out = np.zeros((tree.n_nodes, M.dim * N.dim))
-    flat = step.reshape(tree.n_nodes, -1)
-    for i in range(1, tree.n_nodes):
-        out[i] = out[tree.parent[i]] + flat[i]
-    return AdaptedProcess(tree, out)
+    return AdaptedProcess(tree, path_cumsum(tree, step.reshape(tree.n_nodes, -1)))
 
 
 def path_cumsum(tree, node_terms):
     """Running sum along each path of per-node terms ((n,) or (n, m))."""
-    terms = np.asarray(node_terms, dtype=np.float64)
-    out = np.zeros_like(terms)
-    out[0] = terms[0]
-    for i in range(1, tree.n_nodes):
-        out[i] = out[tree.parent[i]] + terms[i]
+    out = np.array(node_terms, dtype=np.float64)
+    for level in tree.levels[1:]:
+        out[level] += out[tree.parent[level]]
     return out
 
 
 def path_cumprod(tree, node_factors):
     """Running product along each path of per-node factors ((n,) or (n, m))."""
-    factors = np.asarray(node_factors, dtype=np.float64)
-    out = np.ones_like(factors)
-    out[0] = factors[0]
-    for i in range(1, tree.n_nodes):
-        out[i] = out[tree.parent[i]] * factors[i]
+    out = np.array(node_factors, dtype=np.float64)
+    for level in tree.levels[1:]:
+        out[level] *= out[tree.parent[level]]
     return out

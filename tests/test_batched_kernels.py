@@ -1,0 +1,302 @@
+"""Property tests of the per-branch-group kernels against plain per-node
+reference loops, on random trees with mixed branching (1 to 6 children)
+and 1 to 3 assets."""
+from itertools import combinations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from odx.decompose import MarketLP, _line_vertices
+from odx.deflators import numeraire_portfolio
+from odx.structure import extract_characteristics
+from odx.tree import (AdaptedProcess, ModelError, _finalize_tree, build_tree,
+                      path_cumprod, path_cumsum)
+
+SEEDS = st.integers(0, 2**32 - 1)
+DIMS = st.integers(1, 3)
+PROPERTY = settings(max_examples=40, deadline=None)
+
+
+# ---------------------------------------------------------------------------
+# Random markets given as nested specs, so children can be permuted
+# ---------------------------------------------------------------------------
+
+def random_spec(rng, d, depth):
+    """Nested {"probs", "dx", "children"} spec of an arbitrage-free market.
+
+    Increments are centred under an interior measure, so a node with one
+    child has dx = 0; some nodes get one child with dx exactly 0.
+    """
+    if depth == 0:
+        return None
+    k = int(rng.integers(1, 7))
+    probs = rng.dirichlet(np.full(k, 2.0))
+    probs = np.clip(probs, 0.02, None)
+    probs /= probs.sum()
+    dx = rng.normal(0.0, 0.1, size=(k, d))
+    w = np.clip(rng.dirichlet(np.full(k, 2.0)), 0.05, None)
+    w /= w.sum()
+    dx -= w @ dx
+    if k > 2 and rng.random() < 0.3:
+        z = int(rng.integers(k))
+        rest = np.arange(k) != z
+        dx[z] = 0.0
+        dx[rest] -= (w[rest] / w[rest].sum()) @ dx[rest]
+    return {"probs": probs, "dx": dx,
+            "children": [random_spec(rng, d, depth - 1) for _ in range(k)]}
+
+
+def permuted(spec, rng):
+    """The same market with the children of every node in a random order."""
+    if spec is None:
+        return None
+    order = rng.permutation(len(spec["probs"]))
+    return {"probs": spec["probs"][order], "dx": spec["dx"][order],
+            "children": [permuted(spec["children"][i], rng) for i in order]}
+
+
+def realise(spec, d):
+    """(tree, X, paths): paths[i] is the sequence of (probability, increment)
+    steps leading to node i, which identifies a node across child
+    permutations."""
+    tree = build_tree(spec)
+    X = np.zeros((tree.n_nodes, d))
+    paths = [()]
+    queue = [(0, spec)]
+    while queue:  # the breadth-first order of build_tree
+        nxt = []
+        for node, sub in queue:
+            if sub is None:
+                continue
+            for j, child in enumerate(sub["children"]):
+                cid = len(paths)
+                X[cid] = X[node] + sub["dx"][j]
+                paths.append(paths[node] + ((sub["probs"][j],
+                                             tuple(sub["dx"][j])),))
+                nxt.append((cid, child))
+        queue = nxt
+    return tree, AdaptedProcess(tree, X), paths
+
+
+def random_market(seed, d):
+    rng = np.random.default_rng(seed)
+    spec = random_spec(rng, d, int(rng.integers(1, 4)))
+    return rng, spec, realise(spec, d)
+
+
+# ---------------------------------------------------------------------------
+# Per-node references
+# ---------------------------------------------------------------------------
+
+def reference_newton(p, dX, tol=1e-15, max_iter=100):
+    """The per-node damped Newton iteration of the numeraire."""
+    d = dX.shape[1]
+    rho = np.zeros(d)
+    scale = max(1.0, np.max(np.abs(dX)))
+    best_rho, best_norm = rho, np.inf
+    for _ in range(max_iter):
+        w = 1.0 + dX @ rho
+        grad = (p / w) @ dX
+        g_norm = np.max(np.abs(grad))
+        if g_norm < best_norm:
+            best_rho, best_norm = rho, g_norm
+        if g_norm <= tol * scale:
+            return rho, grad
+        hess = dX.T @ ((p / w**2)[:, None] * dX)
+        step = np.linalg.pinv(hess, rcond=1e-13) @ grad
+        obj = p @ np.log(w)
+        for _ in range(60):
+            w_new = 1.0 + dX @ (rho + step)
+            if np.min(w_new) > 1e-12 and p @ np.log(w_new) >= obj - 1e-13:
+                break
+            step *= 0.5
+        if np.max(np.abs(step)) <= 1e-16 * max(1.0, np.max(np.abs(rho))):
+            break
+        rho = rho + step
+        if np.max(np.abs(rho)) > 1e8:
+            break
+    w = 1.0 + dX @ best_rho
+    return best_rho, (p / w) @ dX
+
+
+def reference_line_vertices(x):
+    """Basic feasible solutions of {q >= 0, sum q = 1, sum q x = 0}: supports
+    of one or two children with linearly independent columns."""
+    k = x.size
+    verts = []
+    for size in (1, 2):
+        for S in combinations(range(k), size):
+            A = np.vstack([np.ones(size), x[list(S)]])
+            if size == 1:
+                if x[S[0]] != 0.0:
+                    continue
+                q_s = np.ones(1)
+            else:
+                if x[S[0]] == x[S[1]]:
+                    continue
+                q_s = np.linalg.solve(A, [1.0, 0.0])
+            if np.all(q_s > 0.0):
+                q = np.zeros(k)
+                q[list(S)] = q_s
+                verts.append(q)
+    return np.array(verts).reshape(-1, k)
+
+
+def parent_walk(tree, terms, op):
+    out = np.array(terms, dtype=np.float64)
+    for i in range(1, tree.n_nodes):
+        out[i] = op(out[tree.parent[i]], out[i])
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Properties
+# ---------------------------------------------------------------------------
+
+@PROPERTY
+@given(SEEDS, DIMS)
+def test_numeraire_matches_per_node_newton(seed, d):
+    _, _, (tree, X, _) = random_market(seed, d)
+    rho_hat, V_hat = numeraire_portfolio(X)
+    for node in tree.nonleaf_nodes:
+        kids = tree.children(node)
+        dX = X.values[kids] - X.values[node]
+        p = tree.p[kids]
+        rho_ref, _ = reference_newton(p, dX)
+        rho = rho_hat.values[node]
+        grad = (p / (1.0 + dX @ rho)) @ dX
+        assert np.max(np.abs(grad)) <= 1e-10 * max(1.0, np.max(np.abs(dX)))
+        # the wealth factors are unique; rho is where dX has full rank
+        np.testing.assert_allclose(dX @ rho, dX @ rho_ref, rtol=0, atol=1e-12)
+        if np.linalg.matrix_rank(dX) == d:
+            np.testing.assert_allclose(rho, rho_ref, rtol=1e-9, atol=1e-9)
+
+
+@PROPERTY
+@given(SEEDS, DIMS)
+def test_characteristics_match_per_node_moments(seed, d):
+    _, _, (tree, X, _) = random_market(seed, d)
+    ch = extract_characteristics(X)
+    for node in tree.nonleaf_nodes:
+        kids = tree.children(node)
+        p = tree.p[kids]
+        dX = X.values[kids] - X.values[node]
+        a = p @ dX
+        dM = dX - a
+        np.testing.assert_allclose(ch.a.values[node], a, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(ch.c_matrix(node), (p[:, None] * dM).T @ dM,
+                                   rtol=1e-12, atol=1e-15)
+        assert ch.dG.values[node, 0] == 1.0
+
+
+@PROPERTY
+@given(SEEDS)
+def test_line_vertices_match_enumeration(seed):
+    _, _, (tree, X, _) = random_market(seed, 1)
+    for g in tree.branch_groups:
+        x = g.increments(X.values)[:, :, 0]
+        for row, verts in zip(x, _line_vertices(x)):
+            ref = reference_line_vertices(row)
+            assert verts.shape == ref.shape
+            np.testing.assert_allclose(verts, ref, rtol=0, atol=1e-14)
+
+
+@PROPERTY
+@given(SEEDS, DIMS)
+def test_path_accumulation_matches_parent_walk(seed, d):
+    rng, _, (tree, _, _) = random_market(seed, d)
+    terms = rng.normal(size=(tree.n_nodes, d))
+    np.testing.assert_array_equal(path_cumsum(tree, terms),
+                                  parent_walk(tree, terms, np.add))
+    factors = rng.uniform(0.5, 1.5, size=tree.n_nodes)
+    np.testing.assert_array_equal(path_cumprod(tree, factors),
+                                  parent_walk(tree, factors, np.multiply))
+
+
+@PROPERTY
+@given(SEEDS, DIMS)
+def test_child_order_leaves_numeraire_and_node_max_unchanged(seed, d):
+    rng, spec, (tree, X, paths) = random_market(seed, d)
+    tree2, X2, paths2 = realise(permuted(spec, rng), d)
+    match = {path: i for i, path in enumerate(paths)}
+    to_first = np.array([match[path] for path in paths2])
+    V = rng.normal(size=tree.n_nodes)
+    V2 = V[to_first]
+    rho, V_hat = numeraire_portfolio(X)
+    rho2, V_hat2 = numeraire_portfolio(X2)
+    np.testing.assert_allclose(V_hat2.values, V_hat.values[to_first],
+                               rtol=1e-12)
+    lp, lp2 = MarketLP(X), MarketLP(X2)
+    for node2 in tree2.nonleaf_nodes:
+        node = to_first[node2]
+        dX = X.values[tree.children(node)] - X.values[node]
+        if np.linalg.matrix_rank(dX) == d:
+            np.testing.assert_allclose(rho2.values[node2], rho.values[node],
+                                       rtol=1e-9, atol=1e-9)
+        best, _ = lp.node_max(node, V[tree.children(node)])
+        best2, _ = lp2.node_max(node2, V2[tree2.children(node2)])
+        assert best2 == pytest.approx(best, rel=1e-12, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Tree validation against the per-node loop it replaces
+# ---------------------------------------------------------------------------
+
+def reference_validation(time, parent, p):
+    """Message of the first ModelError the per-node loop raised, or None."""
+    n = len(time)
+    if np.count_nonzero(parent == -1) != 1:
+        return "exactly one root required"
+    n_children = np.zeros(n, dtype=np.int64)
+    first_child = np.full(n, -1, dtype=np.int64)
+    for i in range(1, n):
+        par = parent[i]
+        if par < 0 or par >= i:
+            return f"node {i}: parent must precede it (breadth-first ids)"
+        if time[i] != time[par] + 1:
+            return f"node {i}: child time must be parent time + 1"
+        if not (p[i] > 0.0):
+            return (f"node {i}: zero or negative branch probability "
+                    "violates measure equivalence")
+        if n_children[par] == 0:
+            first_child[par] = i
+        elif first_child[par] + n_children[par] != i:
+            return "children of a node must be contiguous in id"
+        n_children[par] += 1
+    horizon = max(time)
+    if any(time[i] != horizon for i in range(n) if n_children[i] == 0):
+        return "all leaves must sit at the horizon"
+    for i in range(n):
+        if n_children[i]:
+            lo = first_child[i]
+            s = np.sum(p[lo:lo + n_children[i]])
+            if abs(s - 1.0) > 1e-12:
+                return f"node {i}: probabilities must sum to 1"
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(SEEDS, st.sampled_from(["parent", "time", "p"]))
+def test_tree_validation_matches_per_node_loop(seed, field):
+    rng = np.random.default_rng(seed)
+    _, _, (tree, _, _) = random_market(seed, 1)
+    cols = {"time": tree.time.copy(), "parent": tree.parent.copy(),
+            "p": tree.p.copy()}
+    i = int(rng.integers(1, tree.n_nodes)) if tree.n_nodes > 1 else 0
+    col = cols[field]
+    if field == "p":
+        col[i] = rng.choice([0.0, -0.5, col[i] * 1.5, col[i]])
+    else:
+        col[i] = rng.choice([col[i] - 1, col[i] + 1, 0, tree.n_nodes, col[i]])
+    expected = reference_validation(cols["time"], cols["parent"], cols["p"])
+    try:
+        _finalize_tree(cols["time"], cols["parent"], cols["p"])
+        got = None
+    except ModelError as exc:
+        got = str(exc)
+    if expected is None or got is None:
+        assert got == expected
+    else:
+        assert got.startswith(expected)

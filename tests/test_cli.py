@@ -156,3 +156,19 @@ def test_bad_threads_env(b1_model, monkeypatch, capsys):
 
 def test_nonpositive_tol(b1_model):
     assert main(["--tol", "0", "analyze", b1_model]) == 1
+
+
+def test_solver_failure_exit_2_with_witness(tmp_path, monkeypatch, capsys):
+    import odx.decompose
+    tree = build_tree([[1 / 3, 1 / 3, 1 / 3]])
+    X = AdaptedProcess(tree, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0],
+                                       [-1.0, -1.0]]))
+    model = _write(tmp_path, "m.json", odx_io.model_to_json(X))
+    value = _write(tmp_path, "v.json", {str(i): [1.0] for i in range(4)})
+    monkeypatch.setattr(odx.decompose, "min_norm_superhedge",
+                        lambda dX, dV, order=None: None)
+    assert main(["decompose", model, value]) == 2
+    out, err = capsys.readouterr()
+    doc = json.loads(out)
+    assert doc["status"] == "SOLVER_ERROR" and doc["node"] == 0
+    assert err == ""

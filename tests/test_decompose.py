@@ -9,7 +9,8 @@ from odx.random_models import (martingale_value_process,
                                random_complete_binary_model,
                                random_hedge_consumption, random_market,
                                random_tree, random_universal_supermartingale)
-from odx.tree import AdaptedProcess, ArbitrageError, PredictableProcess
+from odx.tree import (AdaptedProcess, ArbitrageError, PredictableProcess,
+                      SolverError, build_tree)
 
 
 def test_polytope_vertices_t1(t1):
@@ -197,3 +198,41 @@ def test_kw_complete_nodes_checks():
         assert np.max(np.abs(kw.C.values)) <= 1e-9
         rep = check_uniqueness(kw, lpdec, X)
         assert rep["passed"], rep
+
+
+@pytest.fixture(scope="module")
+def trinomial_market():
+    """Uniform trinomial tree, 8 periods, d = 2: the model on which the
+    least-distance hedge used to fail at node 260 (node 2114 under the
+    row orders of seed 1)."""
+    tree = build_tree([[1 / 3] * 3] * 8)
+    rng = np.random.default_rng(1)
+    X = random_market(rng, tree, d=2)
+    return X, random_universal_supermartingale(rng, X)
+
+
+@pytest.mark.parametrize("tie_break_seed", [None, 1])
+def test_ldp_solves_every_trinomial_node(trinomial_market, tie_break_seed):
+    X, V = trinomial_market
+    dec = decompose_lp(V, X, tie_break_seed=tie_break_seed)
+    assert np.min(dec.C.increments()) >= 0.0
+    recon = reconstruct(dec.V0, dec.H, dec.C, X)
+    assert np.max(np.abs(recon.values - V.values)) <= 1e-9
+
+
+@pytest.mark.parametrize("seed", [
+    pytest.param(8, marks=pytest.mark.xfail(
+        strict=True, raises=SolverError,
+        reason="node 9: HiGHS also finds <H, dX> >= dV infeasible while the "
+               "polytope maximum equals V there (absolute tolerances)")),
+    10, 15, 16, 17, 29])
+def test_low_volatility_hedges(seed):
+    """d = 3 markets with vol 1e-3, where the hedge solve used to fail."""
+    rng = np.random.default_rng(seed)
+    tree = random_tree(rng, max_periods=3, max_branches=6)
+    X = random_market(rng, tree, d=3, vol=1e-3)
+    V = random_universal_supermartingale(rng, X)
+    dec = decompose_lp(V, X)
+    assert np.min(dec.C.increments()) >= -1e-10
+    recon = reconstruct(dec.V0, dec.H, dec.C, X)
+    assert np.max(np.abs(recon.values - V.values)) <= 1e-9

@@ -1,7 +1,11 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from odx import io as odx_io
 from odx.decompose import decompose_lp
@@ -72,3 +76,15 @@ def test_claim_loader(binomial2):
         odx_io.load_claim({"odx_schema": 1, "kind": "asian"}, X)
     with pytest.raises(ModelError, match="payoff"):
         odx_io.load_claim({"odx_schema": 1, "kind": "european"}, X)
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 40), st.integers(1, 4)),
+              elements=st.floats(allow_subnormal=True, width=64)))
+def test_process_json_text_unchanged(values):
+    """The emitted text equals that of the per-element float() form."""
+    reference = {str(i): [float(v) for v in values[i]]
+                 for i in range(values.shape[0])}
+    panel = SimpleNamespace(values=values)
+    assert (odx_io.dump_json(odx_io.process_to_json(panel))
+            == odx_io.dump_json(reference))
