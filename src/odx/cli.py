@@ -27,6 +27,8 @@ from . import mc
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_FAIL = 2
+# simulate --out writes X[..., 0] of this many leading paths to paths.csv
+PATHS_CSV_ROWS = 100
 
 
 def _load_json(path):
@@ -162,39 +164,83 @@ def cmd_verify(args):
     return EXIT_OK if verdict == "PASS" else EXIT_FAIL
 
 
-def _coeff(spec_obj, key):
-    form = spec_obj[key]
+def _spec_array(value, what, shape=None):
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ModelError(f"diffusion spec: {what} is not a numeric "
+                         "array") from None
+    if shape is not None and arr.shape != shape:
+        want = " x ".join(map(str, shape))
+        raise ModelError(f"diffusion spec: {what} must be {want}, "
+                         f"got shape {arr.shape}")
+    return arr
+
+
+def _coeff(spec_obj, key, shape):
+    """Coefficient function of ``key`` whose value has ``shape``; only the
+    drift may be linear in x (slope d x d)."""
+    form = spec_obj.get(key)
+    if not isinstance(form, dict) or "form" not in form:
+        raise ModelError(f"diffusion spec: missing {key} form")
+    forms = ("const", "linear") if key == "drift" else ("const",)
+    if form["form"] not in forms:
+        raise ModelError(f"diffusion spec: {key} form {form['form']!r} is "
+                         f"not supported (use {' or '.join(forms)})")
+    needs = ("value", "slope") if form["form"] == "linear" else ("value",)
+    for part in needs:
+        if part not in form:
+            raise ModelError(f"diffusion spec: {key} form "
+                             f"{form['form']!r} needs {part!r}")
+    value = _spec_array(form["value"], f"{key} value", shape)
     if form["form"] == "const":
-        return mc.const_fn(form["value"])
-    if form["form"] == "linear":
-        return mc.linear_fn(form["value"], form["slope"])
-    raise ModelError(f"unknown {key} form {form['form']!r}")
+        return mc.const_fn(value)
+    d = shape[0]
+    return mc.linear_fn(value, _spec_array(form["slope"], f"{key} slope",
+                                           (d, d)))
+
+
+def _spec_number(obj, key, default, kind):
+    try:
+        return kind(obj.get(key, default))
+    except (TypeError, ValueError):
+        raise ModelError(f"diffusion spec: {key} must be a number, got "
+                         f"{obj[key]!r}") from None
+
+
+def _diffusion_spec(obj, args):
+    odx_io._check_schema(obj, "diffusion spec")
+    if "d" not in obj:
+        raise ModelError("diffusion spec: missing 'd'")
+    d = _spec_number(obj, "d", None, int)
+    m = _spec_number(obj, "m", d, int)
+    if d < 1 or m < 1:
+        raise ModelError("diffusion spec: need d >= 1 and m >= 1")
+    steps = args.steps if args.steps is not None else _spec_number(
+        obj, "steps", mc.DEFAULT_STEPS, int)
+    paths = args.paths if args.paths is not None else _spec_number(
+        obj, "paths", mc.DEFAULT_PATHS, int)
+    return mc.DiffusionSpec(
+        d=d, m=m,
+        drift=_coeff(obj, "drift", (d,)),
+        sigma=_coeff(obj, "sigma", (d, m)),
+        T=_spec_number(obj, "T", 1.0, float),
+        steps=steps, paths=paths, seed=args.seed,
+        x0=_spec_array(obj.get("x0", [0.0] * d), "x0"),
+    )
 
 
 def cmd_simulate(args):
-    obj = _load_json(args.spec)
-    odx_io._check_schema(obj, "diffusion spec")
-    d = int(obj["d"])
-    m = int(obj.get("m", d))
-    spec = mc.DiffusionSpec(
-        d=d, m=m,
-        drift=_coeff(obj, "drift"),
-        sigma=_coeff(obj, "sigma"),
-        T=float(obj.get("T", 1.0)),
-        steps=args.steps or int(obj.get("steps", mc.DEFAULT_STEPS)),
-        paths=args.paths or int(obj.get("paths", mc.DEFAULT_PATHS)),
-        seed=args.seed,
-        x0=obj.get("x0", [0.0] * d),
-    )
-    ens = mc.deflate_paths(mc.simulate(spec))
-    y_term = ens.Y_hat[ens.alive, -1]
-    yx = ens.Y_hat[:, :, None] * ens.X
-    rep = mc.martingale_test(ens.Y_hat[ens.alive])
-    rep_yx = mc.martingale_test(yx[ens.alive, :, 0])
+    spec = _diffusion_spec(_load_json(args.spec), args)
+    head = PATHS_CSV_ROWS if args.out is not None else 0
+    rec = mc.stream_deflated(spec, mc.bucket_edges(spec.steps), head=head)
+    y_term = rec.Y_hat[rec.alive, -1]
+    rep = mc.martingale_test(rec.Y_hat[rec.alive])
+    rep_yx = mc.martingale_test(rec.YX[rec.alive])
     doc = {
         "odx_schema": odx_io.SCHEMA_VERSION,
         "seed": args.seed, "paths": spec.paths, "steps": spec.steps,
-        "abort_fraction": ens.abort_fraction,
+        "abort_fraction": rec.abort_fraction,
         "mean_Y_terminal": float(y_term.mean()),
         "se_Y_terminal": float(y_term.std(ddof=1) / np.sqrt(y_term.size)),
         "martingale_test_Y": {"max_abs_t": rep["max_abs_t"],
@@ -205,9 +251,7 @@ def cmd_simulate(args):
     _emit(args, doc, "simulate.json")
     csv_path = _out_path(args, "paths.csv")
     if csv_path:
-        cap = min(spec.paths, 100)
-        cols = ens.X[:cap, :, 0]
-        np.savetxt(csv_path, cols, delimiter=",")
+        np.savetxt(csv_path, rec.X_head, delimiter=",")
     return EXIT_OK
 
 

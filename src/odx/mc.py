@@ -4,6 +4,14 @@ This is the continuous-time face of the library: drift is removed with the
 pointwise solution rho = c^+ a of the structural condition, the numeraire
 wealth accumulates through the discrete product form of its integral
 equation, and martingale properties are asserted statistically.
+
+Everything runs on one streaming step kernel: the Euler step and the
+deflation step are each written once and advance all paths together, one
+step at a time.  Normals are drawn from counter-based Philox in chunks of
+steps, so a run holds paths x chunk normals rather than paths x steps, and
+path i sees the same draws however the steps are chunked.
+``stream_deflated`` keeps only the columns it is asked for; ``simulate``
+and ``deflate_paths`` are the full-panel consumers of the same steps.
 """
 from __future__ import annotations
 
@@ -18,6 +26,8 @@ from .tree import ModelError
 DEFAULT_PATHS = 100_000
 DEFAULT_STEPS = 256
 ABORT_FRACTION_LIMIT = 0.01
+# Byte budget of one chunk of normals; a chunk holds at least one step.
+NORMAL_CHUNK_BYTES = 4 * 2**20
 
 
 def const_fn(value):
@@ -82,30 +92,94 @@ class PathEnsemble:
     abort_fraction: float = 0.0
 
 
-def simulate(spec):
-    """Euler scheme dX = a dt + sigma sqrt(dt) xi with counter-based,
-    seeded draws; the full normal panel is generated up front so path i is
-    identical no matter how the consuming loop is scheduled."""
+@dataclass(frozen=True)
+class StreamRecord:
+    """The columns ``stream_deflated`` keeps of a deflated run."""
+
+    Y_hat: np.ndarray      # (paths, k) deflator at the k recorded steps
+    YX: np.ndarray         # (paths, k) Y_hat * X[..., 0] at those steps
+    X_head: np.ndarray     # (head, steps+1) X[..., 0] of the first paths
+    alive: np.ndarray      # paths surviving deflation
+    abort_fraction: float
+
+
+def _time_grid(spec):
+    return np.linspace(0.0, spec.T, spec.steps + 1)
+
+
+def _normals(spec):
+    """The (paths, m) standard normals of each step, in step order, drawn
+    from Philox in chunks of steps that fit ``NORMAL_CHUNK_BYTES``."""
+    n, P, m = spec.steps, spec.paths, spec.m
+    rng = np.random.Generator(np.random.Philox(key=spec.seed))
+    chunk = max(1, NORMAL_CHUNK_BYTES // (8 * P * m))
+    for lo in range(0, n, chunk):
+        yield from rng.standard_normal((min(chunk, n - lo), P, m))
+
+
+def _euler_states(spec):
+    """X at steps 0..n of the Euler scheme dX = a dt + sigma sqrt(dt) xi,
+    one (paths, d) array per step."""
     n, P, d, m = spec.steps, spec.paths, spec.d, spec.m
     dt = spec.T / n
-    rng = np.random.Generator(np.random.Philox(key=spec.seed))
-    xi = rng.standard_normal((n, P, m))
-    X = np.empty((P, n + 1, d))
-    X[:, 0, :] = spec.x0
     sqdt = np.sqrt(dt)
-    t = np.linspace(0.0, spec.T, n + 1)
-    for step in range(n):
-        x = X[:, step, :]
-        a = spec.drift(t[step], x)
-        sig = spec.sigma(t[step], x)
-        dX = a * dt + np.einsum("...ij,...j->...i",
-                                np.broadcast_to(sig, (P, d, m)), xi[step]) * sqdt
+    t = _time_grid(spec)
+    x = np.empty((P, d))
+    x[:] = spec.x0
+    yield x
+    for step, xi in enumerate(_normals(spec)):
+        # overflow shows as a non-finite increment, reported below
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            a = spec.drift(t[step], x)
+            sig = spec.sigma(t[step], x)
+            dX = a * dt + np.einsum("...ij,...j->...i",
+                                    np.broadcast_to(sig, (P, d, m)), xi) * sqdt
         if not np.all(np.isfinite(dX)):
             bad = np.argwhere(~np.isfinite(dX))[0]
-            raise FloatingPointError(
+            raise ModelError(
                 f"non-finite increment at step {step}, path {int(bad[0])}")
-        X[:, step + 1, :] = x + dX
-    return PathEnsemble(spec=spec, t=t, X=X)
+        x = x + dX
+        yield x
+
+
+def _wealth(spec, t, states):
+    """(x, V_hat, alive) at steps 0..n along the states X_0..X_n.
+
+    V_hat is the numeraire wealth, the discrete product of its integral
+    equation with growth 1 + <rho, dX>.  A path whose growth would be zero
+    or negative is aborted: its growth is taken as 1 and it leaves
+    ``alive``, which is updated in place."""
+    states = iter(states)
+    x = next(states)
+    V = np.ones(x.shape[0])
+    alive = np.ones(x.shape[0], dtype=bool)
+    yield x, V, alive
+    for step, x_next in enumerate(states):
+        rho = structural_rho(spec, t[step], x)
+        growth = 1.0 + np.einsum("pd,pd->p", rho, x_next - x)
+        dead = growth <= 0.0
+        alive &= ~dead
+        V = V * np.where(dead, 1.0, growth)
+        x = x_next
+        yield x, V, alive
+
+
+def _abort_fraction(alive):
+    frac = 1.0 - alive.mean()
+    if frac > ABORT_FRACTION_LIMIT:
+        raise ModelError(f"excessive deflation abort fraction {frac:.4f}")
+    return float(frac)
+
+
+def simulate(spec):
+    """The Euler panel X (paths, steps+1, d) of the streaming kernel, with
+    counter-based, seeded draws: path i is the same whatever the chunking
+    of the normals.  Memory is paths x steps; ``stream_deflated`` avoids
+    the panel."""
+    X = np.empty((spec.paths, spec.steps + 1, spec.d))
+    for step, x in enumerate(_euler_states(spec)):
+        X[:, step, :] = x
+    return PathEnsemble(spec=spec, t=_time_grid(spec), X=X)
 
 
 def structural_rho(spec, t, x):
@@ -119,53 +193,69 @@ def structural_rho(spec, t, x):
         with np.errstate(divide="ignore", invalid="ignore"):
             rho = np.where(cc > 0.0, a[..., 0] / np.where(cc > 0, cc, 1.0), 0.0)
         return rho[..., None]
-    out = np.empty_like(a)
-    flat_c = c.reshape(-1, spec.d, spec.d)
-    flat_a = a.reshape(-1, spec.d)
-    for i in range(flat_c.shape[0]):
-        out.reshape(-1, spec.d)[i], _ = psd_pinv_apply(flat_c[i], flat_a[i])
-    return out
+    rho, _ = psd_pinv_apply(c, a)
+    return rho
 
 
 def deflate_paths(ens):
-    """Numeraire wealth V_hat via the discrete product of its integral
-    equation, and Y_hat = 1/V_hat; paths whose wealth would hit zero or go
-    negative are aborted (recorded, expected O(dt) fraction)."""
-    spec = ens.spec
-    P, n1, d = ens.X.shape
-    n = n1 - 1
+    """Numeraire wealth V_hat along the panel ``ens.X`` and Y_hat = 1/V_hat;
+    paths whose wealth would hit zero or go negative are aborted (recorded,
+    expected O(dt) fraction)."""
+    P, n1, _ = ens.X.shape
     V = np.ones((P, n1))
-    alive = np.ones(P, dtype=bool)
-    for step in range(n):
-        x = ens.X[:, step, :]
-        rho = structural_rho(spec, ens.t[step], x)
-        dX = ens.X[:, step + 1, :] - x
-        growth = 1.0 + np.einsum("pd,pd->p", rho, dX)
-        dead = growth <= 0.0
-        alive &= ~dead
-        growth = np.where(dead, 1.0, growth)
-        V[:, step + 1] = V[:, step] * growth
-    frac = 1.0 - alive.mean()
-    if frac > ABORT_FRACTION_LIMIT:
-        raise ModelError(f"excessive deflation abort fraction {frac:.4f}")
+    states = ens.X.transpose(1, 0, 2)
+    for step, (_, v, alive) in enumerate(_wealth(ens.spec, ens.t, states)):
+        V[:, step] = v
+    frac = _abort_fraction(alive)
     with np.errstate(divide="ignore"):
         Y = 1.0 / V
-    return PathEnsemble(spec=spec, t=ens.t, X=ens.X, V_hat=V, Y_hat=Y,
-                        alive=alive, abort_fraction=float(frac))
+    return PathEnsemble(spec=ens.spec, t=ens.t, X=ens.X, V_hat=V, Y_hat=Y,
+                        alive=alive, abort_fraction=frac)
+
+
+def stream_deflated(spec, record_steps, head=0):
+    """Simulate and deflate in one pass, keeping only some columns.
+
+    Y_hat and Y_hat * X[..., 0] are kept at the step indices
+    ``record_steps``, and X[..., 0] of the first ``head`` paths at every
+    step.  The values are those of ``deflate_paths(simulate(spec))``, but
+    memory is paths x (chunk + recorded columns), not paths x steps."""
+    column = {int(s): k for k, s in enumerate(record_steps)}
+    P = spec.paths
+    Y = np.empty((P, len(column)))
+    YX = np.empty((P, len(column)))
+    X_head = np.empty((min(head, P), spec.steps + 1))
+    states = _euler_states(spec)
+    for step, (x, v, alive) in enumerate(_wealth(spec, _time_grid(spec),
+                                                 states)):
+        X_head[:, step] = x[:head, 0]
+        k = column.get(step)
+        if k is not None:
+            with np.errstate(divide="ignore"):
+                Y[:, k] = 1.0 / v
+            YX[:, k] = Y[:, k] * x[:, 0]
+    return StreamRecord(Y_hat=Y, YX=YX, X_head=X_head, alive=alive,
+                        abort_fraction=_abort_fraction(alive))
+
+
+def bucket_edges(n_steps, n_buckets=16):
+    """Step indices bounding the coarse time buckets of ``martingale_test``
+    (at most one bucket per step)."""
+    return np.linspace(0, n_steps, min(n_buckets, n_steps) + 1).astype(int)
 
 
 def martingale_test(Z, n_buckets=16, t_max=4.0):
     """t-statistics of mean increments per coarse time bucket.
 
-    Z is (paths, steps+1); PASS iff every bucket |t| <= t_max.  Means are
-    accumulated in extended precision (pairwise + math.fsum semantics via
-    numpy double on double input; inputs are already float64 here).
+    Z is (paths, steps+1); PASS iff every bucket |t| <= t_max.  Only the
+    columns at ``bucket_edges(steps, n_buckets)`` are read, so Z may be
+    just those columns.  Means are accumulated in extended precision
+    (pairwise + math.fsum semantics via numpy double on double input;
+    inputs are already float64 here).
     """
     Z = np.asarray(Z, dtype=np.float64)
     P, n1 = Z.shape
-    n = n1 - 1
-    n_buckets = min(n_buckets, n)
-    edges = np.linspace(0, n, n_buckets + 1).astype(int)
+    edges = bucket_edges(n1 - 1, n_buckets)
     stats = []
     for lo, hi in zip(edges[:-1], edges[1:]):
         D = Z[:, hi] - Z[:, lo]

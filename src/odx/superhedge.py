@@ -90,7 +90,9 @@ def portfolio_view(X, rho_hat=None, V_hat=None):
     S = asset_prices(X)
     vh = V_hat.values[:, 0][:, None]
     currency = vh * rho_hat.values
-    shares = currency / S.values
+    # S = E(X) is zero after a return of -1; no shares are held there
+    shares = np.divide(currency, S.values, out=np.zeros_like(currency),
+                       where=S.values != 0.0)
     tree = X.tree
     return PortfolioView(S=S,
                          shares=PredictableProcess(tree, shares),

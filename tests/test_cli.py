@@ -172,3 +172,72 @@ def test_solver_failure_exit_2_with_witness(tmp_path, monkeypatch, capsys):
     doc = json.loads(out)
     assert doc["status"] == "SOLVER_ERROR" and doc["node"] == 0
     assert err == ""
+
+
+SIM_SPEC = {"odx_schema": 1, "d": 2, "m": 2, "T": 1.0,
+            "drift": {"form": "linear", "value": [0.04, 0.02],
+                      "slope": [[-0.2, 0.05], [0.1, -0.3]]},
+            "sigma": {"form": "const", "value": [[0.2, 0.05], [0.03, 0.15]]}}
+
+
+def _without(obj, *path):
+    obj = json.loads(json.dumps(obj))
+    *parents, key = path
+    target = obj
+    for p in parents:
+        target = target[p]
+    del target[key]
+    return obj
+
+
+def _with(obj, value, *path):
+    obj = json.loads(json.dumps(obj))
+    *parents, key = path
+    target = obj
+    for p in parents:
+        target = target[p]
+    target[key] = value
+    return obj
+
+
+@pytest.mark.parametrize("spec, message", [
+    (_without(SIM_SPEC, "d"), "missing 'd'"),
+    (_without(SIM_SPEC, "drift", "slope"), "needs 'slope'"),
+    (_without(SIM_SPEC, "sigma"), "missing sigma"),
+    (_with(SIM_SPEC, [0.04], "drift", "value"), "drift value must be 2"),
+    (_with(SIM_SPEC, [[0.1, 0.2, 0.3]], "drift", "slope"),
+     "drift slope must be 2 x 2"),
+    (_with(SIM_SPEC, [[0.2, 0.05, 0.1]], "sigma", "value"),
+     "sigma value must be 2 x 2"),
+    (_with(SIM_SPEC, [["a", 0.0], [0.0, 0.1]], "sigma", "value"),
+     "sigma value is not a numeric array"),
+    (_with(SIM_SPEC, {"form": "linear", "value": [[0.2, 0.0], [0.0, 0.2]],
+                      "slope": [[0.0, 0.0], [0.0, 0.0]]}, "sigma"),
+     "sigma form 'linear' is not supported"),
+    (_with(SIM_SPEC, "two", "d"), "d must be a number"),
+])
+def test_simulate_malformed_spec_exit_1(tmp_path, capsys, spec, message):
+    path = _write(tmp_path, "spec.json", spec)
+    assert main(["simulate", path, "--paths", "50", "--steps", "4"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error: diffusion spec: ")
+    assert message in err
+
+
+def test_simulate_non_finite_increment_exit_1(tmp_path, capsys):
+    spec = _with(SIM_SPEC, [[1e300, 0.0], [0.0, 1e300]], "drift", "slope")
+    path = _write(tmp_path, "spec.json", spec)
+    assert main(["simulate", path, "--paths", "50", "--steps", "8"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "input error: non-finite increment at step ")
+
+
+@pytest.mark.parametrize("flag", ["--paths", "--steps"])
+def test_simulate_zero_count_exit_1(tmp_path, capsys, flag):
+    path = _write(tmp_path, "spec.json", SIM_SPEC)
+    argv = ["simulate", path, "--paths", "50", "--steps", "4"]
+    argv[argv.index(flag) + 1] = "0"
+    assert main(argv) == 1
+    assert "need steps >= 1 and paths >= 1" in capsys.readouterr().err

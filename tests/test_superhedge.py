@@ -6,7 +6,7 @@ from odx.random_models import random_market, random_tree
 from odx.superhedge import (AMERICAN, EUROPEAN, Claim, asset_prices,
                             portfolio_view, snell_envelope, superhedge,
                             vanilla_claim)
-from odx.tree import AdaptedProcess, ModelError
+from odx.tree import AdaptedProcess, ModelError, build_tree
 
 
 def test_asset_prices_binomial(binomial2):
@@ -116,3 +116,25 @@ def test_envelope_is_smallest_dominating(t1):
     assert is_supermartingale_under_all(env, X).passed
     smaller = AdaptedProcess(tree, env.values[:, 0] - np.array([1e-3, 0, 0, 0]))
     assert not is_supermartingale_under_all(smaller, X).passed
+
+
+@pytest.mark.filterwarnings("error")
+def test_portfolio_view_zero_price_holds_no_shares():
+    # two-period trinomial, d = 2: every node's third child has dX = (-1, -1),
+    # so S = E(X) is 0 there, at leaves and at the interior node 3
+    tree = build_tree([[1 / 3] * 3, [1 / 3] * 3])
+    steps = np.array([[1.2, 0.0], [0.0, 1.2], [-1.0, -1.0]])
+    X = np.zeros((tree.n_nodes, 2))
+    X[1:4] = steps
+    X[4:] = X[1:4].repeat(3, axis=0) + np.tile(steps, (3, 1))
+    X = AdaptedProcess(tree, X)
+    view = portfolio_view(X)
+    S, currency = view.S.values, view.currency.values
+    zero = S == 0.0
+    assert zero[3].all() and np.any(currency[3] != 0.0)
+    assert np.all(view.shares.values[zero] == 0.0)
+    # wherever S != 0 the shares are currency / S to the bit
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plain = currency / S
+    inner = ~zero & ~np.isin(np.arange(tree.n_nodes), tree.leaves)[:, None]
+    assert np.array_equal(view.shares.values[inner], plain[inner])
