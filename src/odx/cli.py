@@ -300,15 +300,6 @@ def build_parser():
 
 
 def main(argv=None):
-    # ODX_THREADS caps worker counts; current backends are sequential, so it
-    # is validated and otherwise unused.
-    threads = os.environ.get("ODX_THREADS")
-    if threads is not None:
-        try:
-            int(threads)
-        except ValueError:
-            print("ODX_THREADS must be an integer", file=sys.stderr)
-            return EXIT_INPUT
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.tol <= 0:

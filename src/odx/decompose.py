@@ -17,9 +17,10 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .deflators import build_deflator_family
-from .tree import (AdaptedProcess, ArbitrageError, ModelError,
+from .tree import (AdaptedProcess, ArbitrageError, BranchGroup, ModelError,
                    PredictableProcess, SolverError, child_weighted_sums,
-                   doob_decompose, path_cumsum, spread_to_children)
+                   doob_decompose, path_cumsum, spread_to_children,
+                   step_gains)
 
 SUPERMART_TOL = 1e-10
 FEAS_TOL = 1e-9
@@ -197,43 +198,6 @@ def is_supermartingale_under_all(V, X, tol=SUPERMART_TOL, lp=None,
 # Minimum-norm superhedging vectors (LDP per node)
 # ---------------------------------------------------------------------------
 
-def _nnls(A, b, max_iter=None):
-    """Lawson-Hanson active-set solve of min |A x - b| subject to x >= 0.
-
-    The per-node systems here are tiny ((d+1) x branches), where the
-    active-set method is exact and fast.
-    """
-    m, n = A.shape
-    if max_iter is None:
-        max_iter = 10 * max(m, n)
-    x = np.zeros(n)
-    active = np.zeros(n, dtype=bool)
-    tol = 1e-13 * max(1.0, np.abs(A).max()) * max(1.0, np.abs(b).max())
-    for _ in range(max_iter):
-        w = A.T @ (b - A @ x)
-        w[active] = -np.inf
-        j = int(np.argmax(w))
-        if w[j] <= tol:
-            return x
-        active[j] = True
-        for _ in range(max_iter):
-            s = np.zeros(n)
-            s[active], *_ = np.linalg.lstsq(A[:, active], b, rcond=None)
-            if np.min(s[active]) > 0.0:
-                x = s
-                break
-            blocking = active & (s <= 0.0)
-            ratios = x[blocking] / (x[blocking] - s[blocking])
-            alpha = float(np.min(ratios))
-            x = x + alpha * (s - x)
-            x[x < 0.0] = 0.0
-            active &= x > 1e-14 * max(1.0, float(x.max()))
-            if not np.any(active):
-                x[:] = 0.0
-                break
-    return x
-
-
 def _line_superhedge(x, dV):
     """Minimum-norm H with H x_c >= dV_c for every child c, row by row.
 
@@ -249,50 +213,67 @@ def _line_superhedge(x, dV):
     return np.clip(0.0, np.minimum(lo, hi), hi), feasible
 
 
-def min_norm_superhedge(dX, dV, order=None):
-    """Minimum-norm H with <H, dX_c> >= dV_c for every child c.
+def _min_norm_solutions(A, b):
+    """Minimum-norm H with A H = b for a stack of (m, d) systems A with
+    linearly independent rows and (m,) right-hand sides b, by Gram-Schmidt
+    on the rows.  Dependent rows give a non-finite or non-solving H."""
+    Q, Y = [], []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for a, y in zip(np.moveaxis(A, -2, 0), np.moveaxis(b, -1, 0)):
+            for q, yq in [*zip(Q, Y)] * 2:  # twice keeps Q orthonormal
+                c = np.vecdot(a, q)
+                a = a - c[..., None] * q
+                y = y - c * yq
+            r = np.linalg.norm(a, axis=-1)
+            Q.append(a / r[..., None])
+            Y.append(y / r)
+    return sum(q * y[..., None] for q, y in zip(Q, Y))
 
-    dX is (k, d), dV is (k,).  Solved in closed form for d = 1 and via the
-    Lawson-Hanson least-distance transformation (NNLS) otherwise.
-    ``order`` optionally permutes the constraint rows; the minimizer is
-    unique, so the permutation is a tie-break no-op kept for
-    reproducibility experiments.
+
+def _min_norm_superhedges(dX, dV):
+    """Minimum-norm H with <H, dX_c> >= dV_c for every child c, node by node.
+
+    dX is an (n, k, d) stack of child increments and dV the (n, k) value
+    increments.  Returns (H, feasible) of shapes (n, d) and (n,); H is zero
+    where infeasible.  One asset takes the closed form.  Otherwise the
+    minimizer is the minimum-norm solution of the equalities on a linearly
+    independent active set of at most d rows, so every row subset of size
+    0..min(k, d) is tried, lexicographically within each size, and the
+    feasible solution of least norm is kept, the first one on ties.
     """
-    k, d = dX.shape
+    n, k, d = dX.shape
+    if d == 1:
+        H, feasible = _line_superhedge(dX[:, :, 0], dV)
+        return H[:, None], feasible
+    tol = FEAS_TOL * np.maximum(1.0, np.max(np.abs(dV), axis=1))
+    H = np.zeros((n, d))
+    best = np.where(np.all(dV <= tol[:, None], axis=1), 0.0, np.inf)
+    rows = np.arange(n)
+    for m in range(1, min(k, d) + 1):
+        S = np.array(list(combinations(range(k), m)))
+        cand = _min_norm_solutions(dX[:, S], dV[:, S])  # (n, s, d)
+        feasible = np.all(cand @ dX.mT - dV[:, None] >= -tol[:, None, None],
+                          axis=2)
+        norm = np.where(feasible, np.vecdot(cand, cand), np.inf)
+        i = np.argmin(norm, axis=1)
+        better = norm[rows, i] < best
+        H[better] = cand[better, i[better]]
+        best[better] = norm[better, i[better]]
+    return H, np.isfinite(best)
+
+
+def min_norm_superhedge(dX, dV, order=None):
+    """Minimum-norm H with <H, dX_c> >= dV_c for every child c, or None
+    when no H satisfies them.
+
+    dX is (k, d), dV is (k,).  ``order`` optionally permutes the constraint
+    rows; the minimizer is unique, so the permutation is a tie-break no-op
+    kept for reproducibility experiments.
+    """
     if order is not None:
         dX, dV = dX[order], dV[order]
-    if d == 1:
-        H, feasible = _line_superhedge(dX.T, dV[None, :])
-        return H if feasible[0] else None
-    # LDP: min |H| s.t. G H >= h, via the nonnegative least-squares
-    # transformation on E = [G^T; h^T], f = e_{d+1}
-    E = np.vstack([dX.T, dV[None, :]])
-    f = np.zeros(d + 1)
-    f[-1] = 1.0
-    u = _nnls(E, f)
-    r = E @ u - f
-    if abs(r[-1]) < 1e-12:
-        return None  # infeasible
-    H = -r[:-1] / r[-1]
-    scale = max(1.0, np.max(np.abs(dV), initial=0.0))
-    slack = dX @ H - dV
-    feasible = np.min(slack) >= -FEAS_TOL * scale
-    # polish: re-solve the active equality system at minimum norm, which
-    # recovers the exact minimizer once the active set is identified.  The
-    # NNLS support holds the rows with positive multipliers; the slack test
-    # adds rows that are active without one.  The norm of the NNLS H only
-    # bounds the minimum when that H is feasible.
-    active = (u > 0.0) | (slack <= 1e-7 * scale)
-    if np.any(active):
-        H_ref, *_ = np.linalg.lstsq(dX[active], dV[active], rcond=None)
-        if (np.min(dX @ H_ref - dV) >= -1e-11 * scale
-                and (not feasible
-                     or H_ref @ H_ref <= H @ H * (1.0 + 1e-6) + 1e-9)):
-            H = H_ref
-            slack = dX @ H - dV
-    if np.min(slack) < -FEAS_TOL * scale:
-        return None
-    return H
+    H, feasible = _min_norm_superhedges(dX[None], dV[None])
+    return H[0] if feasible[0] else None
 
 
 @dataclass(frozen=True)
@@ -317,11 +298,6 @@ def _assemble(tree, V0, H_vals, dC, diagnostics):
                          C=C, diagnostics=diagnostics)
 
 
-def _gains(H_vals, X):
-    """Per-node one-step gains <H(parent), dX> (zero at the root)."""
-    return np.vecdot(X.increments(), spread_to_children(X.tree, H_vals))
-
-
 def decompose_lp(V, X, lp=None, tie_break_seed=None):
     """Hedge/consumption split via per-node minimum-norm superhedging.
 
@@ -331,30 +307,20 @@ def decompose_lp(V, X, lp=None, tie_break_seed=None):
     naming the first node whose hedge cannot be solved.
     """
     tree = X.tree
-    d = X.dim
     lp = lp if lp is not None else MarketLP(X)
     v = V.values[:, 0]
-    H_vals = np.zeros((tree.n_nodes, d))
+    rng = (None if tie_break_seed is None
+           else np.random.default_rng(tie_break_seed))
+    H_vals = np.zeros((tree.n_nodes, X.dim))
     infeasible = np.zeros(tree.n_nodes, dtype=bool)
-    if d == 1:
-        for g in tree.branch_groups:
-            H, feasible = _line_superhedge(g.increments(X.values)[:, :, 0],
-                                           g.increments(v))
-            H_vals[g.nodes, 0] = H
-            infeasible[g.nodes] = ~feasible
-    else:
-        rng = (None if tie_break_seed is None
-               else np.random.default_rng(tie_break_seed))
-        for node in tree.nonleaf_nodes:
-            kids = tree.children(node)
-            order = None if rng is None else rng.permutation(kids.size)
-            H = min_norm_superhedge(X.values[kids] - X.values[node],
-                                    v[kids] - v[node], order=order)
-            if H is None:
-                infeasible[node] = True
-            else:
-                H_vals[node] = H
-    dC = _gains(H_vals, X) - V.increments()[:, 0]
+    for g in tree.branch_groups:
+        if rng is not None:
+            g = BranchGroup(g.nodes, rng.permuted(g.kids, axis=1))
+        H, feasible = _min_norm_superhedges(g.increments(X.values),
+                                            g.increments(v))
+        H_vals[g.nodes] = H
+        infeasible[g.nodes] = ~feasible
+    dC = step_gains(X, H_vals) - V.increments()[:, 0]
     negative = np.zeros(tree.n_nodes, dtype=bool)
     negative[tree.parent[1:][dC[1:] < -1e-8]] = True
     failed = infeasible | negative
@@ -400,6 +366,7 @@ def decompose_kw(V, X, deflators=None, defer_tol=1e-8, lp=None):
     dB_steps = np.zeros(tree.n_nodes)  # per-step drift, indexed by parent node
     n_sq = np.zeros(tree.n_nodes)      # conditional second moment of dN
     defer = np.zeros(tree.n_nodes, dtype=bool)
+    infeasible = np.zeros(tree.n_nodes, dtype=bool)
     for g in tree.branch_groups:
         nodes = g.nodes
         p = tree.p[g.kids]
@@ -422,17 +389,17 @@ def decompose_kw(V, X, deflators=None, defer_tol=1e-8, lp=None):
         defer[nodes] = np.max(np.abs(dN), axis=1) > defer_tol * scale
         H_vals[nodes] = Vh[nodes, None] * (U[nodes, None] * rho[nodes] + theta)
         dC[g.kids] = Vh[nodes, None] * (dB[:, None] - dN)
+        # incomplete nodes take the least-distance hedge instead
+        lp_rows = defer[nodes]
+        dV = g.increments(V.values[:, 0])[lp_rows]
+        H, feasible = _min_norm_superhedges(dX[lp_rows], dV)
+        H_vals[nodes[lp_rows]] = H
+        dC[g.kids[lp_rows]] = np.matvec(dX[lp_rows], H) - dV
+        infeasible[nodes[lp_rows]] = ~feasible
+    if np.any(infeasible):
+        node = int(np.flatnonzero(infeasible)[0])
+        raise SolverError(f"deferred LP infeasible at node {node}", node=node)
     deferred = np.flatnonzero(defer)
-    for node in deferred:
-        kids = tree.children(node)
-        dX = X.values[kids] - X.values[node]
-        dV = V.values[kids, 0] - V.values[node, 0]
-        H = min_norm_superhedge(dX, dV)
-        if H is None:
-            raise SolverError(f"deferred LP infeasible at node {node}",
-                              node=int(node))
-        H_vals[node] = H
-        dC[kids] = dX @ H - dV
     nonleaf = tree.nonleaf_nodes
     n_norm = float(np.sqrt(np.mean(n_sq[nonleaf]))) if nonleaf.size else 0.0
     diags = {
@@ -458,13 +425,15 @@ def decompose_kw(V, X, deflators=None, defer_tol=1e-8, lp=None):
 def reconstruct(V0, H, C, X):
     """V(node) = V0 + sum over the path of <H(parent), dX> - C(node)."""
     tree = X.tree
-    vals = float(V0) + path_cumsum(tree, _gains(H.values, X)) - C.values[:, 0]
+    vals = (float(V0) + path_cumsum(tree, step_gains(X, H.values))
+            - C.values[:, 0])
     return AdaptedProcess(tree, vals)
 
 
 def gains_process(H, X):
     """Running stochastic integral sum <H, dX> as an AdaptedProcess."""
-    return AdaptedProcess(X.tree, path_cumsum(X.tree, _gains(H.values, X)))
+    return AdaptedProcess(X.tree,
+                          path_cumsum(X.tree, step_gains(X, H.values)))
 
 
 def check_uniqueness(d1, d2, X, tol=1e-8):

@@ -10,7 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from .decompose import MarketLP
-from .tree import AdaptedProcess, PredictableProcess, build_tree, path_cumprod
+from .tree import (AdaptedProcess, PredictableProcess, build_tree,
+                   path_cumprod, path_cumsum, step_gains)
 
 
 def random_tree(rng, max_periods=4, max_branches=4):
@@ -66,11 +67,8 @@ def random_admissible_strategy(rng, X, floor=0.05):
 
 def strategy_wealth(X, pi):
     """Wealth E(integral <pi, dX>) of a proportional strategy, started at 1."""
-    tree = X.tree
-    dX = X.increments()
-    r = np.einsum("nd,nd->n", dX, pi.values[np.maximum(tree.parent, 0)])
-    r[0] = 0.0
-    return AdaptedProcess(tree, path_cumprod(tree, 1.0 + r))
+    return AdaptedProcess(X.tree,
+                          path_cumprod(X.tree, 1.0 + step_gains(X, pi.values)))
 
 
 def random_hedge_consumption(rng, X):
@@ -82,11 +80,9 @@ def random_hedge_consumption(rng, X):
     dC = np.abs(rng.normal(0.0, 0.3, size=tree.n_nodes))
     dC *= rng.random(tree.n_nodes) < 0.7  # some steps consume nothing
     dC[0] = 0.0
-    C = np.zeros(tree.n_nodes)
-    for i in range(1, tree.n_nodes):
-        C[i] = C[tree.parent[i]] + dC[i]
     V0 = float(rng.normal(0.0, 1.0))
-    return V0, PredictableProcess(tree, H), AdaptedProcess(tree, C)
+    return (V0, PredictableProcess(tree, H),
+            AdaptedProcess(tree, path_cumsum(tree, dC)))
 
 
 def random_universal_supermartingale(rng, X, lp=None):

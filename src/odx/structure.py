@@ -12,7 +12,7 @@ import numpy as np
 
 from .tree import (AdaptedProcess, ModelError, PredictableProcess,
                    _first_failure, doob_decompose, path_cumsum,
-                   spread_to_children)
+                   spread_to_children, step_gains)
 
 SYM_TOL = 1e-12
 EIG_TOL = 1e-10
@@ -98,13 +98,16 @@ def psd_pinv_apply(C, v, reltol=PINV_RELTOL):
     C may be one (d, d) matrix or a (..., d, d) stack, with v of shape (d,)
     or (..., d).  Eigenvalues below ``reltol * lambda_max`` of their own
     matrix are treated as zero, so rank decisions are stable under uniform
-    scaling of C.
+    scaling of C.  An eigenvalue whose reciprocal overflows (a subnormal
+    one) counts as zero too.
     """
     w, Q = np.linalg.eigh(0.5 * (C + C.mT))
-    keep = w > reltol * np.maximum(w[..., -1:], 0.0)  # eigh sorts ascending
+    with np.errstate(divide="ignore", over="ignore"):
+        inv = 1.0 / w
+    # eigh sorts ascending
+    keep = (w > reltol * np.maximum(w[..., -1:], 0.0)) & np.isfinite(inv)
+    inv[~keep] = 0.0
     coeff = np.vecmat(v, Q)
-    inv = np.zeros_like(w)
-    inv[keep] = 1.0 / w[keep]
     x = np.matvec(Q, inv * coeff)
     kernel_part = np.matvec(Q, ~keep * coeff)
     return x, kernel_part
@@ -155,7 +158,4 @@ def riskless_gain(X, zeta):
     Returns (n_nodes,) gains; at a flagged node the gains across children
     have zero conditional variance and strictly positive conditional mean.
     """
-    dX = X.increments()
-    gains = np.einsum("nd,nd->n", dX, zeta.values[np.maximum(X.tree.parent, 0)])
-    gains[0] = 0.0
-    return gains
+    return step_gains(X, zeta.values)

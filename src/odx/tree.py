@@ -399,6 +399,12 @@ def spread_to_children(tree, node_values):
     return out
 
 
+def step_gains(X, H_vals):
+    """Per-node one-step gains <H(parent), dX> of the per-node vectors
+    ``H_vals`` ((n, d)) against X (zero at the root)."""
+    return np.vecdot(X.increments(), spread_to_children(X.tree, H_vals))
+
+
 def quadratic_covariation(M, N):
     """Pathwise quadratic covariation [M, N].
 

@@ -149,11 +149,6 @@ def test_byte_identical_reruns(b1_model, capsys):
     assert first == second
 
 
-def test_bad_threads_env(b1_model, monkeypatch, capsys):
-    monkeypatch.setenv("ODX_THREADS", "lots")
-    assert main(["analyze", b1_model]) == 1
-
-
 def test_nonpositive_tol(b1_model):
     assert main(["--tol", "0", "analyze", b1_model]) == 1
 
@@ -165,8 +160,9 @@ def test_solver_failure_exit_2_with_witness(tmp_path, monkeypatch, capsys):
                                        [-1.0, -1.0]]))
     model = _write(tmp_path, "m.json", odx_io.model_to_json(X))
     value = _write(tmp_path, "v.json", {str(i): [1.0] for i in range(4)})
-    monkeypatch.setattr(odx.decompose, "min_norm_superhedge",
-                        lambda dX, dV, order=None: None)
+    monkeypatch.setattr(odx.decompose, "_min_norm_superhedges",
+                        lambda dX, dV: (np.zeros(dX.shape[::2]),
+                                        np.zeros(dX.shape[0], dtype=bool)))
     assert main(["decompose", model, value]) == 2
     out, err = capsys.readouterr()
     doc = json.loads(out)

@@ -91,6 +91,13 @@ def test_scaling_invariance():
         np.testing.assert_allclose(rho_s, rho, rtol=1e-8)
 
 
+def test_pinv_subnormal_eigenvalue_counts_as_zero():
+    c = np.array([[5.3e-309, 0.0], [0.0, 0.0]])
+    x, kernel_part = psd_pinv_apply(c, np.zeros(2))
+    np.testing.assert_array_equal(x, [0.0, 0.0])
+    np.testing.assert_array_equal(kernel_part, [0.0, 0.0])
+
+
 def test_range_membership_when_solvable():
     rng = np.random.default_rng(11)
     for _ in range(20):
