@@ -149,8 +149,9 @@ def cmd_verify(args):
     problems = []
     dC = dec.C.increments()[:, 0]
     if np.min(dC) < -1e-10:
-        problems.append({"check": "C nondecreasing",
-                         "min_dC": float(np.min(dC))})
+        node = int(np.argmin(dC))
+        problems.append({"check": "C nondecreasing", "node": node,
+                         "min_dC": float(dC[node])})
     recon = reconstruct(dec.V0, dec.H, dec.C, X)
     err = float(np.max(np.abs(recon.values - V.values)))
     if err > 1e-9:

@@ -17,10 +17,10 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .deflators import build_deflator_family
+from .structure import psd_pinv_apply
 from .tree import (AdaptedProcess, ArbitrageError, BranchGroup, ModelError,
-                   PredictableProcess, SolverError, child_weighted_sums,
-                   doob_decompose, path_cumsum, spread_to_children,
-                   step_gains)
+                   PredictableProcess, SolverError, doob_decompose,
+                   path_cumsum, spread_to_children, step_gains)
 
 SUPERMART_TOL = 1e-10
 FEAS_TOL = 1e-9
@@ -36,10 +36,13 @@ def _node_vertices(dX):
     as the rows of an (m, k) array.
 
     Basic feasible solutions have at most rank + 1 positive weights, so we
-    enumerate supports up to size d + 1 and keep exactly-solved ones.
+    enumerate supports up to size d + 1 and keep exactly-solved ones.  The
+    enumeration runs over the children sorted by their rows of dX, so the
+    vertices round the same way in any child order.
     """
     k, d = dX.shape
-    A = np.vstack([np.ones((1, k)), dX.T])  # (d+1, k)
+    order = np.lexsort(dX.T[::-1])
+    A = np.vstack([np.ones((1, k)), dX[order].T])  # (d+1, k)
     b = np.zeros(d + 1)
     b[0] = 1.0
     verts = []
@@ -56,7 +59,8 @@ def _node_vertices(dX):
             q /= q.sum()
             if not any(np.max(np.abs(q - v)) < 1e-10 for v in verts):
                 verts.append(q)
-    return np.array(verts).reshape(-1, k)
+    # back to the node's own child order
+    return np.array(verts).reshape(-1, k)[:, np.argsort(order)]
 
 
 def _line_vertices(x):
@@ -151,16 +155,12 @@ class SupermartingaleCertificate:
         return self.verdict == "PASS"
 
 
-def is_supermartingale_under_all(V, X, tol=SUPERMART_TOL, lp=None,
-                                 deflators=None):
+def is_supermartingale_under_all(V, X, tol=SUPERMART_TOL, lp=None):
     """Test whether V is a supermartingale under every martingale measure.
 
     Per non-leaf node the closed-polytope LP max of the child values is
-    compared against V at the node.  When a :class:`DeflatorFamily` is
-    supplied, the product Y * V is additionally checked to be a
-    supermartingale for every family deflator (a redundant confirmation;
-    the LP check is the complete one).  FAIL carries the worst node and
-    the maximizing vertex measure.
+    compared against V at the node.  FAIL carries the worst node and the
+    maximizing vertex measure.
     """
     if V.dim != 1:
         raise ModelError("V must be scalar")
@@ -178,19 +178,6 @@ def is_supermartingale_under_all(V, X, tol=SUPERMART_TOL, lp=None,
                      "measure": np.asarray(q).tolist()}
     if worst is not None:
         return SupermartingaleCertificate("FAIL", worst)
-    if deflators is not None:
-        for Y in deflators.all_deflators():
-            yv = Y.values[:, 0] * V.values[:, 0]
-            d_yv = yv - yv[np.maximum(tree.parent, 0)]
-            d_yv[0] = 0.0
-            drift = child_weighted_sums(tree, d_yv)
-            bad = np.flatnonzero(drift > tol)
-            if bad.size:
-                i = int(bad[np.argmax(drift[bad])])
-                node = int(tree.nonleaf_nodes[i])
-                return SupermartingaleCertificate(
-                    "FAIL", {"node": node, "violation": float(drift[bad].max()),
-                             "deflator": "family"})
     return SupermartingaleCertificate("PASS", None)
 
 
@@ -376,8 +363,7 @@ def decompose_kw(V, X, deflators=None, defer_tol=1e-8, lp=None):
         W = (1.0 + np.matvec(dX, rho[nodes])) * g.increments(U)
         pdM = p[:, :, None] * dM
         cov = dM.mT @ pdM
-        theta = np.matvec(np.linalg.pinv(cov, rcond=1e-12, hermitian=True),
-                          np.vecmat(W, pdM))
+        theta, _ = psd_pinv_apply(cov, np.vecmat(W, pdM))
         resid = W - np.matvec(dM, theta)
         alpha = np.vecdot(p, resid)
         dN = resid - alpha[:, None]

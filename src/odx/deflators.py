@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .structure import psd_pinv_apply
 from .tree import (AdaptedProcess, ArbitrageError, ModelError,
                    PredictableProcess, child_weighted_sums,
                    doob_decompose, path_cumprod, path_cumsum)
@@ -50,8 +52,11 @@ def _log_optimal(p, dX, tol=NEWTON_TOL, max_iter=NEWTON_MAXITER):
 
     Every node runs its own iteration: it stops once its gradient is below
     ``tol`` times its increment scale, when its step stalls at the
-    floating-point floor, or when |rho| passes RHO_CAP.  Returns the
-    iterate of smallest gradient of each node and the gradient there.
+    floating-point floor, or when |rho| passes RHO_CAP.  The step is the
+    minimum-norm solve of the PSD Hessian by ``psd_pinv_apply``, so
+    directions that the Hessian cannot see (dX of lower rank than d) are
+    left alone.  Returns the iterate of smallest gradient of each node and
+    the gradient there.
     """
     n, _, d = dX.shape
     rho = np.zeros((n, d))
@@ -72,7 +77,7 @@ def _log_optimal(p, dX, tol=NEWTON_TOL, max_iter=NEWTON_MAXITER):
         if live.size == 0:
             break
         hess = x.mT @ ((pl / w**2)[:, :, None] * x)
-        step = np.matvec(np.linalg.pinv(hess, rcond=1e-13), grad)
+        step, _ = psd_pinv_apply(hess, grad)
         # halve until wealth stays positive and log-wealth does not drop
         obj = np.vecdot(pl, np.log(w))
         todo = np.arange(live.size)

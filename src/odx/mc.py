@@ -183,16 +183,12 @@ def simulate(spec):
 
 
 def structural_rho(spec, t, x):
-    """Pointwise rho = c^+ a with c = sigma sigma^T, batched over paths."""
+    """Pointwise rho = c^+ a with c = sigma sigma^T, batched over paths
+    (``psd_pinv_apply``, closed form when d = 1)."""
     a = spec.drift(t, x)
     sig = spec.sigma(t, x)
     sig = np.broadcast_to(sig, x.shape[:-1] + (spec.d, spec.m))
     c = np.einsum("...ik,...jk->...ij", sig, sig)
-    if spec.d == 1:
-        cc = c[..., 0, 0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rho = np.where(cc > 0.0, a[..., 0] / np.where(cc > 0, cc, 1.0), 0.0)
-        return rho[..., None]
     rho, _ = psd_pinv_apply(c, a)
     return rho
 
@@ -271,30 +267,22 @@ def kw_regress(U, dM):
     """Cross-sectional least-squares surrogate of the conditional
     projection: per step, regress dU on dM across paths (one global bin).
 
-    U is (paths, steps+1); dM is (paths, steps, d).  Returns theta
-    (steps, d), the cumulative drift B (steps+1,) with dB = -(mean
-    residual), and the root-mean-square of the residual after drift
-    removal (the statistical size of the orthogonal part)."""
+    U is (paths, steps+1); dM is (paths, steps, d).  All steps solve in one
+    stacked ``psd_pinv_apply`` call on their (d, d) sample covariances.
+    Returns theta (steps, d), the cumulative drift B (steps+1,) with
+    dB = -(mean residual), and the root-mean-square of the residual after
+    drift removal (the statistical size of the orthogonal part)."""
     U = np.asarray(U, dtype=np.float64)
-    dM = np.asarray(dM, dtype=np.float64)
-    P, n1 = U.shape
-    n = n1 - 1
-    d = dM.shape[2]
-    theta = np.zeros((n, d))
-    dB = np.zeros(n)
-    sq = 0.0
-    for step in range(n):
-        y = U[:, step + 1] - U[:, step]
-        x = dM[:, step, :]
-        xc = x - x.mean(axis=0)
-        cov = xc.T @ xc / P
-        cross = xc.T @ (y - y.mean()) / P
-        th = np.linalg.pinv(cov, rcond=1e-12, hermitian=True) @ cross
-        resid = y - x @ th
-        theta[step] = th
-        dB[step] = -resid.mean()
-        centered = resid - resid.mean()
-        sq += float(centered @ centered) / P
+    P = U.shape[0]
+    x = np.asarray(dM, dtype=np.float64).transpose(1, 0, 2)  # (steps, paths, d)
+    y = np.diff(U, axis=1).T                                  # (steps, paths)
+    xc = x - x.mean(axis=1, keepdims=True)
+    cov = xc.mT @ xc / P
+    cross = np.vecmat(y - y.mean(axis=1, keepdims=True), xc) / P
+    theta, _ = psd_pinv_apply(cov, cross)
+    resid = y - np.matvec(x, theta)
+    dB = -resid.mean(axis=1)
+    centered = resid + dB[:, None]
     B = np.concatenate([[0.0], np.cumsum(dB)])
-    n_norm = float(np.sqrt(sq / n))
+    n_norm = float(np.sqrt(np.mean(np.vecdot(centered, centered)) / P))
     return theta, B, n_norm

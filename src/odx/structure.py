@@ -16,7 +16,8 @@ from .tree import (AdaptedProcess, ModelError, PredictableProcess,
 
 SYM_TOL = 1e-12
 EIG_TOL = 1e-10
-PINV_RELTOL = 1e-10
+# the one rank rule of psd_pinv_apply: relative eigenvalue cutoff
+PINV_RELTOL = 1e-13
 DEFAULT_STRUCT_TOL = 1e-8
 DEFAULT_MASS_THRESHOLD = 1e6
 
@@ -91,25 +92,32 @@ def extract_characteristics(X):
                            dG=PredictableProcess(tree, dG_vals))
 
 
-def psd_pinv_apply(C, v, reltol=PINV_RELTOL):
+def psd_pinv_apply(C, v):
     """Minimum-norm solution of C x = v for symmetric PSD C, plus the
     residual projection of v onto the kernel of C.
 
+    This is the package's one pseudo-inverse: the drift condition, the
+    numeraire's Newton step and the KW projections all solve through it.
     C may be one (d, d) matrix or a (..., d, d) stack, with v of shape (d,)
-    or (..., d).  Eigenvalues below ``reltol * lambda_max`` of their own
-    matrix are treated as zero, so rank decisions are stable under uniform
-    scaling of C.  An eigenvalue whose reciprocal overflows (a subnormal
-    one) counts as zero too.
+    or (..., d).  Eigenvalues at or below ``PINV_RELTOL * lambda_max`` of
+    their own matrix are treated as zero, so rank decisions are stable
+    under uniform scaling of C.  An eigenvalue whose reciprocal overflows
+    (a subnormal one) counts as zero too.  A 1 x 1 stack takes the closed
+    form v * (1/c), which is what the eigendecomposition computes there.
     """
-    w, Q = np.linalg.eigh(0.5 * (C + C.mT))
+    if C.shape[-1] == 1:
+        w, coeff = C[..., 0], v
+    else:
+        w, Q = np.linalg.eigh(0.5 * (C + C.mT))
+        coeff = np.vecmat(v, Q)
     with np.errstate(divide="ignore", over="ignore"):
         inv = 1.0 / w
     # eigh sorts ascending
-    keep = (w > reltol * np.maximum(w[..., -1:], 0.0)) & np.isfinite(inv)
-    inv[~keep] = 0.0
-    coeff = np.vecmat(v, Q)
-    x = np.matvec(Q, inv * coeff)
-    kernel_part = np.matvec(Q, ~keep * coeff)
+    keep = (w > PINV_RELTOL * np.maximum(w[..., -1:], 0.0)) & np.isfinite(inv)
+    x = np.where(keep, inv, 0.0) * coeff
+    kernel_part = np.where(keep, 0.0, coeff)
+    if C.shape[-1] > 1:
+        x, kernel_part = np.matvec(Q, x), np.matvec(Q, kernel_part)
     return x, kernel_part
 
 

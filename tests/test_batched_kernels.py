@@ -5,7 +5,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from odx.decompose import MarketLP, _line_vertices
@@ -217,6 +217,7 @@ def test_path_accumulation_matches_parent_walk(seed, d):
 
 @PROPERTY
 @given(SEEDS, DIMS)
+@example(seed=536870913, d=2)  # vertex enumeration in child order rounded apart
 def test_child_order_leaves_numeraire_and_node_max_unchanged(seed, d):
     rng, spec, (tree, X, paths) = random_market(seed, d)
     tree2, X2, paths2 = realise(permuted(spec, rng), d)

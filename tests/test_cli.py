@@ -128,6 +128,38 @@ def test_verify_pass_and_tampered(t1_model, tmp_path, capsys):
     assert any(p["check"] == "reconstruction" for p in rep["problems"])
 
 
+def test_verify_decreasing_consumption_exit_2(b1_model, tmp_path, capsys):
+    # V = 1 - C with C(1) = -0.01 < 0 = C(0); V is still a universal
+    # supermartingale (q = (1/2, 1/2) gives 0.98 <= 1) and reconstructs
+    value = _write(tmp_path, "v.json", {"0": [1.0], "1": [1.01], "2": [0.95]})
+    dec = _write(tmp_path, "dec.json",
+                 {"odx_schema": 1, "V0": 1.0, "H": {"0": [0.0]},
+                  "C": {"0": [0.0], "1": [-0.01], "2": [0.05]}})
+    assert main(["verify", b1_model, value, dec]) == 2
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["verdict"] == "FAIL"
+    assert rep["problems"] == [{"check": "C nondecreasing", "node": 1,
+                                "min_dC": -0.01}]
+
+
+def test_verify_not_a_supermartingale_exit_2(t1_model, tmp_path, capsys):
+    # no split with nondecreasing C exists, so C decreases to reconstruct V
+    value = _write(tmp_path, "v.json",
+                   {"0": [0.9], "1": [1.0], "2": [0.0], "3": [1.0]})
+    dec = _write(tmp_path, "dec.json",
+                 {"odx_schema": 1, "V0": 0.9, "H": {"0": [0.0]},
+                  "C": {"0": [0.0], "1": [-0.1], "2": [0.9], "3": [-0.1]}})
+    assert main(["verify", t1_model, value, dec]) == 2
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["verdict"] == "FAIL"
+    (sm,) = [p for p in rep["problems"] if p["check"] == "supermartingale"]
+    assert sm["witness"]["node"] == 0
+    assert abs(sm["witness"]["violation"] - 0.1) < 1e-9
+    q = np.array(sm["witness"]["measure"])
+    assert abs(q.sum() - 1.0) < 1e-12 and abs(q @ [0.1, 0.0, -0.1]) < 1e-12
+    assert not any(p["check"] == "reconstruction" for p in rep["problems"])
+
+
 def test_simulate_small(tmp_path, capsys):
     spec = _write(tmp_path, "spec.json",
                   {"odx_schema": 1, "d": 1, "m": 1, "T": 1.0,

@@ -4,16 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import nnls
 
-from odx.decompose import (FEAS_TOL, MarketLP, check_uniqueness, decompose_kw,
-                           decompose_lp, is_supermartingale_under_all,
-                           min_norm_superhedge, reconstruct)
+from odx import decompose
+from odx.decompose import (FEAS_TOL, SUPERMART_TOL, MarketLP,
+                           check_uniqueness, decompose_kw, decompose_lp,
+                           is_supermartingale_under_all, min_norm_superhedge,
+                           reconstruct)
 from odx.deflators import build_deflator_family, numeraire_portfolio
 from odx.random_models import (martingale_value_process,
                                random_complete_binary_model,
                                random_hedge_consumption, random_market,
                                random_tree, random_universal_supermartingale)
 from odx.tree import (AdaptedProcess, ArbitrageError, PredictableProcess,
-                      build_tree)
+                      build_tree, child_weighted_sums)
 
 
 def test_polytope_vertices_t1(t1):
@@ -178,8 +180,53 @@ def test_deflated_supermartingale_property():
     lp = MarketLP(X)
     fam = build_deflator_family(X, n_extras=4, seed=3)
     V = random_universal_supermartingale(rng, X, lp=lp)
-    cert = is_supermartingale_under_all(V, X, lp=lp, deflators=fam)
-    assert cert.passed
+    assert is_supermartingale_under_all(V, X, lp=lp).passed
+    # a universal supermartingale deflated by any family member is a
+    # supermartingale under the tree probabilities
+    for Y in fam.all_deflators():
+        yv = Y.values[:, 0] * V.values[:, 0]
+        d_yv = yv - yv[np.maximum(tree.parent, 0)]
+        d_yv[0] = 0.0
+        assert np.max(child_weighted_sums(tree, d_yv)) <= SUPERMART_TOL
+
+
+def _mixed_market(rng, d):
+    """Random market in which about half the nodes are centred under an
+    interior measure (arbitrage-free) and the rest keep raw normal
+    increments (often arbitrage)."""
+    tree = random_tree(rng, max_periods=3, max_branches=6)
+    vals = np.zeros((tree.n_nodes, d))
+    for node in tree.nonleaf_nodes:
+        kids = tree.children(node)
+        dX = rng.normal(0.0, 0.1, size=(kids.size, d))
+        if rng.random() < 0.5:
+            dX -= rng.dirichlet(np.full(kids.size, 2.0)) @ dX
+        vals[kids] = vals[node] + dX
+    return AdaptedProcess(tree, vals)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3))
+def test_highs_fallback_matches_vertex_enumeration(seed, d):
+    rng = np.random.default_rng(seed)
+    X = _mixed_market(rng, d)
+    tree = X.tree
+    enum = MarketLP(X)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decompose, "VERTEX_ENUM_MAX_BRANCHES", 0)
+        highs = MarketLP(X)
+    V = rng.normal(size=tree.n_nodes)
+    for node in tree.nonleaf_nodes:
+        v = V[tree.children(node)]
+        try:
+            best, _ = enum.node_max(node, v)
+        except ArbitrageError:
+            with pytest.raises(ArbitrageError):
+                highs.node_max(node, v)
+            continue
+        best_highs, _ = highs.node_max(node, v)
+        assert best_highs == pytest.approx(
+            best, rel=1e-9, abs=1e-9 * np.max(np.abs(v)))
 
 
 def test_kw_complete_nodes_checks():

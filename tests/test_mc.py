@@ -106,6 +106,35 @@ def test_kw_regress_recovers_drift():
     assert n_norm < 1e-10
 
 
+def _kw_regress_per_step(U, dM):
+    """The per-step loop that ``kw_regress`` batches."""
+    P, n1 = U.shape
+    theta, dB, sq = [], [], 0.0
+    for step in range(n1 - 1):
+        y = U[:, step + 1] - U[:, step]
+        x = dM[:, step, :]
+        xc = x - x.mean(axis=0)
+        th = (np.linalg.pinv(xc.T @ xc / P, hermitian=True)
+              @ (xc.T @ (y - y.mean()) / P))
+        resid = y - x @ th
+        theta.append(th)
+        dB.append(-resid.mean())
+        sq += np.mean((resid - resid.mean()) ** 2)
+    return (np.array(theta), np.concatenate([[0.0], np.cumsum(dB)]),
+            np.sqrt(sq / (n1 - 1)))
+
+
+def test_kw_regress_matches_per_step_loop():
+    rng = np.random.default_rng(6)
+    P, n, d = 400, 6, 2
+    dM = rng.normal(0, 0.1, (P, n, d))
+    dM[:, 3, 1] = 2.0 * dM[:, 3, 0]  # a rank-deficient step
+    dU = dM @ [0.7, -0.3] + rng.normal(0, 0.05, (P, n)) - 0.01
+    U = np.concatenate([np.zeros((P, 1)), dU.cumsum(axis=1)], axis=1)
+    for got, want in zip(kw_regress(U, dM), _kw_regress_per_step(U, dM)):
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-13)
+
+
 def test_spec_validation():
     with pytest.raises(ModelError, match="steps"):
         scalar_spec(0.0, 0.1, steps=0)
@@ -121,3 +150,16 @@ def test_linear_coefficients_run():
     ens = simulate(spec)
     # mean reversion toward 0 from x0 = 1: mean ends well below start
     assert ens.X[:, -1, 0].mean() < 0.8
+
+
+def test_structural_rho_subnormal_variance_is_rank_zero():
+    # sigma^2 = 5.3e-309 is subnormal: its reciprocal overflows, so c
+    # counts as rank 0 and rho = 0 in one dimension as in two
+    x = np.zeros((3, 1))
+    rho = structural_rho(scalar_spec(0.05, 7.3e-155), 0.0, x)
+    assert np.array_equal(rho, np.zeros((3, 1)))
+    spec2 = DiffusionSpec(d=2, drift=const_fn([0.05, 0.05]),
+                          sigma=const_fn(7.3e-155 * np.eye(2)), m=2, T=1.0,
+                          x0=[0.0, 0.0])
+    assert np.array_equal(structural_rho(spec2, 0.0, np.zeros((3, 2))),
+                          np.zeros((3, 2)))
