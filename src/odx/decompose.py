@@ -28,91 +28,94 @@ VERTEX_ENUM_MAX_BRANCHES = 8
 
 
 # ---------------------------------------------------------------------------
-# Martingale-measure polytopes, node by node
+# Martingale-measure polytopes, one branch group at a time
 # ---------------------------------------------------------------------------
 
-def _node_vertices(dX):
-    """Vertices of {q >= 0, sum q = 1, sum q dX = 0} for dX of shape (k, d),
-    as the rows of an (m, k) array.
+def _group_vertices(dX):
+    """Vertices of {q >= 0, sum q = 1, sum q dX = 0} for every node of an
+    (n, k, d) stack of child increments.
 
-    Basic feasible solutions have at most rank + 1 positive weights, so we
-    enumerate supports up to size d + 1 and keep exactly-solved ones.  The
-    enumeration runs over the children sorted by their rows of dX, so the
-    vertices round the same way in any child order.
+    Returns the (n, m_max, k) vertex stack, zero-padded past each node's
+    count, and the (n,) counts.  Basic feasible solutions have at most
+    d + 1 positive weights, so supports of size 1..d + 1 are tried, one
+    size at a time for the whole group: a QR of the (d + 1, m) support
+    columns and a back-substitution give q, and exactly solved,
+    nonnegative ones are kept unless within 1e-10 of an earlier kept
+    vertex.  Supports run over the children sorted by their rows of dX,
+    so the vertices round the same way in any child order.
     """
-    k, d = dX.shape
-    order = np.lexsort(dX.T[::-1])
-    A = np.vstack([np.ones((1, k)), dX[order].T])  # (d+1, k)
-    b = np.zeros(d + 1)
-    b[0] = 1.0
-    verts = []
-    for size in range(1, min(k, d + 1) + 1):
-        for S in combinations(range(k), size):
-            As = A[:, S]
-            q_s, *_ = np.linalg.lstsq(As, b, rcond=None)
-            if np.min(q_s) < -1e-11:
-                continue
-            if np.max(np.abs(As @ q_s - b)) > FEAS_TOL:
-                continue
-            q = np.zeros(k)
-            q[list(S)] = np.clip(q_s, 0.0, None)
-            q /= q.sum()
-            if not any(np.max(np.abs(q - v)) < 1e-10 for v in verts):
-                verts.append(q)
-    # back to the node's own child order
-    return np.array(verts).reshape(-1, k)[:, np.argsort(order)]
-
-
-def _line_vertices(x):
-    """Vertices of {q >= 0, sum q = 1, sum q x = 0} for every row of the
-    (n, k) one-asset increments x, as a list of (m, k) arrays.
-
-    The vertices of a row are every child with x = 0 (q on that child
-    alone), then every pair of children on opposite sides of 0, in
-    lexicographic order, with q_i = x_j / (x_j - x_i) and
-    q_j = x_i / (x_i - x_j).  A row with no vertex gets an empty (0, k) array.
-    """
-    n, k = x.shape
-    i, j = np.triu_indices(k, 1)
-    zero_node, zero_kid = np.nonzero(x == 0.0)
-    xi, xj = x[:, i], x[:, j]
-    pair_node, pair = np.nonzero(((xi > 0.0) & (xj < 0.0))
-                                 | ((xi < 0.0) & (xj > 0.0)))
-    xi, xj = xi[pair_node, pair], xj[pair_node, pair]
-    n0 = zero_node.size
-    rows = np.zeros((n0 + pair_node.size, k))
-    rows[np.arange(n0), zero_kid] = 1.0
-    at = n0 + np.arange(pair_node.size)
-    rows[at, i[pair]] = xj / (xj - xi)
-    rows[at, j[pair]] = xi / (xi - xj)
-    # stable sort by node keeps the zero children ahead of the pairs
-    owner = np.concatenate([zero_node, pair_node])
-    rows = rows[np.argsort(owner, kind="stable")]
-    return np.split(rows, np.cumsum(np.bincount(owner, minlength=n))[:-1])
+    n, k, d = dX.shape
+    order = np.lexsort(np.moveaxis(dX, -1, 0)[::-1], axis=-1)
+    cols = np.concatenate([np.ones((n, k, 1)),
+                           np.take_along_axis(dX, order[..., None], axis=1)],
+                          axis=2)  # (n, k, d + 1): the columns (1, dX_c)
+    cand, ok = [], []
+    for m in range(1, min(k, d + 1) + 1):
+        S = np.array(list(combinations(range(k), m)))
+        A = cols[:, S].mT  # (n, s, d + 1, m)
+        Q, R = np.linalg.qr(A)
+        q = Q[..., 0, :]  # Q^T b with b = e_0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for i in range(m - 1, -1, -1):
+                q[..., i] = ((q[..., i] - np.vecdot(R[..., i, i + 1:],
+                                                    q[..., i + 1:]))
+                             / R[..., i, i])
+            resid = np.max(np.abs(np.matvec(A, q) - np.eye(d + 1)[0]),
+                           axis=-1)
+            # a singular R gives a non-finite q, which fails both tests
+            good = (np.min(q, axis=-1) >= -1e-11) & (resid <= FEAS_TOL)
+            q = np.clip(q, 0.0, None)
+            q /= q.sum(axis=-1, keepdims=True)
+        full = np.zeros((n, S.shape[0], k))
+        full[:, np.arange(S.shape[0])[:, None], S] = np.where(
+            good[..., None], q, 0.0)
+        cand.append(full)
+        ok.append(good)
+    # the valid candidates first, in support order, then a greedy dedupe
+    ok = np.concatenate(ok, axis=1)
+    at = np.argsort(~ok, axis=1, kind="stable")[:, :ok.sum(axis=1).max()]
+    cand = np.take_along_axis(np.concatenate(cand, axis=1), at[..., None],
+                              axis=1)
+    keep = np.take_along_axis(ok, at, axis=1)
+    for j in range(1, keep.shape[1]):
+        close = np.max(np.abs(cand[:, :j] - cand[:, j, None]), axis=-1) < 1e-10
+        keep[:, j] &= ~np.any(close & keep[:, :j], axis=1)
+    counts = keep.sum(axis=1)
+    at = np.argsort(~keep, axis=1, kind="stable")[:, :counts.max()]
+    verts = np.take_along_axis(cand, at[..., None], axis=1)
+    verts[np.arange(at.shape[1]) >= counts[:, None]] = 0.0
+    # back to each node's own child order
+    out = np.empty_like(verts)
+    np.put_along_axis(out, np.broadcast_to(order[:, None], verts.shape),
+                      verts, axis=2)
+    return out, counts
 
 
 class MarketLP:
     """Per-node martingale-measure polytopes of a market process X.
 
     Nodes with at most :data:`VERTEX_ENUM_MAX_BRANCHES` children are
-    handled by their vertex sets, in closed form for one asset and by
-    exact enumeration otherwise; larger nodes fall back to a simplex
-    solve.  An empty polytope at some node signals arbitrage.
+    handled by their vertex sets, enumerated once per branch group by
+    :func:`_group_vertices` for any number of assets.  Each group's padded
+    vertex stack is kept with its node axis flattened, and ``node_max``
+    looks a node's rows up by their span.  Larger nodes fall back to a
+    simplex solve.  An empty polytope at some node signals arbitrage.
     """
 
     def __init__(self, X):
         self.X = X
         self.tree = X.tree
-        self._vertices = {}
+        self._stacks = []  # one (n_k * m_max, k) vertex stack per group
+        # node -> (stack, first row, end row); stack -1 for the simplex
+        self._span = np.full((self.tree.n_nodes, 3), -1)
         for g in self.tree.branch_groups:
             if g.k > VERTEX_ENUM_MAX_BRANCHES:
                 continue
-            dX = g.increments(X.values)
-            if X.dim == 1:
-                verts = _line_vertices(dX[:, :, 0])
-            else:
-                verts = [_node_vertices(dx) for dx in dX]
-            self._vertices.update(zip(g.nodes.tolist(), verts))
+            verts, counts = _group_vertices(g.increments(X.values))
+            lo = np.arange(g.nodes.size) * verts.shape[1]
+            self._span[g.nodes] = np.column_stack(
+                [np.full_like(lo, len(self._stacks)), lo, lo + counts])
+            self._stacks.append(verts.reshape(-1, g.k))
 
     def node_max(self, node, child_values):
         """(max over polytope of q . child_values, attaining vertex q).
@@ -120,8 +123,9 @@ class MarketLP:
         Raises :class:`ArbitrageError` when the polytope is empty.
         """
         node = int(node)
-        if node in self._vertices:
-            verts = self._vertices[node]
+        stack, lo, hi = self._span[node].tolist()
+        if stack >= 0:
+            verts = self._stacks[stack][lo:hi]
             if not verts.size:
                 raise ArbitrageError(
                     f"no martingale measure at node {node}", node=node)
@@ -185,21 +189,6 @@ def is_supermartingale_under_all(V, X, tol=SUPERMART_TOL, lp=None):
 # Minimum-norm superhedging vectors (LDP per node)
 # ---------------------------------------------------------------------------
 
-def _line_superhedge(x, dV):
-    """Minimum-norm H with H x_c >= dV_c for every child c, row by row.
-
-    x and dV are (n, k) one-asset increments.  Returns (H, feasible), both
-    (n,): H is the point of the feasible interval [lo, hi] nearest 0.
-    """
-    pos, neg = x > 0, x < 0
-    ratio = np.divide(dV, x, out=np.zeros_like(dV), where=pos | neg)
-    lo = np.max(np.where(pos, ratio, -np.inf), axis=1)
-    hi = np.min(np.where(neg, ratio, np.inf), axis=1)
-    feasible = (~np.any((x == 0) & (dV > FEAS_TOL), axis=1)
-                & ~(lo > hi + FEAS_TOL))
-    return np.clip(0.0, np.minimum(lo, hi), hi), feasible
-
-
 def _min_norm_solutions(A, b):
     """Minimum-norm H with A H = b for a stack of (m, d) systems A with
     linearly independent rows and (m,) right-hand sides b, by Gram-Schmidt
@@ -222,16 +211,14 @@ def _min_norm_superhedges(dX, dV):
 
     dX is an (n, k, d) stack of child increments and dV the (n, k) value
     increments.  Returns (H, feasible) of shapes (n, d) and (n,); H is zero
-    where infeasible.  One asset takes the closed form.  Otherwise the
-    minimizer is the minimum-norm solution of the equalities on a linearly
-    independent active set of at most d rows, so every row subset of size
-    0..min(k, d) is tried, lexicographically within each size, and the
-    feasible solution of least norm is kept, the first one on ties.
+    where infeasible.  For any number of assets the minimizer is the
+    minimum-norm solution of the equalities on a linearly independent
+    active set of at most d rows, so every row subset of size 0..min(k, d)
+    is tried, lexicographically within each size, and the feasible solution
+    of least norm is kept, the first one on ties.  A row is met when its
+    slack is at least -FEAS_TOL * max(1, max |dV|) of its node.
     """
     n, k, d = dX.shape
-    if d == 1:
-        H, feasible = _line_superhedge(dX[:, :, 0], dV)
-        return H[:, None], feasible
     tol = FEAS_TOL * np.maximum(1.0, np.max(np.abs(dV), axis=1))
     H = np.zeros((n, d))
     best = np.where(np.all(dV <= tol[:, None], axis=1), 0.0, np.inf)
@@ -249,16 +236,10 @@ def _min_norm_superhedges(dX, dV):
     return H, np.isfinite(best)
 
 
-def min_norm_superhedge(dX, dV, order=None):
+def min_norm_superhedge(dX, dV):
     """Minimum-norm H with <H, dX_c> >= dV_c for every child c, or None
-    when no H satisfies them.
-
-    dX is (k, d), dV is (k,).  ``order`` optionally permutes the constraint
-    rows; the minimizer is unique, so the permutation is a tie-break no-op
-    kept for reproducibility experiments.
+    when no H satisfies them.  dX is (k, d), dV is (k,).
     """
-    if order is not None:
-        dX, dV = dX[order], dV[order]
     H, feasible = _min_norm_superhedges(dX[None], dV[None])
     return H[0] if feasible[0] else None
 
@@ -271,10 +252,6 @@ class Decomposition:
     H: PredictableProcess
     C: AdaptedProcess
     diagnostics: dict = field(default_factory=dict)
-
-    @property
-    def route(self):
-        return self.diagnostics.get("route", "?")
 
 
 def _assemble(tree, V0, H_vals, dC, diagnostics):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .decompose import MarketLP
+from .superhedge import EUROPEAN, Claim, snell_envelope
 from .tree import (AdaptedProcess, PredictableProcess, build_tree,
                    path_cumprod, path_cumsum, step_gains)
 
@@ -128,10 +129,7 @@ def martingale_value_process(rng, X, lp=None):
     vertex measures with zero slack (on complete trees: the unique
     replication value, so both decomposition routes coincide with C = 0)."""
     tree = X.tree
-    lp = lp if lp is not None else MarketLP(X)
-    V = np.zeros(tree.n_nodes)
-    V[tree.leaves] = rng.normal(0.0, 1.0, size=tree.leaves.size)
-    for node in sorted(tree.nonleaf_nodes, key=lambda n: -tree.time[n]):
-        best, _ = lp.node_max(node, V[tree.children(node)])
-        V[node] = best
-    return AdaptedProcess(tree, V)
+    payoff = np.zeros(tree.n_nodes)
+    payoff[tree.leaves] = rng.normal(0.0, 1.0, size=tree.leaves.size)
+    return snell_envelope(Claim(EUROPEAN, AdaptedProcess(tree, payoff)), X,
+                          lp=lp)

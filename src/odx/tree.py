@@ -107,10 +107,6 @@ class EventTree:
     def n_nodes(self):
         return self.time.shape[0]
 
-    @property
-    def root(self):
-        return 0
-
     def is_leaf(self, node):
         return self.n_children[node] == 0
 
@@ -296,9 +292,6 @@ class AdaptedProcess:
     def dim(self):
         return self.values.shape[1]
 
-    def at(self, node):
-        return self.values[node]
-
     def increments(self):
         """(n_nodes, dim) array of value minus parent value; zero at the root."""
         out = self.values - self.values[np.maximum(self.tree.parent, 0)]
@@ -326,9 +319,6 @@ class PredictableProcess:
     @property
     def dim(self):
         return self.values.shape[1]
-
-    def at(self, node):
-        return self.values[node]
 
 
 # ---------------------------------------------------------------------------

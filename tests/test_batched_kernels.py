@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from odx.decompose import MarketLP, _line_vertices
+from odx.decompose import FEAS_TOL, MarketLP, _group_vertices
 from odx.deflators import numeraire_portfolio
 from odx.structure import extract_characteristics
 from odx.tree import (AdaptedProcess, ModelError, _finalize_tree, build_tree,
@@ -144,6 +144,62 @@ def reference_line_vertices(x):
     return np.array(verts).reshape(-1, k)
 
 
+def reference_node_vertices(dX):
+    """Vertices of {q >= 0, sum q = 1, sum q dX = 0} for dX of shape (k, d),
+    as the rows of an (m, k) array.
+
+    Basic feasible solutions have at most rank + 1 positive weights, so we
+    enumerate supports up to size d + 1 and keep exactly-solved ones.  The
+    enumeration runs over the children sorted by their rows of dX, so the
+    vertices round the same way in any child order.
+    """
+    k, d = dX.shape
+    order = np.lexsort(dX.T[::-1])
+    A = np.vstack([np.ones((1, k)), dX[order].T])  # (d+1, k)
+    b = np.zeros(d + 1)
+    b[0] = 1.0
+    verts = []
+    for size in range(1, min(k, d + 1) + 1):
+        for S in combinations(range(k), size):
+            As = A[:, S]
+            q_s, *_ = np.linalg.lstsq(As, b, rcond=None)
+            if np.min(q_s) < -1e-11:
+                continue
+            if np.max(np.abs(As @ q_s - b)) > FEAS_TOL:
+                continue
+            q = np.zeros(k)
+            q[list(S)] = np.clip(q_s, 0.0, None)
+            q /= q.sum()
+            if not any(np.max(np.abs(q - v)) < 1e-10 for v in verts):
+                verts.append(q)
+    # back to the node's own child order
+    return np.array(verts).reshape(-1, k)[:, np.argsort(order)]
+
+
+def assert_same_rows(got, ref, atol):
+    """The rows of ``got`` and ``ref`` are the same set, to ``atol``, in
+    any order."""
+    assert got.shape == ref.shape
+    if ref.size:
+        dist = np.max(np.abs(got[:, None] - ref[None]), axis=2)
+        assert np.max(np.min(dist, axis=0)) <= atol
+        assert np.max(np.min(dist, axis=1)) <= atol
+
+
+def random_increments(rng, d, k, n, degenerate):
+    """(n, k, d) child increments at scale 1 or 1e-3, most of them centred
+    under an interior measure (so the polytope is not empty), with
+    ``degenerate`` rows turned into zero, repeated or collinear ones."""
+    dX = rng.normal(size=(n, k, d)) * rng.choice([1.0, 1e-3])
+    centred = rng.random(n) < 0.8
+    w = rng.dirichlet(np.ones(k), size=n)
+    dX[centred] -= np.vecmat(w, dX)[centred, None]
+    for _ in range(degenerate if k > 1 else 0):
+        i, j = rng.choice(k, 2, replace=False)
+        dX[:, i] = dX[:, j] * rng.choice([0.0, 1.0, 2.0, -1.0])
+    return dX
+
+
 def parent_walk(tree, terms, op):
     out = np.array(terms, dtype=np.float64)
     for i in range(1, tree.n_nodes):
@@ -196,11 +252,42 @@ def test_characteristics_match_per_node_moments(seed, d):
 def test_line_vertices_match_enumeration(seed):
     _, _, (tree, X, _) = random_market(seed, 1)
     for g in tree.branch_groups:
-        x = g.increments(X.values)[:, :, 0]
-        for row, verts in zip(x, _line_vertices(x)):
-            ref = reference_line_vertices(row)
-            assert verts.shape == ref.shape
-            np.testing.assert_allclose(verts, ref, rtol=0, atol=1e-14)
+        verts, counts = _group_vertices(g.increments(X.values))
+        for row, v, m in zip(g.increments(X.values)[:, :, 0], verts, counts):
+            assert_same_rows(v[:m], reference_line_vertices(row), atol=1e-14)
+
+
+@settings(max_examples=300, deadline=None)
+@given(SEEDS, DIMS, st.integers(1, 8))
+def test_group_vertices_match_per_node_enumeration(seed, d, k):
+    """At most one zero, repeated or collinear row per node: the same
+    vertex sets as the per-node enumeration, padded with zeros."""
+    rng = np.random.default_rng(seed)
+    dX = random_increments(rng, d, k, int(rng.integers(1, 5)),
+                           int(rng.random() < 0.5))
+    verts, counts = _group_vertices(dX)
+    assert verts.shape == (dX.shape[0], counts.max(), k)
+    for dx, v, m in zip(dX, verts, counts):
+        assert_same_rows(v[:m], reference_node_vertices(dx), atol=1e-12)
+        np.testing.assert_array_equal(v[m:], 0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(SEEDS, DIMS, st.integers(2, 8))
+def test_group_vertices_keep_node_maxima_on_degenerate_nodes(seed, d, k):
+    """With several degenerate rows, rank-deficient supports can add
+    non-vertex points of the polytope to either vertex list, and not the
+    same ones; the maxima over both lists still agree."""
+    rng = np.random.default_rng(seed)
+    dX = random_increments(rng, d, k, 3, int(rng.integers(2, 4)))
+    verts, counts = _group_vertices(dX)
+    for dx, v, m in zip(dX, verts, counts):
+        ref = reference_node_vertices(dx)
+        assert (m == 0) == (ref.shape[0] == 0)
+        if m:
+            vals = rng.normal(size=k)
+            assert np.max(v[:m] @ vals) == pytest.approx(
+                np.max(ref @ vals), rel=0, abs=1e-12 * np.max(np.abs(vals)))
 
 
 @PROPERTY

@@ -5,6 +5,7 @@ import pytest
 
 from odx import io as odx_io
 from odx.cli import main
+from odx.superhedge import AMERICAN, vanilla_claim
 from odx.tree import AdaptedProcess, build_tree
 
 
@@ -109,6 +110,28 @@ def test_superhedge_put(tmp_path, capsys):
     assert abs(doc["price"] - 0.09) < 1e-10
     np.testing.assert_allclose(doc["decomposition"]["H"]["0"], [-0.6],
                                atol=1e-10)
+
+
+def test_superhedge_explicit_payoff(binomial2, tmp_path, capsys):
+    """A payoff map equal to the put's payoff at every node prices and
+    hedges to the same bytes as the built-in put; a map that misses a
+    node is an input error."""
+    _, X = binomial2
+    model = _write(tmp_path, "binom.json", odx_io.model_to_json(X))
+    put = {"odx_schema": 1, "kind": "american", "formula": "put",
+           "strike": 1.05}
+    payoff = odx_io.process_to_json(
+        vanilla_claim(X, "put", 1.05, kind=AMERICAN).payoff)
+    explicit = {"odx_schema": 1, "kind": "american", "payoff": payoff}
+    assert main(["superhedge", model, _write(tmp_path, "put.json", put)]) == 0
+    expected = capsys.readouterr().out
+    assert main(["superhedge", model,
+                 _write(tmp_path, "payoff.json", explicit)]) == 0
+    assert capsys.readouterr().out == expected
+    del payoff["4"]
+    assert main(["superhedge", model,
+                 _write(tmp_path, "partial.json", explicit)]) == 1
+    assert "payoff: missing value at node 4" in capsys.readouterr().err
 
 
 def test_verify_pass_and_tampered(t1_model, tmp_path, capsys):

@@ -15,13 +15,14 @@ from odx.random_models import (martingale_value_process,
                                random_hedge_consumption, random_market,
                                random_tree, random_universal_supermartingale)
 from odx.tree import (AdaptedProcess, ArbitrageError, PredictableProcess,
-                      build_tree, child_weighted_sums)
+                      SolverError, build_tree, child_weighted_sums)
 
 
 def test_polytope_vertices_t1(t1):
     tree, X = t1
     lp = MarketLP(X)
-    verts = sorted(lp._vertices[0], key=lambda q: q[0])
+    stack, lo, hi = lp._span[0]
+    verts = sorted(lp._stacks[stack][lo:hi], key=lambda q: q[0])
     np.testing.assert_allclose(verts[0], [0.0, 1.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(verts[1], [0.5, 0.0, 0.5], atol=1e-12)
 
@@ -113,6 +114,14 @@ def test_decompose_kw_t1_defers(t1):
     # deferred hedge equals the LP one
     lp = decompose_lp(V, X)
     assert check_uniqueness(kw, lp, X)["passed"]
+
+
+def test_decompose_kw_deferred_infeasible_raises(t1):
+    tree, X = t1
+    V = AdaptedProcess(tree, np.array([0.9, 1.0, 0.0, 1.0]))
+    with pytest.raises(SolverError) as exc:
+        decompose_kw(V, X)
+    assert exc.value.node == 0
 
 
 def test_decompose_kw_self_deflation(b1):
@@ -298,7 +307,7 @@ def assert_min_norm_superhedge(H, dX, dV):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]),
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3]),
        st.integers(2, 10), st.floats(1e-6, 1e3))
 def test_min_norm_superhedge_is_exact_and_scales(seed, d, k, s):
     rng = np.random.default_rng(seed)
