@@ -179,8 +179,9 @@ def _spec_array(value, what, shape=None):
 
 
 def _coeff(spec_obj, key, shape):
-    """Coefficient function of ``key`` whose value has ``shape``; only the
-    drift may be linear in x (slope d x d)."""
+    """(value, slope) arrays of the ``key`` coefficient, value of ``shape``
+    and slope None unless the form is linear in x (slope d x d; only the
+    drift may be linear)."""
     form = spec_obj.get(key)
     if not isinstance(form, dict) or "form" not in form:
         raise ModelError(f"diffusion spec: missing {key} form")
@@ -195,18 +196,24 @@ def _coeff(spec_obj, key, shape):
                              f"{form['form']!r} needs {part!r}")
     value = _spec_array(form["value"], f"{key} value", shape)
     if form["form"] == "const":
-        return mc.const_fn(value)
+        return value, None
     d = shape[0]
-    return mc.linear_fn(value, _spec_array(form["slope"], f"{key} slope",
-                                           (d, d)))
+    return value, _spec_array(form["slope"], f"{key} slope", (d, d))
 
 
 def _spec_number(obj, key, default, kind):
+    """``obj[key]`` as ``kind``; an int field must hold a whole number."""
+    value = obj.get(key, default)
     try:
-        return kind(obj.get(key, default))
-    except (TypeError, ValueError):
+        number = kind(value)
+        whole = kind is float or number == float(value)
+    except (TypeError, ValueError, OverflowError):
         raise ModelError(f"diffusion spec: {key} must be a number, got "
-                         f"{obj[key]!r}") from None
+                         f"{value!r}") from None
+    if not whole:
+        raise ModelError(f"diffusion spec: {key} must be an integer, got "
+                         f"{value!r}")
+    return number
 
 
 def _diffusion_spec(obj, args):
@@ -217,22 +224,27 @@ def _diffusion_spec(obj, args):
     m = _spec_number(obj, "m", d, int)
     if d < 1 or m < 1:
         raise ModelError("diffusion spec: need d >= 1 and m >= 1")
-    steps = args.steps if args.steps is not None else _spec_number(
-        obj, "steps", mc.DEFAULT_STEPS, int)
-    paths = args.paths if args.paths is not None else _spec_number(
-        obj, "paths", mc.DEFAULT_PATHS, int)
+    T = _spec_number(obj, "T", 1.0, float)
+    if not (np.isfinite(T) and T > 0.0):
+        raise ModelError(f"diffusion spec: T must be finite and > 0, "
+                         f"got {T!r}")
+    # the spec's counts are checked even where a flag overrides them
+    steps = _spec_number(obj, "steps", mc.DEFAULT_STEPS, int)
+    paths = _spec_number(obj, "paths", mc.DEFAULT_PATHS, int)
+    drift, slope = _coeff(obj, "drift", (d,))
+    sigma, _ = _coeff(obj, "sigma", (d, m))
     return mc.DiffusionSpec(
-        d=d, m=m,
-        drift=_coeff(obj, "drift", (d,)),
-        sigma=_coeff(obj, "sigma", (d, m)),
-        T=_spec_number(obj, "T", 1.0, float),
-        steps=steps, paths=paths, seed=args.seed,
+        drift=drift, sigma=sigma, slope=slope, T=T,
+        steps=steps if args.steps is None else args.steps,
+        paths=paths if args.paths is None else args.paths, seed=args.seed,
         x0=_spec_array(obj.get("x0", [0.0] * d), "x0"),
     )
 
 
 def cmd_simulate(args):
     spec = _diffusion_spec(_load_json(args.spec), args)
+    if spec.paths < 2:
+        raise ModelError("simulate needs paths >= 2 for its standard errors")
     head = PATHS_CSV_ROWS if args.out is not None else 0
     rec = mc.stream_deflated(spec, mc.bucket_edges(spec.steps), head=head)
     y_term = rec.Y_hat[rec.alive, -1]

@@ -16,7 +16,6 @@ and ``deflate_paths`` are the full-panel consumers of the same steps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -30,61 +29,61 @@ ABORT_FRACTION_LIMIT = 0.01
 NORMAL_CHUNK_BYTES = 4 * 2**20
 
 
-def const_fn(value):
-    value = np.asarray(value, dtype=np.float64)
-
-    def f(t, x):
-        return np.broadcast_to(value, x.shape[:-1] + value.shape).copy()
-
-    return f
-
-
-def linear_fn(intercept, slope):
-    """Affine coefficient t, x -> intercept + x @ slope^T (slope acts on x)."""
-    b = np.asarray(intercept, dtype=np.float64)
-    A = np.asarray(slope, dtype=np.float64)
-
-    def f(t, x):
-        return b + x @ A.T
-
-    return f
-
-
 @dataclass(frozen=True)
 class DiffusionSpec:
-    """d-dimensional diffusion dX = a dt + sigma dW, Euler-discretized."""
+    """d-dimensional diffusion dX = a(x) dt + sigma dW, Euler-discretized,
+    with drift a(x) = drift + slope x and a constant (d, m) sigma."""
 
-    d: int
-    drift: Callable  # (t, x[..., d]) -> a[..., d]
-    sigma: Callable  # (t, x[..., d]) -> sigma[..., d, m]
-    m: int
+    drift: np.ndarray      # (d,)
+    sigma: np.ndarray      # (d, m)
     T: float
     steps: int = DEFAULT_STEPS
     paths: int = DEFAULT_PATHS
     seed: int = 0
     x0: np.ndarray = field(default_factory=lambda: np.zeros(1))
+    slope: np.ndarray | None = None  # (d, d), or None for a constant drift
 
     def __post_init__(self):
         if self.steps < 1 or self.paths < 1:
             raise ModelError("need steps >= 1 and paths >= 1")
-        x0 = np.asarray(self.x0, dtype=np.float64).reshape(-1)
-        if x0.shape[0] != self.d:
+        for name in ("drift", "sigma", "x0", "slope"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name,
+                                   np.asarray(value, dtype=np.float64))
+        object.__setattr__(self, "x0", self.x0.reshape(-1))
+        if (self.sigma.ndim != 2 or self.drift.shape != (self.d,)
+                or self.slope is not None
+                and self.slope.shape != (self.d, self.d)):
+            raise ModelError("need sigma (d, m), drift (d,) and slope (d, d)")
+        if self.x0.shape[0] != self.d:
             raise ModelError("x0 dimension mismatch")
-        object.__setattr__(self, "x0", x0)
+
+    @property
+    def d(self):
+        return self.sigma.shape[0]
+
+    @property
+    def m(self):
+        return self.sigma.shape[1]
+
+    def drift_at(self, x):
+        """a(x), (paths, d), at the states x (paths, d)."""
+        if self.slope is None:
+            return np.broadcast_to(self.drift, x.shape)
+        return self.drift + x @ self.slope.T
 
 
 def scalar_spec(a, sigma, T=1.0, steps=DEFAULT_STEPS, paths=DEFAULT_PATHS,
                 seed=0, x0=0.0):
     """Constant-coefficient 1-dimensional spec (the workhorse test case)."""
-    return DiffusionSpec(d=1, drift=const_fn([a]), sigma=const_fn([[sigma]]),
-                         m=1, T=T, steps=steps, paths=paths, seed=seed,
-                         x0=[x0])
+    return DiffusionSpec(drift=[a], sigma=[[sigma]], T=T, steps=steps,
+                         paths=paths, seed=seed, x0=[x0])
 
 
 @dataclass(frozen=True)
 class PathEnsemble:
     spec: DiffusionSpec
-    t: np.ndarray          # (steps+1,)
     X: np.ndarray          # (paths, steps+1, d)
     V_hat: np.ndarray | None = None  # (paths, steps+1)
     Y_hat: np.ndarray | None = None
@@ -103,10 +102,6 @@ class StreamRecord:
     abort_fraction: float
 
 
-def _time_grid(spec):
-    return np.linspace(0.0, spec.T, spec.steps + 1)
-
-
 def _normals(spec):
     """The (paths, m) standard normals of each step, in step order, drawn
     from Philox in chunks of steps that fit ``NORMAL_CHUNK_BYTES``."""
@@ -120,20 +115,16 @@ def _normals(spec):
 def _euler_states(spec):
     """X at steps 0..n of the Euler scheme dX = a dt + sigma sqrt(dt) xi,
     one (paths, d) array per step."""
-    n, P, d, m = spec.steps, spec.paths, spec.d, spec.m
-    dt = spec.T / n
+    dt = spec.T / spec.steps
     sqdt = np.sqrt(dt)
-    t = _time_grid(spec)
-    x = np.empty((P, d))
+    x = np.empty((spec.paths, spec.d))
     x[:] = spec.x0
     yield x
     for step, xi in enumerate(_normals(spec)):
         # overflow shows as a non-finite increment, reported below
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            a = spec.drift(t[step], x)
-            sig = spec.sigma(t[step], x)
-            dX = a * dt + np.einsum("...ij,...j->...i",
-                                    np.broadcast_to(sig, (P, d, m)), xi) * sqdt
+            dX = (spec.drift_at(x) * dt
+                  + np.einsum("ij,...j->...i", spec.sigma, xi) * sqdt)
         if not np.all(np.isfinite(dX)):
             bad = np.argwhere(~np.isfinite(dX))[0]
             raise ModelError(
@@ -142,7 +133,7 @@ def _euler_states(spec):
         yield x
 
 
-def _wealth(spec, t, states):
+def _wealth(spec, states):
     """(x, V_hat, alive) at steps 0..n along the states X_0..X_n.
 
     V_hat is the numeraire wealth, the discrete product of its integral
@@ -155,7 +146,7 @@ def _wealth(spec, t, states):
     alive = np.ones(x.shape[0], dtype=bool)
     yield x, V, alive
     for step, x_next in enumerate(states):
-        rho = structural_rho(spec, t[step], x)
+        rho = structural_rho(spec, x)
         growth = 1.0 + np.einsum("pd,pd->p", rho, x_next - x)
         dead = growth <= 0.0
         alive &= ~dead
@@ -179,17 +170,15 @@ def simulate(spec):
     X = np.empty((spec.paths, spec.steps + 1, spec.d))
     for step, x in enumerate(_euler_states(spec)):
         X[:, step, :] = x
-    return PathEnsemble(spec=spec, t=_time_grid(spec), X=X)
+    return PathEnsemble(spec=spec, X=X)
 
 
-def structural_rho(spec, t, x):
-    """Pointwise rho = c^+ a with c = sigma sigma^T, batched over paths
-    (``psd_pinv_apply``, closed form when d = 1)."""
-    a = spec.drift(t, x)
-    sig = spec.sigma(t, x)
-    sig = np.broadcast_to(sig, x.shape[:-1] + (spec.d, spec.m))
-    c = np.einsum("...ik,...jk->...ij", sig, sig)
-    rho, _ = psd_pinv_apply(c, a)
+def structural_rho(spec, x):
+    """Pointwise rho = c^+ a(x), (paths, d), at the states x (paths, d).
+    c = sigma sigma^T is one (d, d) matrix, so ``psd_pinv_apply`` does one
+    eigendecomposition for all paths (closed form when d = 1)."""
+    c = np.einsum("ik,jk->ij", spec.sigma, spec.sigma)
+    rho, _ = psd_pinv_apply(c, spec.drift_at(x))
     return rho
 
 
@@ -200,12 +189,12 @@ def deflate_paths(ens):
     P, n1, _ = ens.X.shape
     V = np.ones((P, n1))
     states = ens.X.transpose(1, 0, 2)
-    for step, (_, v, alive) in enumerate(_wealth(ens.spec, ens.t, states)):
+    for step, (_, v, alive) in enumerate(_wealth(ens.spec, states)):
         V[:, step] = v
     frac = _abort_fraction(alive)
     with np.errstate(divide="ignore"):
         Y = 1.0 / V
-    return PathEnsemble(spec=ens.spec, t=ens.t, X=ens.X, V_hat=V, Y_hat=Y,
+    return PathEnsemble(spec=ens.spec, X=ens.X, V_hat=V, Y_hat=Y,
                         alive=alive, abort_fraction=frac)
 
 
@@ -221,9 +210,7 @@ def stream_deflated(spec, record_steps, head=0):
     Y = np.empty((P, len(column)))
     YX = np.empty((P, len(column)))
     X_head = np.empty((min(head, P), spec.steps + 1))
-    states = _euler_states(spec)
-    for step, (x, v, alive) in enumerate(_wealth(spec, _time_grid(spec),
-                                                 states)):
+    for step, (x, v, alive) in enumerate(_wealth(spec, _euler_states(spec))):
         X_head[:, step] = x[:head, 0]
         k = column.get(step)
         if k is not None:
@@ -245,9 +232,7 @@ def martingale_test(Z, n_buckets=16, t_max=4.0):
 
     Z is (paths, steps+1); PASS iff every bucket |t| <= t_max.  Only the
     columns at ``bucket_edges(steps, n_buckets)`` are read, so Z may be
-    just those columns.  Means are accumulated in extended precision
-    (pairwise + math.fsum semantics via numpy double on double input;
-    inputs are already float64 here).
+    just those columns.
     """
     Z = np.asarray(Z, dtype=np.float64)
     P, n1 = Z.shape

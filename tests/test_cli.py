@@ -266,6 +266,12 @@ def _with(obj, value, *path):
                       "slope": [[0.0, 0.0], [0.0, 0.0]]}, "sigma"),
      "sigma form 'linear' is not supported"),
     (_with(SIM_SPEC, "two", "d"), "d must be a number"),
+    (_with(SIM_SPEC, -1, "T"), "T must be finite and > 0, got -1.0"),
+    (_with(SIM_SPEC, float("inf"), "T"), "T must be finite and > 0, got inf"),
+    (_with(SIM_SPEC, 1.7, "d"), "d must be an integer, got 1.7"),
+    (_with(SIM_SPEC, 2.5, "m"), "m must be an integer, got 2.5"),
+    (_with(SIM_SPEC, 8.5, "steps"), "steps must be an integer, got 8.5"),
+    (_with(SIM_SPEC, 100.2, "paths"), "paths must be an integer, got 100.2"),
 ])
 def test_simulate_malformed_spec_exit_1(tmp_path, capsys, spec, message):
     path = _write(tmp_path, "spec.json", spec)
@@ -292,3 +298,13 @@ def test_simulate_zero_count_exit_1(tmp_path, capsys, flag):
     argv[argv.index(flag) + 1] = "0"
     assert main(argv) == 1
     assert "need steps >= 1 and paths >= 1" in capsys.readouterr().err
+
+
+def test_simulate_one_path_exit_1(tmp_path, capsys):
+    # one path has no standard error: the t-statistics would be NaN
+    path = _write(tmp_path, "spec.json", SIM_SPEC)
+    assert main(["simulate", path, "--paths", "1", "--steps", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("input error: simulate needs paths >= 2 for its "
+                            "standard errors\n")

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from odx.mc import (DiffusionSpec, const_fn, deflate_paths, kw_regress,
-                    linear_fn, martingale_test, scalar_spec, simulate,
-                    structural_rho)
+from odx.mc import (DiffusionSpec, deflate_paths, kw_regress,
+                    martingale_test, scalar_spec, simulate, structural_rho)
 from odx.tree import ModelError
 
 
@@ -34,18 +33,17 @@ def test_terminal_drift_clt_bound():
 def test_structural_rho_constant_coefficients():
     spec = scalar_spec(0.05, 0.2)
     x = np.zeros((10, 1))
-    rho = structural_rho(spec, 0.0, x)
+    rho = structural_rho(spec, x)
     np.testing.assert_allclose(rho, 1.25)
     # degenerate c = 0 gives rho = 0, not a division error
     flat = scalar_spec(0.05, 0.0)
-    np.testing.assert_allclose(structural_rho(flat, 0.0, x), 0.0)
+    np.testing.assert_allclose(structural_rho(flat, x), 0.0)
 
 
 def test_structural_rho_multidim():
-    spec = DiffusionSpec(d=2, drift=const_fn([0.3, -0.1]),
-                         sigma=const_fn(np.eye(2)), m=2, T=1.0,
+    spec = DiffusionSpec(drift=[0.3, -0.1], sigma=np.eye(2), T=1.0,
                          steps=4, paths=2, seed=0, x0=[0.0, 0.0])
-    rho = structural_rho(spec, 0.0, np.zeros((5, 2)))
+    rho = structural_rho(spec, np.zeros((5, 2)))
     np.testing.assert_allclose(rho, np.broadcast_to([0.3, -0.1], (5, 2)))
 
 
@@ -139,13 +137,21 @@ def test_spec_validation():
     with pytest.raises(ModelError, match="steps"):
         scalar_spec(0.0, 0.1, steps=0)
     with pytest.raises(ModelError, match="x0"):
-        DiffusionSpec(d=2, drift=const_fn([0.0, 0.0]),
-                      sigma=const_fn(np.eye(2)), m=2, T=1.0, x0=[0.0])
+        DiffusionSpec(drift=[0.0, 0.0], sigma=np.eye(2), T=1.0, x0=[0.0])
+
+
+@pytest.mark.parametrize("coeffs", [
+    dict(drift=[0.0, 0.0], sigma=[0.2, 0.2]),
+    dict(drift=[0.0], sigma=np.eye(2)),
+    dict(drift=[0.0, 0.0], sigma=np.eye(2), slope=[[1.0, 0.0]]),
+])
+def test_spec_coefficient_shapes(coeffs):
+    with pytest.raises(ModelError, match="need sigma"):
+        DiffusionSpec(T=1.0, x0=[0.0, 0.0], **coeffs)
 
 
 def test_linear_coefficients_run():
-    spec = DiffusionSpec(d=1, drift=linear_fn([0.0], [[-0.5]]),
-                         sigma=const_fn([[0.2]]), m=1, T=1.0,
+    spec = DiffusionSpec(drift=[0.0], slope=[[-0.5]], sigma=[[0.2]], T=1.0,
                          steps=32, paths=200, seed=6, x0=[1.0])
     ens = simulate(spec)
     # mean reversion toward 0 from x0 = 1: mean ends well below start
@@ -156,10 +162,9 @@ def test_structural_rho_subnormal_variance_is_rank_zero():
     # sigma^2 = 5.3e-309 is subnormal: its reciprocal overflows, so c
     # counts as rank 0 and rho = 0 in one dimension as in two
     x = np.zeros((3, 1))
-    rho = structural_rho(scalar_spec(0.05, 7.3e-155), 0.0, x)
+    rho = structural_rho(scalar_spec(0.05, 7.3e-155), x)
     assert np.array_equal(rho, np.zeros((3, 1)))
-    spec2 = DiffusionSpec(d=2, drift=const_fn([0.05, 0.05]),
-                          sigma=const_fn(7.3e-155 * np.eye(2)), m=2, T=1.0,
-                          x0=[0.0, 0.0])
-    assert np.array_equal(structural_rho(spec2, 0.0, np.zeros((3, 2))),
+    spec2 = DiffusionSpec(drift=[0.05, 0.05], sigma=7.3e-155 * np.eye(2),
+                          T=1.0, x0=[0.0, 0.0])
+    assert np.array_equal(structural_rho(spec2, np.zeros((3, 2))),
                           np.zeros((3, 2)))

@@ -26,6 +26,20 @@ D2_LINEAR = {"odx_schema": 1, "d": 2, "m": 2, "T": 1.0, "x0": [0.1, -0.2],
                        "slope": [[-0.2, 0.05], [0.1, -0.3]]},
              "sigma": {"form": "const",
                        "value": [[0.2, 0.05], [0.03, 0.15]]}}
+# one noise for two assets: c = sigma sigma^T is singular
+D2_M1 = {"odx_schema": 1, "d": 2, "m": 1, "T": 1.0,
+         "drift": {"form": "const", "value": [0.05, -0.03]},
+         "sigma": {"form": "const", "value": [[0.2], [0.1]]}}
+D3_M2_LINEAR = {"odx_schema": 1, "d": 3, "m": 2, "T": 1.0,
+                "x0": [0.1, 0.0, -0.1],
+                "drift": {"form": "linear", "value": [0.03, -0.02, 0.01],
+                          "slope": [[-0.3, 0.1, 0.0], [0.05, -0.2, 0.1],
+                                    [0.0, 0.1, -0.4]]},
+                "sigma": {"form": "const",
+                          "value": [[0.2, 0.0], [0.05, 0.15],
+                                    [0.1, -0.1]]}}
+SPECS = {"d1": D1, "d2-linear": D2_LINEAR, "d2-m1": D2_M1,
+         "d3-m2-linear": D3_M2_LINEAR}
 
 
 def _write(tmp_path, name, obj):
@@ -35,13 +49,9 @@ def _write(tmp_path, name, obj):
 
 
 def _spec(obj, paths, steps, seed):
-    def coeff(form):
-        if form["form"] == "linear":
-            return mc.linear_fn(form["value"], form["slope"])
-        return mc.const_fn(form["value"])
-
-    return mc.DiffusionSpec(d=obj["d"], m=obj["m"], drift=coeff(obj["drift"]),
-                            sigma=coeff(obj["sigma"]), T=obj["T"],
+    return mc.DiffusionSpec(drift=obj["drift"]["value"],
+                            slope=obj["drift"].get("slope"),
+                            sigma=obj["sigma"]["value"], T=obj["T"],
                             steps=steps, paths=paths, seed=seed,
                             x0=obj.get("x0", [0.0] * obj["d"]))
 
@@ -77,13 +87,16 @@ STREAM_CASES = [
     ("d2-linear", 250, 11, None),
     ("d2-linear", 200, 37, 5),
     ("d2-linear", 120, 64, 1),
+    ("d2-m1", 220, 19, 4),
+    ("d3-m2-linear", 180, 23, None),
+    ("d3-m2-linear", 90, 30, 6),
 ]
 
 
 @pytest.mark.parametrize("name, paths, steps, chunk", STREAM_CASES)
 def test_stream_matches_panel_bytes(tmp_path, monkeypatch, capsys,
                                     name, paths, steps, chunk):
-    obj = {"d1": D1, "d2-linear": D2_LINEAR}[name]
+    obj = SPECS[name]
     if chunk is not None:
         monkeypatch.setattr(mc, "NORMAL_CHUNK_BYTES",
                             8 * paths * obj["m"] * chunk)
@@ -110,12 +123,10 @@ def test_chunked_normals_equal_one_draw(monkeypatch, chunk):
     assert np.array_equal(drawn, panel)
 
 
-def _per_path_rho(spec, t, x):
-    """rho = c^+ a with one psd_pinv_apply call per path."""
-    a = spec.drift(t, x)
-    sig = np.broadcast_to(spec.sigma(t, x), x.shape[:-1] + (spec.d, spec.m))
-    c = np.einsum("...ik,...jk->...ij", sig, sig)
-    return np.array([psd_pinv_apply(ci, ai)[0] for ci, ai in zip(c, a)])
+def _per_path_rho(spec, x):
+    """rho = c^+ a(x) with one psd_pinv_apply call per path."""
+    c = np.einsum("ik,jk->ij", spec.sigma, spec.sigma)
+    return np.array([psd_pinv_apply(c, a)[0] for a in spec.drift_at(x)])
 
 
 @st.composite
@@ -126,30 +137,31 @@ def _coefficients(draw):
     values = st.one_of(st.just(0.0),
                        st.floats(-5.0, 5.0, allow_nan=False,
                                  allow_subnormal=False))
-    sig = draw(arrays(np.float64, (P, d, m), elements=values))
-    a = draw(arrays(np.float64, (P, d), elements=values))
+    sig = draw(arrays(np.float64, (d, m), elements=values))
+    # a(x) = drift + slope x differs from path to path
+    drift = draw(arrays(np.float64, (d,), elements=values))
+    slope = draw(arrays(np.float64, (d, d), elements=values))
+    x = draw(arrays(np.float64, (P, d), elements=values))
     # rank-deficient c: a zero row, collinear rows, or c = 0
     kind = draw(st.sampled_from(["any", "zero_row", "collinear", "zero"]))
     if kind == "zero_row":
-        sig[:, -1, :] = 0.0
+        sig[-1, :] = 0.0
     elif kind == "collinear":
-        sig[:, 1, :] = 2.5 * sig[:, 0, :]
+        sig[1, :] = 2.5 * sig[0, :]
     elif kind == "zero":
         sig[:] = 0.0
-    return d, m, sig, a
+    return sig, drift, slope, x
 
 
 @settings(max_examples=150, deadline=None)
 @given(_coefficients())
 def test_batched_rho_equals_per_path_loop(coeffs):
-    d, m, sig, a = coeffs
-    spec = mc.DiffusionSpec(d=d, m=m, drift=lambda t, x: a,
-                            sigma=lambda t, x: sig, T=1.0, steps=1, paths=1,
-                            x0=np.zeros(d))
-    x = np.zeros((a.shape[0], d))
+    sig, drift, slope, x = coeffs
+    spec = mc.DiffusionSpec(drift=drift, slope=slope, sigma=sig, T=1.0,
+                            steps=1, paths=1, x0=np.zeros(sig.shape[0]))
     with np.errstate(all="ignore"):  # a subnormal c gives inf/NaN on both
-        batched = mc.structural_rho(spec, 0.0, x)
-        looped = _per_path_rho(spec, 0.0, x)
+        batched = mc.structural_rho(spec, x)
+        looped = _per_path_rho(spec, x)
     assert batched.tobytes() == looped.tobytes()
 
 
@@ -177,8 +189,7 @@ def test_stream_memory_does_not_grow_with_steps(tmp_path, capsys):
 
 
 def test_non_finite_increment_is_model_error():
-    spec = mc.DiffusionSpec(d=1, m=1, drift=mc.linear_fn([0.0], [[1e300]]),
-                            sigma=mc.const_fn([[0.2]]), T=1.0, steps=8,
-                            paths=50, seed=0, x0=[0.0])
+    spec = mc.DiffusionSpec(drift=[0.0], slope=[[1e300]], sigma=[[0.2]],
+                            T=1.0, steps=8, paths=50, seed=0, x0=[0.0])
     with pytest.raises(ModelError, match="non-finite increment at step"):
         mc.simulate(spec)
