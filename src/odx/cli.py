@@ -18,8 +18,9 @@ from . import io as odx_io
 from .decompose import (MarketLP, check_uniqueness, decompose_kw,
                         decompose_lp, is_supermartingale_under_all,
                         reconstruct)
-from .deflators import build_deflator_family
-from .structure import extract_characteristics, solve_structure
+from .deflators import DEFAULT_EXTRAS, build_deflator_family
+from .structure import (DEFAULT_STRUCT_TOL, extract_characteristics,
+                        solve_structure)
 from .superhedge import superhedge
 from .tree import ArbitrageError, ModelError, SolverError
 from . import mc
@@ -46,7 +47,10 @@ def _load_json(path):
 def _out_path(args, name):
     if args.out is None:
         return None
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise ModelError(f"--out {args.out}: {exc.strerror}") from exc
     return os.path.join(args.out, name)
 
 
@@ -75,6 +79,8 @@ def cmd_analyze(args):
 
 
 def cmd_deflate(args):
+    if args.extras < 0:
+        raise ModelError(f"--extras must be >= 0, got {args.extras}")
     tree, X = odx_io.load_model(_load_json(args.model))
     fam = build_deflator_family(X, n_extras=args.extras, seed=args.seed)
     doc = {
@@ -274,7 +280,7 @@ def build_parser():
                                 "deflators, hedge/consumption splits, and "
                                 "superhedging on event trees.")
     p.add_argument("--seed", type=lambda s: int(s) & (2**64 - 1), default=0)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=DEFAULT_STRUCT_TOL)
     p.add_argument("--out", default=None, help="output directory")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -284,7 +290,7 @@ def build_parser():
 
     d = sub.add_parser("deflate", help="numeraire and product deflators")
     d.add_argument("model")
-    d.add_argument("--extras", type=int, default=8)
+    d.add_argument("--extras", type=int, default=DEFAULT_EXTRAS)
     d.set_defaults(func=cmd_deflate)
 
     c = sub.add_parser("decompose", help="hedge/consumption decomposition")
@@ -315,8 +321,9 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.tol <= 0:
-        print("tolerances must be positive", file=sys.stderr)
+    if not (np.isfinite(args.tol) and args.tol > 0):
+        print(f"input error: --tol must be finite and > 0, got {args.tol!r}",
+              file=sys.stderr)
         return EXIT_INPUT
     try:
         return args.func(args)

@@ -16,7 +16,7 @@ from itertools import combinations
 import numpy as np
 from scipy.optimize import linprog
 
-from .deflators import build_deflator_family
+from .deflators import numeraire_portfolio
 from .structure import psd_pinv_apply
 from .tree import (AdaptedProcess, ArbitrageError, BranchGroup, ModelError,
                    PredictableProcess, SolverError, doob_decompose,
@@ -24,6 +24,8 @@ from .tree import (AdaptedProcess, ArbitrageError, BranchGroup, ModelError,
 
 SUPERMART_TOL = 1e-10
 FEAS_TOL = 1e-9
+KW_DEFER_TOL = 1e-8
+UNIQUENESS_TOL = 1e-8
 VERTEX_ENUM_MAX_BRANCHES = 8
 
 
@@ -159,7 +161,7 @@ class SupermartingaleCertificate:
         return self.verdict == "PASS"
 
 
-def is_supermartingale_under_all(V, X, tol=SUPERMART_TOL, lp=None):
+def is_supermartingale_under_all(V, X, lp=None):
     """Test whether V is a supermartingale under every martingale measure.
 
     Per non-leaf node the closed-polytope LP max of the child values is
@@ -177,7 +179,8 @@ def is_supermartingale_under_all(V, X, tol=SUPERMART_TOL, lp=None):
         kids = tree.children(node)
         best, q = lp.node_max(node, V.values[kids, 0])
         violation = best - V.values[node, 0]
-        if violation > tol and (worst is None or violation > worst["violation"]):
+        if violation > SUPERMART_TOL and (
+                worst is None or violation > worst["violation"]):
             worst = {"node": int(node), "violation": float(violation),
                      "measure": np.asarray(q).tolist()}
     if worst is not None:
@@ -303,7 +306,7 @@ def decompose_lp(V, X, lp=None, tie_break_seed=None):
     return _assemble(tree, v[0], H_vals, dC, diags)
 
 
-def decompose_kw(V, X, deflators=None, defer_tol=1e-8, lp=None):
+def decompose_kw(V, X, lp=None):
     """Hedge/consumption split along the proof route: deflate by the
     numeraire wealth, project the (compounded) deflated increments on the
     martingale part, remove the predictable drift, reassemble.
@@ -311,16 +314,16 @@ def decompose_kw(V, X, deflators=None, defer_tol=1e-8, lp=None):
     The per-node regression uses the compounded increment
     (1 + <rho_hat, dX>) dU, which makes the reassembly exact on the tree;
     it reduces to the continuous-time projection as the step size shrinks.
-    On nodes where the orthogonal residual N exceeds ``defer_tol`` the
-    hedge is deferred to the LP construction (incomplete nodes: the
+    On nodes where the orthogonal residual N exceeds :data:`KW_DEFER_TOL`
+    the hedge is deferred to the LP construction (incomplete nodes: the
     continuous-time proof has no discrete counterpart there), and those
     nodes are reported in the diagnostics.
     """
     tree = X.tree
     d = X.dim
-    fam = deflators if deflators is not None else build_deflator_family(X, n_extras=0)
-    rho = fam.rho_hat.values
-    Vh = fam.V_hat.values[:, 0]
+    rho_hat, V_hat = numeraire_portfolio(X)
+    rho = rho_hat.values
+    Vh = V_hat.values[:, 0]
     U = V.values[:, 0] / Vh
     _, M = doob_decompose(X)
 
@@ -349,7 +352,7 @@ def decompose_kw(V, X, deflators=None, defer_tol=1e-8, lp=None):
         dB_steps[nodes] = dB
         n_sq[nodes] = np.vecdot(p, dN**2)
         scale = np.maximum(1.0, np.max(np.abs(W), axis=1))
-        defer[nodes] = np.max(np.abs(dN), axis=1) > defer_tol * scale
+        defer[nodes] = np.max(np.abs(dN), axis=1) > KW_DEFER_TOL * scale
         H_vals[nodes] = Vh[nodes, None] * (U[nodes, None] * rho[nodes] + theta)
         dC[g.kids] = Vh[nodes, None] * (dB[:, None] - dN)
         # incomplete nodes take the least-distance hedge instead
@@ -399,7 +402,7 @@ def gains_process(H, X):
                           path_cumsum(X.tree, step_gains(X, H.values)))
 
 
-def check_uniqueness(d1, d2, X, tol=1e-8):
+def check_uniqueness(d1, d2, X):
     """Compare two decompositions of the same V in the theorem's sense:
     equal consumption and equal stochastic integrals (H itself may differ
     off the support of the increments)."""
@@ -412,4 +415,4 @@ def check_uniqueness(d1, d2, X, tol=1e-8):
     g_gap = float(np.max(np.abs(gains_process(d1.H, X).values
                                 - gains_process(d2.H, X).values)))
     return {"C_gap": c_gap, "integral_gap": g_gap,
-            "passed": c_gap <= tol and g_gap <= tol}
+            "passed": c_gap <= UNIQUENESS_TOL and g_gap <= UNIQUENESS_TOL}

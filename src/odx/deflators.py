@@ -22,7 +22,8 @@ from .tree import (AdaptedProcess, ArbitrageError, ModelError,
 NEWTON_TOL = 1e-15
 NEWTON_MAXITER = 100
 RHO_CAP = 1e8
-DEFAULT_MARGIN = 0.1
+NUMERAIRE_TOL = 1e-10
+MARGIN = 0.1
 DEFAULT_EXTRAS = 8
 
 
@@ -46,17 +47,17 @@ def stochastic_exponential(Z, strict=False):
     return AdaptedProcess(Z.tree, vals)
 
 
-def _log_optimal(p, dX, tol=NEWTON_TOL, max_iter=NEWTON_MAXITER):
+def _log_optimal(p, dX):
     """Damped Newton solve of sum_c p_c dX_c / (1 + <rho, dX_c>) = 0 at a
     stack of nodes: p is (n, k), dX is (n, k, d).
 
     Every node runs its own iteration: it stops once its gradient is below
-    ``tol`` times its increment scale, when its step stalls at the
-    floating-point floor, or when |rho| passes RHO_CAP.  The step is the
-    minimum-norm solve of the PSD Hessian by ``psd_pinv_apply``, so
-    directions that the Hessian cannot see (dX of lower rank than d) are
-    left alone.  Returns the iterate of smallest gradient of each node and
-    the gradient there.
+    :data:`NEWTON_TOL` times its increment scale, when its step stalls at
+    the floating-point floor, when |rho| passes RHO_CAP, or after
+    :data:`NEWTON_MAXITER` steps.  The step is the minimum-norm solve of
+    the PSD Hessian by ``psd_pinv_apply``, so directions that the Hessian
+    cannot see (dX of lower rank than d) are left alone.  Returns the
+    iterate of smallest gradient of each node and the gradient there.
     """
     n, _, d = dX.shape
     rho = np.zeros((n, d))
@@ -64,7 +65,7 @@ def _log_optimal(p, dX, tol=NEWTON_TOL, max_iter=NEWTON_MAXITER):
     best_rho = rho.copy()
     best_norm = np.full(n, np.inf)
     live = np.arange(n)
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAXITER):
         x, pl, r = dX[live], p[live], rho[live]
         w = 1.0 + np.matvec(x, r)
         grad = np.vecmat(pl / w, x)
@@ -72,7 +73,7 @@ def _log_optimal(p, dX, tol=NEWTON_TOL, max_iter=NEWTON_MAXITER):
         better = g_norm < best_norm[live]
         best_rho[live[better]] = r[better]
         best_norm[live[better]] = g_norm[better]
-        go = g_norm > tol * scale[live]
+        go = g_norm > NEWTON_TOL * scale[live]
         live, x, pl, r, w, grad = live[go], x[go], pl[go], r[go], w[go], grad[go]
         if live.size == 0:
             break
@@ -102,7 +103,7 @@ def _log_optimal(p, dX, tol=NEWTON_TOL, max_iter=NEWTON_MAXITER):
     return best_rho, np.vecmat(p / w, dX)
 
 
-def numeraire_portfolio(X, tol=1e-10):
+def numeraire_portfolio(X):
     """Growth-optimal portfolio rho_hat and its wealth V_hat (V_hat(0) = 1).
 
     Raises :class:`ArbitrageError` with the offending node when log-wealth
@@ -117,7 +118,8 @@ def numeraire_portfolio(X, tol=1e-10):
         dX = g.increments(X.values)
         rho, grad = _log_optimal(tree.p[g.kids], dX)
         scale = np.maximum(1.0, np.max(np.abs(dX), axis=(1, 2)))
-        unbounded[g.nodes] = ((np.max(np.abs(grad), axis=1) > tol * scale)
+        unbounded[g.nodes] = ((np.max(np.abs(grad), axis=1)
+                               > NUMERAIRE_TOL * scale)
                               | (np.max(np.abs(rho), axis=1) > RHO_CAP))
         rho_vals[g.nodes] = rho
         factors[g.kids] = 1.0 + np.matvec(dX, rho)
@@ -164,15 +166,15 @@ class DeflatorFamily:
         return [self.Y_hat] + [Y for _, Y in self.extras]
 
 
-def orthogonal_jump_martingale(tree, M, rng, weights=None, margin=DEFAULT_MARGIN,
-                               n_samples=1):
+def orthogonal_jump_martingale(tree, M, rng, weights=None, n_samples=1):
     """Sample jump martingales L with dL orthogonal to the increments of M.
 
     At each non-leaf node, dL is drawn (seeded) from the affine subspace
-    {sum w dL = 0, sum w dL dM^T = 0} and scaled to sup-norm 1 - margin,
-    so 1 + dL >= margin > 0.  Binary nodes admit only dL = 0.  ``weights``
-    defaults to the tree probabilities; pass the implied martingale-measure
-    weights to make Y_hat * E(L) an exact deflator on drifting markets.
+    {sum w dL = 0, sum w dL dM^T = 0} and scaled to sup-norm
+    1 - :data:`MARGIN`, so 1 + dL >= MARGIN > 0.  Binary nodes admit only
+    dL = 0.  ``weights`` defaults to the tree probabilities; pass the
+    implied martingale-measure weights to make Y_hat * E(L) an exact
+    deflator on drifting markets.
 
     Returns a list of ``n_samples`` scalar AdaptedProcess L with L(0) = 0.
     """
@@ -209,13 +211,12 @@ def orthogonal_jump_martingale(tree, M, rng, weights=None, margin=DEFAULT_MARGIN
             sup = np.max(np.abs(dL), axis=1, keepdims=True)
             nz = sup > 1e-14
             dL_all[g.kids[sel]] = np.where(
-                nz, dL * ((1.0 - margin) / np.where(nz, sup, 1.0)), 0.0)
+                nz, dL * ((1.0 - MARGIN) / np.where(nz, sup, 1.0)), 0.0)
     L = path_cumsum(tree, dL_all)
     return [AdaptedProcess(tree, L[:, s].copy()) for s in range(n_samples)]
 
 
-def build_deflator_family(X, n_extras=DEFAULT_EXTRAS, seed=0,
-                          margin=DEFAULT_MARGIN):
+def build_deflator_family(X, n_extras=DEFAULT_EXTRAS, seed=0):
     """Numeraire deflator plus ``n_extras`` seeded product deflators."""
     tree = X.tree
     rho_hat, V_hat = numeraire_portfolio(X)
@@ -225,7 +226,7 @@ def build_deflator_family(X, n_extras=DEFAULT_EXTRAS, seed=0,
     rng = np.random.default_rng(seed)
     extras = []
     if n_extras > 0:
-        Ls = orthogonal_jump_martingale(tree, M, rng, weights=q, margin=margin,
+        Ls = orthogonal_jump_martingale(tree, M, rng, weights=q,
                                         n_samples=n_extras)
         for L in Ls:
             E = stochastic_exponential(L, strict=True)
@@ -248,14 +249,9 @@ def verify_deflator(Y, X, tol=1e-10):
     if abs(Y.values[0, 0] - 1.0) > 1e-12:
         raise ModelError("deflator must start at 1")
     tree = X.tree
-    y = Y.values[:, 0]
-    dY = y - y[np.maximum(tree.parent, 0)]
-    dY[0] = 0.0
-    y_defect = np.abs(child_weighted_sums(tree, dY))
-    yx = y[:, None] * X.values
-    dYX = yx - yx[np.maximum(tree.parent, 0)]
-    dYX[0] = 0.0
-    yx_defect = np.abs(child_weighted_sums(tree, dYX))
+    YX = AdaptedProcess(tree, Y.values * X.values)
+    y_defect = np.abs(child_weighted_sums(tree, Y.increments()))
+    yx_defect = np.abs(child_weighted_sums(tree, YX.increments()))
     max_y = float(np.max(y_defect, initial=0.0))
     max_yx = float(np.max(yx_defect, initial=0.0))
     return {"max_Y_defect": max_y, "max_YX_defect": max_yx,

@@ -41,16 +41,19 @@ def tree_from_json(obj):
     _check_schema(obj, "tree")
     try:
         nodes = sorted(obj["nodes"], key=lambda r: int(r["id"]))
-    except (KeyError, TypeError) as exc:
-        raise ModelError(f"tree: malformed nodes list ({exc})") from exc
-    ids = [int(r["id"]) for r in nodes]
+        ids = [int(r["id"]) for r in nodes]
+        time = [int(r["time"]) for r in nodes]
+        parent = [-1 if r.get("parent") is None else int(r["parent"])
+                  for r in nodes]
+        p = [1.0 if r.get("p") is None else float(r["p"]) for r in nodes]
+        horizon = (None if obj.get("horizon") is None
+                   else int(obj["horizon"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ModelError(f"tree: malformed nodes or horizon ({exc})") from exc
     if ids != list(range(len(nodes))):
         raise ModelError("tree: node ids must be 0..n-1 (breadth-first)")
-    time = [int(r["time"]) for r in nodes]
-    parent = [-1 if r.get("parent") is None else int(r["parent"]) for r in nodes]
-    p = [1.0 if r.get("p") is None else float(r["p"]) for r in nodes]
     tree = _finalize_tree(time, parent, p)
-    if "horizon" in obj and int(obj["horizon"]) != tree.horizon:
+    if horizon is not None and horizon != tree.horizon:
         raise ModelError("tree: horizon field disagrees with the leaf depth")
     return tree
 
@@ -81,10 +84,13 @@ def _process_values(tree, obj, name, require_all):
     dims = set()
     rows = {}
     for key, v in obj.items():
-        i = int(key)
+        try:
+            i = int(key)
+            row = np.atleast_1d(np.asarray(v, dtype=np.float64))
+        except (TypeError, ValueError):
+            raise ModelError(f"{name}: malformed entry {key!r}") from None
         if i < 0 or i >= tree.n_nodes:
             raise ModelError(f"{name}: unknown node id {i}")
-        row = np.atleast_1d(np.asarray(v, dtype=np.float64))
         dims.add(row.shape[0])
         rows[i] = row
     if len(dims) != 1:
@@ -124,8 +130,19 @@ def load_claim(obj, X):
         payoff = adapted_from_json(X.tree, obj["payoff"], "payoff")
         return Claim(kind=kind, payoff=payoff)
     if "formula" in obj:
-        return vanilla_claim(X, obj["formula"], float(obj["strike"]),
-                             kind=kind, asset=int(obj.get("asset", 0)))
+        try:
+            strike = float(obj["strike"])
+        except KeyError:
+            raise ModelError("claim: formula needs 'strike'") from None
+        except (TypeError, ValueError):
+            raise ModelError(f"claim: strike must be a number, got "
+                             f"{obj['strike']!r}") from None
+        asset = obj.get("asset", 0)
+        if asset not in range(X.dim):
+            raise ModelError(f"claim: asset must be one of 0..{X.dim - 1}, "
+                             f"got {asset!r}")
+        return vanilla_claim(X, obj["formula"], strike, kind=kind,
+                             asset=int(asset))
     raise ModelError("claim: need 'payoff' or 'formula'")
 
 
@@ -151,9 +168,16 @@ def decomposition_to_json(dec):
 
 def decomposition_from_json(tree, obj):
     _check_schema(obj, "decomposition")
+    if not {"V0", "H", "C"} <= obj.keys():
+        raise ModelError("decomposition: need 'V0', 'H' and 'C'")
+    try:
+        V0 = float(obj["V0"])
+    except (TypeError, ValueError):
+        raise ModelError(f"decomposition: V0 must be a number, got "
+                         f"{obj['V0']!r}") from None
     H = predictable_from_json(tree, obj["H"], "H")
     C = adapted_from_json(tree, obj["C"], "C")
-    return Decomposition(V0=float(obj["V0"]), H=H, C=C,
+    return Decomposition(V0=V0, H=H, C=C,
                          diagnostics=dict(obj.get("diagnostics", {})))
 
 

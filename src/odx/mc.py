@@ -27,6 +27,8 @@ DEFAULT_STEPS = 256
 ABORT_FRACTION_LIMIT = 0.01
 # Byte budget of one chunk of normals; a chunk holds at least one step.
 NORMAL_CHUNK_BYTES = 4 * 2**20
+N_BUCKETS = 16
+T_MAX = 4.0
 
 
 @dataclass(frozen=True)
@@ -221,22 +223,22 @@ def stream_deflated(spec, record_steps, head=0):
                         abort_fraction=_abort_fraction(alive))
 
 
-def bucket_edges(n_steps, n_buckets=16):
+def bucket_edges(n_steps):
     """Step indices bounding the coarse time buckets of ``martingale_test``
-    (at most one bucket per step)."""
-    return np.linspace(0, n_steps, min(n_buckets, n_steps) + 1).astype(int)
+    (at most :data:`N_BUCKETS`, and at most one per step)."""
+    return np.linspace(0, n_steps, min(N_BUCKETS, n_steps) + 1).astype(int)
 
 
-def martingale_test(Z, n_buckets=16, t_max=4.0):
+def martingale_test(Z):
     """t-statistics of mean increments per coarse time bucket.
 
-    Z is (paths, steps+1); PASS iff every bucket |t| <= t_max.  Only the
-    columns at ``bucket_edges(steps, n_buckets)`` are read, so Z may be
-    just those columns.
+    Z is (paths, steps+1); PASS iff every bucket |t| <= :data:`T_MAX`.
+    Only the columns at ``bucket_edges(steps)`` are read, so Z may be just
+    those columns.
     """
     Z = np.asarray(Z, dtype=np.float64)
     P, n1 = Z.shape
-    edges = bucket_edges(n1 - 1, n_buckets)
+    edges = bucket_edges(n1 - 1)
     stats = []
     for lo, hi in zip(edges[:-1], edges[1:]):
         D = Z[:, hi] - Z[:, lo]
@@ -245,7 +247,7 @@ def martingale_test(Z, n_buckets=16, t_max=4.0):
         stats.append(t)
     stats = np.asarray(stats)
     return {"t_stats": stats, "max_abs_t": float(np.max(np.abs(stats))),
-            "passed": bool(np.all(np.abs(stats) <= t_max))}
+            "passed": bool(np.all(np.abs(stats) <= T_MAX))}
 
 
 def kw_regress(U, dM):

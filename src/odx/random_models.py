@@ -95,11 +95,11 @@ def random_universal_supermartingale(rng, X, lp=None):
     lp = lp if lp is not None else MarketLP(X)
     V = np.zeros(tree.n_nodes)
     V[tree.leaves] = rng.normal(0.0, 1.0, size=tree.leaves.size)
-    for node in sorted(tree.nonleaf_nodes, key=lambda n: -tree.time[n]):
-        kids = tree.children(node)
-        best, _ = lp.node_max(node, V[kids])
-        slack = abs(rng.normal(0.0, 0.2)) if rng.random() < 0.5 else 0.0
-        V[node] = best + slack
+    for level in reversed(tree.levels[:-1]):
+        for node in level:
+            best, _ = lp.node_max(node, V[tree.children(node)])
+            slack = abs(rng.normal(0.0, 0.2)) if rng.random() < 0.5 else 0.0
+            V[node] = best + slack
     return AdaptedProcess(tree, V)
 
 

@@ -19,7 +19,7 @@ EIG_TOL = 1e-10
 # the one rank rule of psd_pinv_apply: relative eigenvalue cutoff
 PINV_RELTOL = 1e-13
 DEFAULT_STRUCT_TOL = 1e-8
-DEFAULT_MASS_THRESHOLD = 1e6
+MASS_THRESHOLD = 1e6
 
 
 @dataclass(frozen=True)
@@ -121,8 +121,7 @@ def psd_pinv_apply(C, v):
     return x, kernel_part
 
 
-def solve_structure(ch, tol=DEFAULT_STRUCT_TOL,
-                    mass_threshold=DEFAULT_MASS_THRESHOLD):
+def solve_structure(ch, tol=DEFAULT_STRUCT_TOL):
     """Solve a = c rho per step, or certify failure.
 
     When at some step the drift has a component in the kernel of the
@@ -149,7 +148,7 @@ def solve_structure(ch, tol=DEFAULT_STRUCT_TOL,
     # the step mass sits on the children so it accumulates along paths
     mass = AdaptedProcess(tree, path_cumsum(tree,
                                             spread_to_children(tree, step_mass)))
-    mass_flag = bool(np.max(mass.values) > mass_threshold)
+    mass_flag = bool(np.max(mass.values) > MASS_THRESHOLD)
     if bad:
         return StructureReport(status="ARBITRAGE", rho=None,
                                zeta=PredictableProcess(tree, zeta_vals),

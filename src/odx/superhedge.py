@@ -65,12 +65,13 @@ def snell_envelope(claim, X, lp=None):
     lp = lp if lp is not None else MarketLP(X)
     V = np.zeros(tree.n_nodes)
     V[tree.leaves] = claim.payoff.values[tree.leaves, 0]
-    for node in sorted(tree.nonleaf_nodes, key=lambda n: -tree.time[n]):
-        kids = tree.children(node)
-        cont, _ = lp.node_max(node, V[kids])
-        if claim.kind == AMERICAN:
-            cont = max(cont, claim.payoff.values[node, 0])
-        V[node] = cont
+    # every leaf sits at the horizon, so the earlier levels are non-leaf
+    for level in reversed(tree.levels[:-1]):
+        for node in level:
+            cont, _ = lp.node_max(node, V[tree.children(node)])
+            if claim.kind == AMERICAN:
+                cont = max(cont, claim.payoff.values[node, 0])
+            V[node] = cont
     return AdaptedProcess(tree, V)
 
 
@@ -84,9 +85,8 @@ class PortfolioView:
     currency: PredictableProcess  # V_hat rho_i
 
 
-def portfolio_view(X, rho_hat=None, V_hat=None):
-    if rho_hat is None or V_hat is None:
-        rho_hat, V_hat = numeraire_portfolio(X)
+def portfolio_view(X):
+    rho_hat, V_hat = numeraire_portfolio(X)
     S = asset_prices(X)
     vh = V_hat.values[:, 0][:, None]
     currency = vh * rho_hat.values
@@ -107,9 +107,9 @@ class SuperhedgeResult:
     view: PortfolioView
 
 
-def superhedge(claim, X, lp=None):
+def superhedge(claim, X):
     """Superhedging price, hedge/consumption schedule, and portfolio view."""
-    lp = lp if lp is not None else MarketLP(X)
+    lp = MarketLP(X)
     env = snell_envelope(claim, X, lp=lp)
     dec = decompose_lp(env, X, lp=lp)
     view = portfolio_view(X)

@@ -25,10 +25,9 @@ class ModelError(ValueError):
 class ArbitrageError(RuntimeError):
     """The market admits a riskless gain; carries the offending node."""
 
-    def __init__(self, message, node=None, witness=None):
+    def __init__(self, message, node=None):
         super().__init__(message)
         self.node = node
-        self.witness = witness
 
 
 class SolverError(RuntimeError):

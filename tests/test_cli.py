@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -205,7 +206,9 @@ def test_byte_identical_reruns(b1_model, capsys):
 
 
 def test_nonpositive_tol(b1_model):
-    assert main(["--tol", "0", "analyze", b1_model]) == 1
+    # a NaN or infinite tolerance would let an arbitrage node pass
+    for tol in ["0", "nan", "inf"]:
+        assert main(["--tol", tol, "analyze", b1_model]) == 1
 
 
 def test_solver_failure_exit_2_with_witness(tmp_path, monkeypatch, capsys):
@@ -308,3 +311,66 @@ def test_simulate_one_path_exit_1(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == ("input error: simulate needs paths >= 2 for its "
                             "standard errors\n")
+
+
+PUT = {"odx_schema": 1, "kind": "european", "formula": "put", "strike": 1.05}
+
+
+def _superhedge_argv(claim):
+    def argv(tmp_path, model):
+        return ["superhedge", model, _write(tmp_path, "claim.json", claim)]
+    return argv
+
+
+def _bad_model_argv(*path):
+    def argv(tmp_path, model):
+        doc = _with(json.loads(Path(model).read_text()), "x", *path)
+        return ["analyze", _write(tmp_path, "bad.json", doc)]
+    return argv
+
+
+B1_ZERO = {str(i): [0.0] for i in range(3)}
+B1_DEC = {"odx_schema": 1, "V0": 0.0, "H": B1_ZERO, "C": B1_ZERO}
+
+
+def _verify_argv(decomposition):
+    def argv(tmp_path, model):
+        return ["verify", model, _write(tmp_path, "v.json", B1_ZERO),
+                _write(tmp_path, "dec.json", decomposition)]
+    return argv
+
+
+def _out_is_file_argv(tmp_path, model):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    return ["--out", str(taken), "analyze", model]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_superhedge_argv(_without(PUT, "strike")), "formula needs 'strike'"),
+    (_superhedge_argv(_with(PUT, "abc", "strike")),
+     "strike must be a number, got 'abc'"),
+    (_superhedge_argv(_with(PUT, 3, "asset")),
+     "asset must be one of 0..0, got 3"),
+    (_superhedge_argv(_with(PUT, 0.5, "asset")),
+     "asset must be one of 0..0, got 0.5"),
+    (_bad_model_argv("tree", "nodes", 1, "time"),
+     "tree: malformed nodes or horizon (invalid literal"),
+    (_bad_model_argv("tree", "horizon"),
+     "tree: malformed nodes or horizon (invalid literal"),
+    (_bad_model_argv("X", "1"), "X: malformed entry '1'"),
+    (_verify_argv(_without(B1_DEC, "H")), "need 'V0', 'H' and 'C'"),
+    (_verify_argv(_with(B1_DEC, "abc", "V0")),
+     "V0 must be a number, got 'abc'"),
+    (_out_is_file_argv, "File exists"),
+    (lambda tmp_path, model: ["deflate", model, "--extras", "-1"],
+     "--extras must be >= 0, got -1"),
+], ids=["no-strike", "strike-abc", "asset-3", "asset-0.5", "time-x",
+        "horizon-x", "X-value-x", "verify-no-H", "verify-V0-abc",
+        "out-is-file", "extras-negative"])
+def test_malformed_input_exit_1(tmp_path, b1_model, capsys, argv, message):
+    assert main(argv(tmp_path, b1_model)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ")
+    assert message in captured.err and "Traceback" not in captured.err

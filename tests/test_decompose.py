@@ -343,13 +343,27 @@ def test_min_norm_hedge_low_volatility(seed, node, norm2):
 
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("vol", [0.1, 1e-3])
-def test_fuzz_grid_decomposes(d, vol):
-    """Every universal supermartingale of the fuzz grid decomposes."""
-    for seed in range(200):
-        rng = np.random.default_rng(seed)
-        tree = random_tree(rng, max_periods=3, max_branches=6)
-        X = random_market(rng, tree, d=d, vol=vol)
-        lp = MarketLP(X)
-        V = random_universal_supermartingale(rng, X, lp=lp)
-        dec = decompose_lp(V, X, lp=lp)
-        assert np.min(dec.C.increments()) >= -1e-10
+def test_fuzz_grid_decomposes(d, vol, monkeypatch):
+    """Every universal supermartingale of the fuzz grid decomposes, on
+    narrow trees and on wide ones whose nodes of more than
+    VERTEX_ENUM_MAX_BRANCHES children take the HiGHS fallback."""
+    highs_calls = 0
+    linprog = decompose.linprog
+
+    def counting_linprog(*args, **kwargs):
+        nonlocal highs_calls
+        highs_calls += 1
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(decompose, "linprog", counting_linprog)
+    for max_periods, max_branches, n_seeds in [(3, 6, 200), (2, 12, 30)]:
+        for seed in range(n_seeds):
+            rng = np.random.default_rng(seed)
+            tree = random_tree(rng, max_periods=max_periods,
+                               max_branches=max_branches)
+            X = random_market(rng, tree, d=d, vol=vol)
+            lp = MarketLP(X)
+            V = random_universal_supermartingale(rng, X, lp=lp)
+            dec = decompose_lp(V, X, lp=lp)
+            assert np.min(dec.C.increments()) >= -1e-10
+    assert highs_calls > 0
