@@ -252,7 +252,8 @@ def cmd_simulate(args):
     if spec.paths < 2:
         raise ModelError("simulate needs paths >= 2 for its standard errors")
     head = PATHS_CSV_ROWS if args.out is not None else 0
-    rec = mc.stream_deflated(spec, mc.bucket_edges(spec.steps), head=head)
+    rec = mc.stream_deflated(spec, mc.bucket_edges(spec.steps), head=head,
+                             tol=args.tol)
     y_term = rec.Y_hat[rec.alive, -1]
     rep = mc.martingale_test(rec.Y_hat[rec.alive])
     rep_yx = mc.martingale_test(rec.YX[rec.alive])

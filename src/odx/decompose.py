@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .deflators import numeraire_portfolio
-from .structure import psd_pinv_apply
+from .structure import PINV_RELTOL, psd_pinv_apply
 from .tree import (AdaptedProcess, ArbitrageError, BranchGroup, ModelError,
                    PredictableProcess, SolverError, doob_decompose,
                    path_cumsum, spread_to_children, step_gains)
@@ -38,34 +38,29 @@ def _group_vertices(dX):
     (n, k, d) stack of child increments.
 
     Returns the (n, m_max, k) vertex stack, zero-padded past each node's
-    count, and the (n,) counts.  Basic feasible solutions have at most
-    d + 1 positive weights, so supports of size 1..d + 1 are tried, one
-    size at a time for the whole group: a QR of the (d + 1, m) support
-    columns and a back-substitution give q, and exactly solved,
-    nonnegative ones are kept unless within 1e-10 of an earlier kept
-    vertex.  Supports run over the children sorted by their rows of dX,
-    so the vertices round the same way in any child order.
+    count, and the (n,) counts.  Vertices have at most d + 1 positive
+    weights on linearly independent columns (1, dX_c), so supports of size
+    m = 1..d + 1 are solved, one size at a time for the whole group, by
+    :func:`_min_norm_solutions`; supports of rank below m are rejected, and
+    exactly solved, nonnegative q are kept unless within 1e-10 of an
+    earlier kept vertex.  Supports run over the children sorted by their
+    rows of dX, so the vertices round the same way in any child order.
     """
     n, k, d = dX.shape
     order = np.lexsort(np.moveaxis(dX, -1, 0)[::-1], axis=-1)
     cols = np.concatenate([np.ones((n, k, 1)),
                            np.take_along_axis(dX, order[..., None], axis=1)],
                           axis=2)  # (n, k, d + 1): the columns (1, dX_c)
+    e0 = np.eye(d + 1)[0]
     cand, ok = [], []
     for m in range(1, min(k, d + 1) + 1):
         S = np.array(list(combinations(range(k), m)))
         A = cols[:, S].mT  # (n, s, d + 1, m)
-        Q, R = np.linalg.qr(A)
-        q = Q[..., 0, :]  # Q^T b with b = e_0
+        q, rank = _min_norm_solutions(A, np.broadcast_to(e0, A.shape[:-1]))
+        resid = np.max(np.abs(np.matvec(A, q) - e0), axis=-1)
+        good = ((rank == m) & (np.min(q, axis=-1) >= -1e-11)
+                & (resid <= FEAS_TOL))
         with np.errstate(divide="ignore", invalid="ignore"):
-            for i in range(m - 1, -1, -1):
-                q[..., i] = ((q[..., i] - np.vecdot(R[..., i, i + 1:],
-                                                    q[..., i + 1:]))
-                             / R[..., i, i])
-            resid = np.max(np.abs(np.matvec(A, q) - np.eye(d + 1)[0]),
-                           axis=-1)
-            # a singular R gives a non-finite q, which fails both tests
-            good = (np.min(q, axis=-1) >= -1e-11) & (resid <= FEAS_TOL)
             q = np.clip(q, 0.0, None)
             q /= q.sum(axis=-1, keepdims=True)
         full = np.zeros((n, S.shape[0], k))
@@ -102,6 +97,7 @@ class MarketLP:
     vertex stack is kept with its node axis flattened, and ``node_max``
     looks a node's rows up by their span.  Larger nodes fall back to a
     simplex solve.  An empty polytope at some node signals arbitrage.
+    Every caller takes node maxima through ``maxima``, of values per node.
     """
 
     def __init__(self, X):
@@ -134,14 +130,10 @@ class MarketLP:
             vals = verts @ np.asarray(child_values, dtype=float)
             i = int(np.argmax(vals))
             return float(vals[i]), verts[i]
-        kids = self.tree.children(node)
-        dX = self.X.values[kids] - self.X.values[node]
-        k = dX.shape[0]
-        A_eq = np.vstack([np.ones((1, k)), dX.T])
-        b_eq = np.zeros(A_eq.shape[0])
-        b_eq[0] = 1.0
+        A_eq = self._equality_rows(node)
         res = linprog(-np.asarray(child_values, dtype=float), A_eq=A_eq,
-                      b_eq=b_eq, bounds=(0, None), method="highs")
+                      b_eq=np.eye(A_eq.shape[0])[0], bounds=(0, None),
+                      method="highs")
         if res.status == 2:
             raise ArbitrageError(f"no martingale measure at node {node}",
                                  node=node)
@@ -149,6 +141,18 @@ class MarketLP:
             raise SolverError(f"LP failed at node {node}: {res.message}",
                               node=node)
         return -res.fun, res.x
+
+    def _equality_rows(self, node):
+        """[1; dX^T] at a node: its martingale measures solve it = e_0."""
+        kids = self.tree.children(node)
+        return np.vstack([np.ones(kids.size),
+                          (self.X.values[kids] - self.X.values[node]).T])
+
+    def maxima(self, nodes, values):
+        """(maxima, attaining vertices) at ``nodes``, one ``node_max`` each."""
+        pairs = [self.node_max(n, values[self.tree.children(n)])
+                 for n in nodes]
+        return np.array([b for b, _ in pairs]), [q for _, q in pairs]
 
 
 @dataclass(frozen=True)
@@ -173,40 +177,45 @@ def is_supermartingale_under_all(V, X, lp=None):
     if not np.all(np.isfinite(V.values)):
         raise ModelError("V must be finite (locally bounded below)")
     lp = lp if lp is not None else MarketLP(X)
-    tree = X.tree
-    worst = None
-    for node in tree.nonleaf_nodes:
-        kids = tree.children(node)
-        best, q = lp.node_max(node, V.values[kids, 0])
-        violation = best - V.values[node, 0]
-        if violation > SUPERMART_TOL and (
-                worst is None or violation > worst["violation"]):
-            worst = {"node": int(node), "violation": float(violation),
-                     "measure": np.asarray(q).tolist()}
-    if worst is not None:
-        return SupermartingaleCertificate("FAIL", worst)
+    nodes = X.tree.nonleaf_nodes
+    best, verts = lp.maxima(nodes, V.values[:, 0])
+    violation = best - V.values[nodes, 0]
+    if np.any(violation > SUPERMART_TOL):
+        i = int(np.argmax(violation))  # the first worst node
+        return SupermartingaleCertificate("FAIL", {
+            "node": int(nodes[i]), "violation": float(violation[i]),
+            "measure": np.asarray(verts[i]).tolist()})
     return SupermartingaleCertificate("PASS", None)
 
 
-# ---------------------------------------------------------------------------
-# Minimum-norm superhedging vectors (LDP per node)
-# ---------------------------------------------------------------------------
+def _duality_gap(lp, v):
+    """max(0, v(node) - polytope max of its child values) over the nodes."""
+    nodes = lp.tree.nonleaf_nodes
+    best, _ = lp.maxima(nodes, v)
+    return max(0.0, float(np.max(v[nodes] - best, initial=0.0)))  # not -0.0
+
 
 def _min_norm_solutions(A, b):
-    """Minimum-norm H with A H = b for a stack of (m, d) systems A with
-    linearly independent rows and (m,) right-hand sides b, by Gram-Schmidt
-    on the rows.  Dependent rows give a non-finite or non-solving H."""
+    """(x, rank): minimum-norm x with A x = b by Gram-Schmidt on the rows,
+    for a stack of (m, d) systems A and (m,) right-hand sides b.  The one
+    small dense solver, of the vertices and the hedges.  A row whose
+    residual is at most ``PINV_RELTOL`` of its norm is skipped as dependent
+    and not counted in the rank; callers reject a rank below m."""
     Q, Y = [], []
+    rank = np.zeros(A.shape[:-2], dtype=int)
     with np.errstate(divide="ignore", invalid="ignore"):
         for a, y in zip(np.moveaxis(A, -2, 0), np.moveaxis(b, -1, 0)):
+            scale = np.linalg.norm(a, axis=-1)
             for q, yq in [*zip(Q, Y)] * 2:  # twice keeps Q orthonormal
                 c = np.vecdot(a, q)
                 a = a - c[..., None] * q
                 y = y - c * yq
             r = np.linalg.norm(a, axis=-1)
-            Q.append(a / r[..., None])
-            Y.append(y / r)
-    return sum(q * y[..., None] for q, y in zip(Q, Y))
+            keep = r > PINV_RELTOL * scale
+            Q.append(np.where(keep[..., None], a / r[..., None], 0.0))
+            Y.append(np.where(keep, y / r, 0.0))
+            rank += keep
+    return sum(q * y[..., None] for q, y in zip(Q, Y)), rank
 
 
 def _min_norm_superhedges(dX, dV):
@@ -225,15 +234,14 @@ def _min_norm_superhedges(dX, dV):
     tol = FEAS_TOL * np.maximum(1.0, np.max(np.abs(dV), axis=1))
     H = np.zeros((n, d))
     best = np.where(np.all(dV <= tol[:, None], axis=1), 0.0, np.inf)
-    rows = np.arange(n)
     for m in range(1, min(k, d) + 1):
         S = np.array(list(combinations(range(k), m)))
-        cand = _min_norm_solutions(dX[:, S], dV[:, S])  # (n, s, d)
-        feasible = np.all(cand @ dX.mT - dV[:, None] >= -tol[:, None, None],
-                          axis=2)
+        cand, rank = _min_norm_solutions(dX[:, S], dV[:, S])  # (n, s, d)
+        feasible = (rank == m) & np.all(
+            cand @ dX.mT - dV[:, None] >= -tol[:, None, None], axis=2)
         norm = np.where(feasible, np.vecdot(cand, cand), np.inf)
         i = np.argmin(norm, axis=1)
-        better = norm[rows, i] < best
+        better = norm.min(axis=1) < best
         H[better] = cand[better, i[better]]
         best[better] = norm[better, i[better]]
     return H, np.isfinite(best)
@@ -288,21 +296,20 @@ def decompose_lp(V, X, lp=None, tie_break_seed=None):
         H_vals[g.nodes] = H
         infeasible[g.nodes] = ~feasible
     dC = step_gains(X, H_vals) - V.increments()[:, 0]
-    negative = np.zeros(tree.n_nodes, dtype=bool)
-    negative[tree.parent[1:][dC[1:] < -1e-8]] = True
-    failed = infeasible | negative
-    gap = 0.0
-    for node in tree.nonleaf_nodes:
-        if failed[node]:
-            if infeasible[node]:
-                raise SolverError(
-                    f"superhedge LP infeasible at node {node}; "
-                    "run is_supermartingale_under_all first", node=int(node))
+    failed = infeasible.copy()
+    failed[tree.parent[1:][dC[1:] < -1e-8]] = True  # negative consumption
+    if np.any(failed):
+        node = int(np.argmax(failed))  # the first failed node
+        if not infeasible[node]:
             raise SolverError(f"negative consumption at node {node}",
-                              node=int(node))
-        best, _ = lp.node_max(node, v[tree.children(node)])
-        gap = max(gap, v[node] - best)
-    diags = {"route": "LP", "duality_gap": float(gap)}
+                              node=node)
+        (best,), _ = lp.maxima([node], v)
+        raise SolverError(
+            f"least-distance hedge infeasible at node {node}, where the "
+            f"polytope maximum is {float(best)!r} against V {float(v[node])!r}"
+            f" (condition number of [1; dX^T] "
+            f"{np.linalg.cond(lp._equality_rows(node)):.3g})", node=node)
+    diags = {"route": "LP", "duality_gap": _duality_gap(lp, v)}
     return _assemble(tree, v[0], H_vals, dC, diags)
 
 
@@ -320,15 +327,15 @@ def decompose_kw(V, X, lp=None):
     nodes are reported in the diagnostics.
     """
     tree = X.tree
-    d = X.dim
+    lp = lp if lp is not None else MarketLP(X)
     rho_hat, V_hat = numeraire_portfolio(X)
     rho = rho_hat.values
     Vh = V_hat.values[:, 0]
     U = V.values[:, 0] / Vh
     _, M = doob_decompose(X)
 
-    H_vals = np.zeros((tree.n_nodes, d))
-    theta_vals = np.zeros((tree.n_nodes, d))
+    H_vals = np.zeros((tree.n_nodes, X.dim))
+    theta_vals = np.zeros((tree.n_nodes, X.dim))
     dC = np.zeros(tree.n_nodes)
     dB_steps = np.zeros(tree.n_nodes)  # per-step drift, indexed by parent node
     n_sq = np.zeros(tree.n_nodes)      # conditional second moment of dN
@@ -365,7 +372,6 @@ def decompose_kw(V, X, lp=None):
     if np.any(infeasible):
         node = int(np.flatnonzero(infeasible)[0])
         raise SolverError(f"deferred LP infeasible at node {node}", node=node)
-    deferred = np.flatnonzero(defer)
     nonleaf = tree.nonleaf_nodes
     n_norm = float(np.sqrt(np.mean(n_sq[nonleaf]))) if nonleaf.size else 0.0
     diags = {
@@ -377,23 +383,16 @@ def decompose_kw(V, X, lp=None):
         "node_N_norm": dict(zip(nonleaf.tolist(),
                                 np.sqrt(n_sq[nonleaf]).tolist())),
         "min_dB": float(np.min(dB_steps[nonleaf])) if nonleaf.size else 0.0,
-        "deferred_nodes": tuple(deferred.tolist()),
+        "deferred_nodes": tuple(np.flatnonzero(defer).tolist()),
+        "duality_gap": _duality_gap(lp, V.values[:, 0]),
     }
-    if lp is not None:
-        gap = 0.0
-        for node in nonleaf:
-            best, _ = lp.node_max(node, V.values[tree.children(node), 0])
-            gap = max(gap, V.values[node, 0] - best)
-        diags["duality_gap"] = float(gap)
     return _assemble(tree, V.values[0, 0], H_vals, dC, diags)
 
 
 def reconstruct(V0, H, C, X):
     """V(node) = V0 + sum over the path of <H(parent), dX> - C(node)."""
-    tree = X.tree
-    vals = (float(V0) + path_cumsum(tree, step_gains(X, H.values))
-            - C.values[:, 0])
-    return AdaptedProcess(tree, vals)
+    return AdaptedProcess(X.tree, float(V0) + gains_process(H, X).values[:, 0]
+                          - C.values[:, 0])
 
 
 def gains_process(H, X):

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .structure import psd_pinv_apply
-from .tree import ModelError
+from .structure import DEFAULT_STRUCT_TOL, psd_pinv_apply
+from .tree import ArbitrageError, ModelError
 
 DEFAULT_PATHS = 100_000
 DEFAULT_STEPS = 256
@@ -135,20 +135,24 @@ def _euler_states(spec):
         yield x
 
 
-def _wealth(spec, states):
+def _wealth(spec, states, tol=DEFAULT_STRUCT_TOL):
     """(x, V_hat, alive) at steps 0..n along the states X_0..X_n.
 
     V_hat is the numeraire wealth, the discrete product of its integral
     equation with growth 1 + <rho, dX>.  A path whose growth would be zero
     or negative is aborted: its growth is taken as 1 and it leaves
-    ``alive``, which is updated in place."""
+    ``alive``, which is updated in place.  The drift is checked against
+    the range of c by :func:`check_structure`: a constant drift once,
+    before any path moves, a linear one at every step."""
     states = iter(states)
     x = next(states)
+    check_structure(spec, x, 0, tol)
     V = np.ones(x.shape[0])
     alive = np.ones(x.shape[0], dtype=bool)
     yield x, V, alive
     for step, x_next in enumerate(states):
-        rho = structural_rho(spec, x)
+        rho = (structural_rho(spec, x) if spec.slope is None
+               else check_structure(spec, x, step, tol))
         growth = 1.0 + np.einsum("pd,pd->p", rho, x_next - x)
         dead = growth <= 0.0
         alive &= ~dead
@@ -184,6 +188,31 @@ def structural_rho(spec, x):
     return rho
 
 
+def check_structure(spec, x, step, tol=DEFAULT_STRUCT_TOL):
+    """rho = c^+ a(x) at the states x (paths, d) of one step, under the
+    rule of ``solve_structure``, with tol scaled by max(1, |a(x)|) so that
+    rounding on a large drift does not count: where |c rho - a(x)| exceeds
+    it in some component, a(x) has a part zeta in the kernel of c, a
+    riskless gain <zeta, a> > 0, and :class:`ArbitrageError` names the
+    step, the first such path, zeta and <zeta, a>."""
+    rho = structural_rho(spec, x)
+    c = np.einsum("ik,jk->ij", spec.sigma, spec.sigma)
+    a = spec.drift_at(x)
+    defect = np.abs(rho @ c - a)
+    # no path fails below tol; a max over the short last axis is slow
+    if np.max(defect) > tol:
+        scale = np.maximum(1.0, np.max(np.abs(a), axis=-1))
+        bad = np.flatnonzero(np.max(defect, axis=-1) > tol * scale)
+        if bad.size:
+            path = int(bad[0])
+            _, zeta = psd_pinv_apply(c, a[path])
+            raise ArbitrageError(
+                f"drift outside the range of c at step {step}, path {path}: "
+                f"zeta = {zeta.tolist()}, <zeta, a> = "
+                f"{float(zeta @ a[path])!r}")
+    return rho
+
+
 def deflate_paths(ens):
     """Numeraire wealth V_hat along the panel ``ens.X`` and Y_hat = 1/V_hat;
     paths whose wealth would hit zero or go negative are aborted (recorded,
@@ -200,19 +229,21 @@ def deflate_paths(ens):
                         alive=alive, abort_fraction=frac)
 
 
-def stream_deflated(spec, record_steps, head=0):
+def stream_deflated(spec, record_steps, head=0, tol=DEFAULT_STRUCT_TOL):
     """Simulate and deflate in one pass, keeping only some columns.
 
     Y_hat and Y_hat * X[..., 0] are kept at the step indices
     ``record_steps``, and X[..., 0] of the first ``head`` paths at every
     step.  The values are those of ``deflate_paths(simulate(spec))``, but
-    memory is paths x (chunk + recorded columns), not paths x steps."""
+    memory is paths x (chunk + recorded columns), not paths x steps.
+    ``tol`` bounds the drift check of :func:`check_structure`."""
     column = {int(s): k for k, s in enumerate(record_steps)}
     P = spec.paths
     Y = np.empty((P, len(column)))
     YX = np.empty((P, len(column)))
     X_head = np.empty((min(head, P), spec.steps + 1))
-    for step, (x, v, alive) in enumerate(_wealth(spec, _euler_states(spec))):
+    for step, (x, v, alive) in enumerate(
+            _wealth(spec, _euler_states(spec), tol)):
         X_head[:, step] = x[:head, 0]
         k = column.get(step)
         if k is not None:

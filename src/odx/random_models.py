@@ -96,10 +96,10 @@ def random_universal_supermartingale(rng, X, lp=None):
     V = np.zeros(tree.n_nodes)
     V[tree.leaves] = rng.normal(0.0, 1.0, size=tree.leaves.size)
     for level in reversed(tree.levels[:-1]):
-        for node in level:
-            best, _ = lp.node_max(node, V[tree.children(node)])
+        best, _ = lp.maxima(level, V)
+        for node, b in zip(level, best):  # the draws stay in node order
             slack = abs(rng.normal(0.0, 0.2)) if rng.random() < 0.5 else 0.0
-            V[node] = best + slack
+            V[node] = b + slack
     return AdaptedProcess(tree, V)
 
 

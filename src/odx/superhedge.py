@@ -67,11 +67,11 @@ def snell_envelope(claim, X, lp=None):
     V[tree.leaves] = claim.payoff.values[tree.leaves, 0]
     # every leaf sits at the horizon, so the earlier levels are non-leaf
     for level in reversed(tree.levels[:-1]):
-        for node in level:
-            cont, _ = lp.node_max(node, V[tree.children(node)])
-            if claim.kind == AMERICAN:
-                cont = max(cont, claim.payoff.values[node, 0])
-            V[node] = cont
+        cont, _ = lp.maxima(level, V)
+        if claim.kind == AMERICAN:
+            pay = claim.payoff.values[level, 0]
+            cont = np.where(pay > cont, pay, cont)  # max(cont, pay) per node
+        V[level] = cont
     return AdaptedProcess(tree, V)
 
 

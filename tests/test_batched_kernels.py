@@ -8,9 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from odx.decompose import FEAS_TOL, MarketLP, _group_vertices
+from odx.decompose import (FEAS_TOL, SUPERMART_TOL, MarketLP, _duality_gap,
+                           _group_vertices, decompose_kw, decompose_lp,
+                           is_supermartingale_under_all)
 from odx.deflators import numeraire_portfolio
+from odx.random_models import random_universal_supermartingale
 from odx.structure import extract_characteristics
+from odx.superhedge import AMERICAN, EUROPEAN, Claim, snell_envelope
 from odx.tree import (AdaptedProcess, ModelError, _finalize_tree, build_tree,
                       path_cumprod, path_cumsum)
 
@@ -200,6 +204,54 @@ def random_increments(rng, d, k, n, degenerate):
     return dX
 
 
+def reference_snell(claim, X, lp):
+    """The Snell envelope by one ``node_max`` per node, level by level."""
+    tree = X.tree
+    V = np.zeros(tree.n_nodes)
+    V[tree.leaves] = claim.payoff.values[tree.leaves, 0]
+    for level in reversed(tree.levels[:-1]):
+        for node in level:
+            cont, _ = lp.node_max(node, V[tree.children(node)])
+            if claim.kind == AMERICAN:
+                cont = max(cont, claim.payoff.values[node, 0])
+            V[node] = cont
+    return V
+
+
+def reference_witness(v, X, lp):
+    """The first node of largest violation, by one ``node_max`` per node."""
+    worst = None
+    for node in X.tree.nonleaf_nodes:
+        best, q = lp.node_max(node, v[X.tree.children(node)])
+        violation = best - v[node]
+        if violation > SUPERMART_TOL and (
+                worst is None or violation > worst["violation"]):
+            worst = {"node": int(node), "violation": float(violation),
+                     "measure": np.asarray(q).tolist()}
+    return worst
+
+
+def reference_gap(v, X, lp):
+    gap = 0.0
+    for node in X.tree.nonleaf_nodes:
+        best, _ = lp.node_max(node, v[X.tree.children(node)])
+        gap = max(gap, v[node] - best)
+    return float(gap)
+
+
+def reference_supermartingale(rng, X, lp):
+    """``random_universal_supermartingale`` with its per-node loop."""
+    tree = X.tree
+    V = np.zeros(tree.n_nodes)
+    V[tree.leaves] = rng.normal(0.0, 1.0, size=tree.leaves.size)
+    for level in reversed(tree.levels[:-1]):
+        for node in level:
+            best, _ = lp.node_max(node, V[tree.children(node)])
+            slack = abs(rng.normal(0.0, 0.2)) if rng.random() < 0.5 else 0.0
+            V[node] = best + slack
+    return V
+
+
 def parent_walk(tree, terms, op):
     out = np.array(terms, dtype=np.float64)
     for i in range(1, tree.n_nodes):
@@ -276,18 +328,50 @@ def test_group_vertices_match_per_node_enumeration(seed, d, k):
 @given(SEEDS, DIMS, st.integers(2, 8))
 def test_group_vertices_keep_node_maxima_on_degenerate_nodes(seed, d, k):
     """With several degenerate rows, rank-deficient supports can add
-    non-vertex points of the polytope to either vertex list, and not the
-    same ones; the maxima over both lists still agree."""
+    non-vertex points of the polytope to the lstsq reference list, but
+    every kept vertex stands on linearly independent columns (1, dX_c);
+    the maxima over both lists agree."""
     rng = np.random.default_rng(seed)
     dX = random_increments(rng, d, k, 3, int(rng.integers(2, 4)))
     verts, counts = _group_vertices(dX)
     for dx, v, m in zip(dX, verts, counts):
         ref = reference_node_vertices(dx)
         assert (m == 0) == (ref.shape[0] == 0)
+        cols = np.column_stack([np.ones(k), dx])
+        for q in v[:m]:
+            support = np.flatnonzero(q > 0.0)
+            assert np.linalg.matrix_rank(cols[support]) == support.size
         if m:
             vals = rng.normal(size=k)
             assert np.max(v[:m] @ vals) == pytest.approx(
                 np.max(ref @ vals), rel=0, abs=1e-12 * np.max(np.abs(vals)))
+
+
+@PROPERTY
+@given(SEEDS, DIMS, st.booleans())
+def test_node_maxima_layer_matches_per_node_loops(seed, d, american):
+    """Snell envelope, supermartingale witness, duality gaps and random
+    supermartingales through ``MarketLP.maxima``: bitwise the values of
+    the per-node ``node_max`` loops."""
+    rng, _, (tree, X, _) = random_market(seed, d)
+    lp = MarketLP(X)
+    payoff = AdaptedProcess(tree, rng.normal(size=tree.n_nodes))
+    claim = Claim(AMERICAN if american else EUROPEAN, payoff)
+    env = snell_envelope(claim, X, lp=lp).values[:, 0]
+    assert env.tobytes() == reference_snell(claim, X, lp).tobytes()
+    # lowered at some nodes, the envelope fails the test there
+    low = env - 0.1 * (rng.random(tree.n_nodes) < 0.3)
+    cert = is_supermartingale_under_all(AdaptedProcess(tree, low), X, lp=lp)
+    assert repr(cert.witness) == repr(reference_witness(low, X, lp))
+    gap = reference_gap(env, X, lp)
+    assert repr(_duality_gap(lp, env)) == repr(gap)
+    V = AdaptedProcess(tree, env)
+    assert decompose_lp(V, X, lp=lp).diagnostics["duality_gap"] == gap
+    assert decompose_kw(V, X, lp=lp).diagnostics["duality_gap"] == gap
+    seeded = np.random.default_rng(seed)
+    V = random_universal_supermartingale(seeded, X, lp=lp).values[:, 0]
+    ref = reference_supermartingale(np.random.default_rng(seed), X, lp)
+    assert V.tobytes() == ref.tobytes()
 
 
 @PROPERTY

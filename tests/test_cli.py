@@ -226,6 +226,33 @@ def test_solver_failure_exit_2_with_witness(tmp_path, monkeypatch, capsys):
     doc = json.loads(out)
     assert doc["status"] == "SOLVER_ERROR" and doc["node"] == 0
     assert err == ""
+    # V = 1 passes the polytope test, so the two checks disagree
+    cond = np.linalg.cond([[1.0, 1.0, 1.0], [1.0, 0.0, -1.0],
+                           [0.0, 1.0, -1.0]])
+    assert doc["error"] == (
+        "least-distance hedge infeasible at node 0, where the polytope "
+        f"maximum is 1.0 against V 1.0 (condition number of [1; dX^T] "
+        f"{cond:.3g})")
+
+
+def test_simulate_arbitrage_exit_2_with_witness(tmp_path, capsys):
+    # one noise for two assets, and a drift off the range of c = sigma sigma^T
+    spec = _write(tmp_path, "spec.json",
+                  {"odx_schema": 1, "d": 2, "m": 1, "T": 1.0,
+                   "drift": {"form": "const", "value": [0.05, -0.03]},
+                   "sigma": {"form": "const", "value": [[0.2], [0.1]]}})
+    assert main(["simulate", spec, "--paths", "2000", "--steps", "32"]) == 2
+    out, err = capsys.readouterr()
+    doc = json.loads(out)
+    assert doc["status"] == "ARBITRAGE" and err == ""
+    # zeta spans the kernel of c, (1, -2) / 5 scaled by <(1, -2), a> / 5
+    zeta = np.array([0.022, -0.044])
+    assert doc["error"].startswith(
+        "drift outside the range of c at step 0, path 0: zeta = [")
+    got = json.loads(doc["error"].split("zeta = ")[1].split("]")[0] + "]")
+    np.testing.assert_allclose(got, zeta, rtol=1e-12)
+    gain = float(doc["error"].rsplit("= ", 1)[1])
+    assert gain == pytest.approx(zeta @ [0.05, -0.03], rel=1e-12) and gain > 0
 
 
 SIM_SPEC = {"odx_schema": 1, "d": 2, "m": 2, "T": 1.0,

@@ -101,6 +101,9 @@ def test_decompose_kw_b1_matches_lp(b1_claim):
     assert kw.diagnostics["N_norm"] <= 1e-12
     assert np.max(np.abs(kw.C.values)) <= 1e-10
     assert not kw.diagnostics["deferred_nodes"]
+    # both routes report the gap of the same node maxima
+    gap = decompose_lp(V, X).diagnostics["duality_gap"]
+    assert kw.diagnostics["duality_gap"] == gap
 
 
 def test_decompose_kw_t1_defers(t1):

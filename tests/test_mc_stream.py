@@ -16,7 +16,7 @@ from odx import io as odx_io
 from odx import mc
 from odx.cli import main
 from odx.structure import psd_pinv_apply
-from odx.tree import ModelError
+from odx.tree import ArbitrageError, ModelError
 
 D1 = {"odx_schema": 1, "d": 1, "m": 1, "T": 1.0,
       "drift": {"form": "const", "value": [0.05]},
@@ -26,15 +26,18 @@ D2_LINEAR = {"odx_schema": 1, "d": 2, "m": 2, "T": 1.0, "x0": [0.1, -0.2],
                        "slope": [[-0.2, 0.05], [0.1, -0.3]]},
              "sigma": {"form": "const",
                        "value": [[0.2, 0.05], [0.03, 0.15]]}}
-# one noise for two assets: c = sigma sigma^T is singular
+# one noise for two assets: c = sigma sigma^T is singular, and the drift
+# 0.25 sigma lies in its range (a drift off the range is an arbitrage)
 D2_M1 = {"odx_schema": 1, "d": 2, "m": 1, "T": 1.0,
-         "drift": {"form": "const", "value": [0.05, -0.03]},
+         "drift": {"form": "const", "value": [0.05, 0.025]},
          "sigma": {"form": "const", "value": [[0.2], [0.1]]}}
+# drift sigma (0.1, -0.1) and slope sigma [[-1, 0.5, 0], [0.2, -1, 0.5]]:
+# a(x) stays in the range of the rank-2 c at every x
 D3_M2_LINEAR = {"odx_schema": 1, "d": 3, "m": 2, "T": 1.0,
                 "x0": [0.1, 0.0, -0.1],
-                "drift": {"form": "linear", "value": [0.03, -0.02, 0.01],
-                          "slope": [[-0.3, 0.1, 0.0], [0.05, -0.2, 0.1],
-                                    [0.0, 0.1, -0.4]]},
+                "drift": {"form": "linear", "value": [0.02, -0.01, 0.02],
+                          "slope": [[-0.2, 0.1, 0.0], [-0.02, -0.125, 0.075],
+                                    [-0.12, 0.15, -0.05]]},
                 "sigma": {"form": "const",
                           "value": [[0.2, 0.0], [0.05, 0.15],
                                     [0.1, -0.1]]}}
@@ -163,6 +166,43 @@ def test_batched_rho_equals_per_path_loop(coeffs):
         batched = mc.structural_rho(spec, x)
         looped = _per_path_rho(spec, x)
     assert batched.tobytes() == looped.tobytes()
+
+
+@st.composite
+def _drifts_in_range(draw):
+    """sigma (d, m) of quarters, often rank-deficient, with drift sigma b,
+    slope sigma B and states x: a(x) = sigma (b + B x) is in range(c)."""
+    d = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 3))
+    P = draw(st.integers(1, 12))
+    quarters = st.integers(-12, 12).map(lambda i: i / 4)
+    sig = draw(arrays(np.float64, (d, m), elements=quarters))
+    values = st.floats(-3.0, 3.0, allow_nan=False, allow_subnormal=False)
+    b = draw(arrays(np.float64, (m,), elements=values))
+    B = draw(arrays(np.float64, (m, d), elements=values))
+    x = draw(arrays(np.float64, (P, d), elements=values))
+    linear = draw(st.booleans())
+    return sig, sig @ b, sig @ B if linear else None, x
+
+
+@settings(max_examples=200, deadline=None)
+@given(_drifts_in_range())
+def test_drift_in_range_of_c_passes_the_check(coeffs):
+    sig, drift, slope, x = coeffs
+    spec = mc.DiffusionSpec(drift=drift, slope=slope, sigma=sig, T=1.0,
+                            steps=1, paths=1, x0=np.zeros(sig.shape[0]))
+    rho = mc.check_structure(spec, x, 0)
+    assert rho.tobytes() == mc.structural_rho(spec, x).tobytes()
+
+
+def test_linear_drift_leaving_range_of_c_is_caught_at_its_step():
+    # a(0) = 0 is in range(c), but the noise moves x along sigma = (0.2,
+    # 0.1) and the slope maps that direction off it: step 1 is arbitrage
+    spec = mc.DiffusionSpec(drift=[0.0, 0.0], slope=[[0.0, 0.0], [1.0, 0.0]],
+                            sigma=[[0.2], [0.1]], T=1.0, steps=8, paths=50,
+                            seed=0, x0=[0.0, 0.0])
+    with pytest.raises(ArbitrageError, match="at step 1, path 0: zeta = "):
+        mc.stream_deflated(spec, mc.bucket_edges(spec.steps))
 
 
 def _traced_peak(spec_path, paths, steps, capsys):
