@@ -56,6 +56,7 @@ def _out_path(args, name):
 
 def _emit(args, doc, name):
     path = _out_path(args, name)
+    doc["odx_schema"] = odx_io.SCHEMA_VERSION
     odx_io.dump_json(doc, path=path, fh=sys.stdout)
 
 
@@ -64,7 +65,6 @@ def cmd_analyze(args):
     ch = extract_characteristics(X)
     report = solve_structure(ch, tol=args.tol)
     doc = {
-        "odx_schema": odx_io.SCHEMA_VERSION,
         "status": report.status,
         "mass_max": float(np.max(report.mass.values)),
         "mass_flag": report.mass_flag,
@@ -84,7 +84,6 @@ def cmd_deflate(args):
     tree, X = odx_io.load_model(_load_json(args.model))
     fam = build_deflator_family(X, n_extras=args.extras, seed=args.seed)
     doc = {
-        "odx_schema": odx_io.SCHEMA_VERSION,
         "seed": args.seed,
         "rho_hat": odx_io.process_to_json(fam.rho_hat),
         "V_hat": odx_io.process_to_json(fam.V_hat),
@@ -102,8 +101,8 @@ def cmd_decompose(args):
     lp = MarketLP(X)
     cert = is_supermartingale_under_all(V, X, lp=lp)
     if not cert.passed:
-        _emit(args, {"odx_schema": odx_io.SCHEMA_VERSION, "verdict": "FAIL",
-                     "witness": cert.witness}, "witness.json")
+        _emit(args, {"verdict": "FAIL", "witness": cert.witness},
+              "witness.json")
         return EXIT_FAIL
     routes = ["lp", "kw"] if args.route == "both" else [args.route]
     decs = {}
@@ -121,8 +120,7 @@ def cmd_decompose(args):
             odx_io.write_decomposition_csv(csv_path, tree, V, decs[route])
     if len(decs) == 2:
         agree = check_uniqueness(decs["lp"], decs["kw"], X)
-        _emit(args, {"odx_schema": odx_io.SCHEMA_VERSION,
-                     "uniqueness": agree}, "uniqueness.json")
+        _emit(args, {"uniqueness": agree}, "uniqueness.json")
     return EXIT_OK
 
 
@@ -131,7 +129,6 @@ def cmd_superhedge(args):
     claim = odx_io.load_claim(_load_json(args.claim), X)
     res = superhedge(claim, X)
     doc = {
-        "odx_schema": odx_io.SCHEMA_VERSION,
         "price": float(res.price),
         "decomposition": odx_io.decomposition_to_json(res.decomposition),
         "view": {
@@ -166,8 +163,7 @@ def cmd_verify(args):
     if not cert.passed:
         problems.append({"check": "supermartingale", "witness": cert.witness})
     verdict = "PASS" if not problems else "FAIL"
-    _emit(args, {"odx_schema": odx_io.SCHEMA_VERSION, "verdict": verdict,
-                 "problems": problems}, "verify.json")
+    _emit(args, {"verdict": verdict, "problems": problems}, "verify.json")
     return EXIT_OK if verdict == "PASS" else EXIT_FAIL
 
 
@@ -258,7 +254,6 @@ def cmd_simulate(args):
     rep = mc.martingale_test(rec.Y_hat[rec.alive])
     rep_yx = mc.martingale_test(rec.YX[rec.alive])
     doc = {
-        "odx_schema": odx_io.SCHEMA_VERSION,
         "seed": args.seed, "paths": spec.paths, "steps": spec.steps,
         "abort_fraction": rec.abort_fraction,
         "mean_Y_terminal": float(y_term.mean()),

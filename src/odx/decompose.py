@@ -288,16 +288,18 @@ def decompose_lp(V, X, lp=None, tie_break_seed=None):
            else np.random.default_rng(tie_break_seed))
     H_vals = np.zeros((tree.n_nodes, X.dim))
     infeasible = np.zeros(tree.n_nodes, dtype=bool)
+    dV_scale = np.ones(tree.n_nodes)
     for g in tree.branch_groups:
         if rng is not None:
             g = BranchGroup(g.nodes, rng.permuted(g.kids, axis=1))
-        H, feasible = _min_norm_superhedges(g.increments(X.values),
-                                            g.increments(v))
+        dV = g.increments(v)
+        H, feasible = _min_norm_superhedges(g.increments(X.values), dV)
         H_vals[g.nodes] = H
         infeasible[g.nodes] = ~feasible
+        dV_scale[g.kids] = np.maximum(1.0, np.abs(dV).max(axis=1))[:, None]
     dC = step_gains(X, H_vals) - V.increments()[:, 0]
     failed = infeasible.copy()
-    failed[tree.parent[1:][dC[1:] < -1e-8]] = True  # negative consumption
+    failed[tree.parent[1:][dC[1:] < -1e-8 * dV_scale[1:]]] = True
     if np.any(failed):
         node = int(np.argmax(failed))  # the first failed node
         if not infeasible[node]:
@@ -405,13 +407,12 @@ def check_uniqueness(d1, d2, X):
     """Compare two decompositions of the same V in the theorem's sense:
     equal consumption and equal stochastic integrals (H itself may differ
     off the support of the increments)."""
-    V1 = reconstruct(d1.V0, d1.H, d1.C, X)
-    V2 = reconstruct(d2.V0, d2.H, d2.C, X)
-    recon_gap = float(np.max(np.abs(V1.values - V2.values)))
-    if recon_gap > 1e-7:
+    G1, G2 = (gains_process(d.H, X).values[:, 0] for d in (d1, d2))
+    V1 = float(d1.V0) + G1 - d1.C.values[:, 0]
+    V2 = float(d2.V0) + G2 - d2.C.values[:, 0]
+    if float(np.max(np.abs(V1 - V2))) > 1e-7:
         raise ModelError("decompositions reconstruct different processes")
     c_gap = float(np.max(np.abs(d1.C.values - d2.C.values)))
-    g_gap = float(np.max(np.abs(gains_process(d1.H, X).values
-                                - gains_process(d2.H, X).values)))
+    g_gap = float(np.max(np.abs(G1 - G2)))
     return {"C_gap": c_gap, "integral_gap": g_gap,
             "passed": c_gap <= UNIQUENESS_TOL and g_gap <= UNIQUENESS_TOL}

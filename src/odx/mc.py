@@ -141,18 +141,18 @@ def _wealth(spec, states, tol=DEFAULT_STRUCT_TOL):
     V_hat is the numeraire wealth, the discrete product of its integral
     equation with growth 1 + <rho, dX>.  A path whose growth would be zero
     or negative is aborted: its growth is taken as 1 and it leaves
-    ``alive``, which is updated in place.  The drift is checked against
-    the range of c by :func:`check_structure`: a constant drift once,
-    before any path moves, a linear one at every step."""
+    ``alive``, which is updated in place.  rho is that of
+    :func:`check_structure`: of a constant drift once, before any path
+    moves, and of a linear one once at each step 0..n-1."""
     states = iter(states)
     x = next(states)
-    check_structure(spec, x, 0, tol)
+    rho = check_structure(spec, x, 0, tol)
     V = np.ones(x.shape[0])
     alive = np.ones(x.shape[0], dtype=bool)
     yield x, V, alive
     for step, x_next in enumerate(states):
-        rho = (structural_rho(spec, x) if spec.slope is None
-               else check_structure(spec, x, step, tol))
+        if step and spec.slope is not None:
+            rho = check_structure(spec, x, step, tol)
         growth = 1.0 + np.einsum("pd,pd->p", rho, x_next - x)
         dead = growth <= 0.0
         alive &= ~dead
@@ -189,27 +189,24 @@ def structural_rho(spec, x):
 
 
 def check_structure(spec, x, step, tol=DEFAULT_STRUCT_TOL):
-    """rho = c^+ a(x) at the states x (paths, d) of one step, under the
-    rule of ``solve_structure``, with tol scaled by max(1, |a(x)|) so that
-    rounding on a large drift does not count: where |c rho - a(x)| exceeds
-    it in some component, a(x) has a part zeta in the kernel of c, a
-    riskless gain <zeta, a> > 0, and :class:`ArbitrageError` names the
-    step, the first such path, zeta and <zeta, a>."""
-    rho = structural_rho(spec, x)
+    """:func:`structural_rho` at the states x (paths, d) of one step, from
+    the one ``psd_pinv_apply`` solve that also gives the part zeta of a(x)
+    in the kernel of c.  A path fails, by the rule of ``solve_structure``,
+    where some |zeta_i| > tol * max(1, max |a|): :class:`ArbitrageError`
+    then names the step, the first such path, its zeta and <zeta, a> > 0."""
     c = np.einsum("ik,jk->ij", spec.sigma, spec.sigma)
     a = spec.drift_at(x)
-    defect = np.abs(rho @ c - a)
+    rho, zeta = psd_pinv_apply(c, a)
     # no path fails below tol; a max over the short last axis is slow
-    if np.max(defect) > tol:
+    if np.max(np.abs(zeta)) > tol:
         scale = np.maximum(1.0, np.max(np.abs(a), axis=-1))
-        bad = np.flatnonzero(np.max(defect, axis=-1) > tol * scale)
+        bad = np.flatnonzero(np.max(np.abs(zeta), axis=-1) > tol * scale)
         if bad.size:
             path = int(bad[0])
-            _, zeta = psd_pinv_apply(c, a[path])
             raise ArbitrageError(
                 f"drift outside the range of c at step {step}, path {path}: "
-                f"zeta = {zeta.tolist()}, <zeta, a> = "
-                f"{float(zeta @ a[path])!r}")
+                f"zeta = {zeta[path].tolist()}, <zeta, a> = "
+                f"{float(zeta[path] @ a[path])!r}")
     return rho
 
 

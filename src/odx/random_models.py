@@ -14,6 +14,9 @@ from .superhedge import EUROPEAN, Claim, snell_envelope
 from .tree import (AdaptedProcess, PredictableProcess, build_tree,
                    path_cumprod, path_cumsum, step_gains)
 
+STRATEGY_FLOOR = 0.05
+COMPLETE_PERIODS = 3
+
 
 def random_tree(rng, max_periods=4, max_branches=4):
     """Random tree with per-node branching in [2, max_branches] and
@@ -48,10 +51,10 @@ def random_market(rng, tree, d=1, vol=0.1):
     return AdaptedProcess(tree, vals)
 
 
-def random_admissible_strategy(rng, X, floor=0.05):
-    """Random proportional portfolio pi with 1 + <pi, dX> >= floor at every
-    branch (scaled down where needed), so the generated wealth stays
-    strictly positive."""
+def random_admissible_strategy(rng, X):
+    """Random proportional portfolio pi with 1 + <pi, dX> >=
+    :data:`STRATEGY_FLOOR` at every branch (scaled down where needed), so
+    the generated wealth stays strictly positive."""
     tree = X.tree
     d = X.dim
     pi = np.zeros((tree.n_nodes, d))
@@ -60,8 +63,8 @@ def random_admissible_strategy(rng, X, floor=0.05):
         dX = X.values[kids] - X.values[node]
         cand = rng.normal(0.0, 3.0, size=d)
         worst = np.min(dX @ cand)
-        if worst < floor - 1.0:
-            cand *= (1.0 - floor) / (-worst)
+        if worst < STRATEGY_FLOOR - 1.0:
+            cand *= (1.0 - STRATEGY_FLOOR) / (-worst)
         pi[node] = cand
     return PredictableProcess(tree, pi)
 
@@ -103,11 +106,11 @@ def random_universal_supermartingale(rng, X, lp=None):
     return AdaptedProcess(tree, V)
 
 
-def random_complete_binary_model(rng, periods=3):
-    """Binary tree with a 1-dimensional market whose increments are
-    nondegenerate at every node: every node is complete."""
+def random_complete_binary_model(rng):
+    """Binary tree of :data:`COMPLETE_PERIODS` periods, with a 1-d market
+    of nondegenerate increments at every node: every node is complete."""
     def node_spec(t):
-        if t >= periods:
+        if t >= COMPLETE_PERIODS:
             return None
         q = float(rng.uniform(0.25, 0.75))
         return {"probs": [q, 1.0 - q],

@@ -14,8 +14,8 @@ from .tree import (AdaptedProcess, ModelError, PredictableProcess,
                    _first_failure, doob_decompose, path_cumsum,
                    spread_to_children, step_gains)
 
-SYM_TOL = 1e-12
-EIG_TOL = 1e-10
+SYM_TOL = 1e-12  # symmetry and PSD tolerances of c, each times
+EIG_TOL = 1e-10  # max(1, max |c|) of its node
 # the one rank rule of psd_pinv_apply: relative eigenvalue cutoff
 PINV_RELTOL = 1e-13
 DEFAULT_STRUCT_TOL = 1e-8
@@ -46,6 +46,7 @@ class Characteristics:
     def validate(self):
         nodes = self.a.tree.nonleaf_nodes
         C = self.c_stack(nodes)
+        C = C / np.maximum(1.0, np.max(np.abs(C), axis=(1, 2)))[:, None, None]
         failure = _first_failure([
             (np.max(np.abs(C - C.mT), axis=(1, 2)) > SYM_TOL,
              "covariance not symmetric"),
@@ -124,9 +125,9 @@ def psd_pinv_apply(C, v):
 def solve_structure(ch, tol=DEFAULT_STRUCT_TOL):
     """Solve a = c rho per step, or certify failure.
 
-    When at some step the drift has a component in the kernel of the
-    covariance, that kernel component is returned as ``zeta`` (zero on all
-    other steps): it satisfies c zeta = 0 and <zeta, a> = |proj|^2 > 0,
+    ``psd_pinv_apply`` gives rho and the part zeta of a in the kernel of c.
+    A step fails where some |zeta_i| > tol * max(1, max |a|); its zeta
+    (zero on all other steps) has c zeta = 0 and <zeta, a> = |zeta|^2 > 0,
     i.e. a conditionally riskless strictly positive gain.
     """
     ch.validate()
@@ -137,7 +138,8 @@ def solve_structure(ch, tol=DEFAULT_STRUCT_TOL):
     a = ch.a.values[nodes]
     rho, kernel_part = psd_pinv_apply(C, a)
     C_rho = np.matvec(C, rho)
-    flagged = np.max(np.abs(C_rho - a), axis=1) > tol
+    scale = np.maximum(1.0, np.max(np.abs(a), axis=1))
+    flagged = np.max(np.abs(kernel_part), axis=1) > tol * scale
     bad = nodes[flagged].tolist()
     rho_vals = np.zeros((tree.n_nodes, d))
     rho_vals[nodes] = rho

@@ -73,15 +73,10 @@ class BranchGroup:
         return values[self.kids] - values[self.nodes][:, None]
 
 
-def _levels(time):
-    """Node ids per time index, root level first."""
-    order = np.argsort(time, kind="stable")
-    return tuple(np.split(order, np.cumsum(np.bincount(time))[:-1]))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EventTree:
-    """Finite filtered probability space with breadth-first node ids.
+    """Finite filtered probability space with breadth-first node ids;
+    trees compare by identity.
 
     Attributes
     ----------
@@ -91,7 +86,7 @@ class EventTree:
     parent : (n,) int array, node -> parent id (-1 at the root).
     p : (n,) float array, transition probability from the parent (1 at root).
     first_child, n_children : (n,) int arrays; n_children == 0 at leaves.
-    path_prob : (n,) float array, probability of the path down to the node.
+    path_prob : (n,) float array, path probability, cached ``path_cumprod``.
     """
 
     horizon: int
@@ -100,7 +95,6 @@ class EventTree:
     p: np.ndarray
     first_child: np.ndarray
     n_children: np.ndarray
-    path_prob: np.ndarray
 
     @property
     def n_nodes(self):
@@ -124,7 +118,12 @@ class EventTree:
     @cached_property
     def levels(self):
         """Node ids per time index, root level first."""
-        return _levels(self.time)
+        order = np.argsort(self.time, kind="stable")
+        return tuple(np.split(order, np.cumsum(np.bincount(self.time))[:-1]))
+
+    @cached_property
+    def path_prob(self):
+        return path_cumprod(self, self.p)
 
     @cached_property
     def branch_groups(self):
@@ -138,26 +137,15 @@ class EventTree:
                 nodes, self.first_child[nodes][:, None] + np.arange(k)))
         return tuple(groups)
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, EventTree):
-            return NotImplemented
-        return (
-            self.horizon == other.horizon
-            and np.array_equal(self.time, other.time)
-            and np.array_equal(self.parent, other.parent)
-            and np.array_equal(self.p, other.p)
-        )
-
 
 def _finalize_tree(time, parent, p):
     time = np.asarray(time, dtype=np.int64)
     parent = np.asarray(parent, dtype=np.int64)
-    p = np.asarray(p, dtype=np.float64)
+    p = np.array(p, dtype=np.float64)
     n = time.shape[0]
     if n == 0:
         raise ModelError("empty tree")
+    p[0] = 1.0  # the root has no transition; path_prob starts from it
     if time[0] != 0 or parent[0] != -1:
         raise ModelError("node 0 must be the root at time 0")
     if np.count_nonzero(parent == -1) != 1:
@@ -194,13 +182,8 @@ def _finalize_tree(time, parent, p):
     if bad.size:
         raise ModelError(f"node {bad[0]}: probabilities must sum to 1 "
                          f"(got {sums[bad[0]]!r})")
-
-    path_prob = np.ones(n)
-    for level in _levels(time)[1:]:
-        path_prob[level] = path_prob[parent[level]] * p[level]
     return EventTree(horizon=horizon, time=time, parent=parent, p=p,
-                     first_child=first_child, n_children=n_children,
-                     path_prob=path_prob)
+                     first_child=first_child, n_children=n_children)
 
 
 def build_tree(spec):
@@ -223,16 +206,10 @@ def build_tree(spec):
         rows = [np.asarray(r, dtype=np.float64) for r in spec]
         if not rows:
             raise ModelError("branching description is empty")
-
-        def level(t):
-            if t >= len(rows):
-                return None
-            row = rows[t]
-            sub = level(t + 1)
-            return {"probs": row,
-                    "children": None if sub is None else [sub] * len(row)}
-
-        nested = level(0)
+        nested = None
+        for row in reversed(rows):
+            kids = None if nested is None else [nested] * len(row)
+            nested = {"probs": row, "children": kids}
 
     time = [0]
     parent = [-1]
@@ -400,7 +377,7 @@ def quadratic_covariation(M, N):
     Returns an AdaptedProcess of dimension dim(M) * dim(N) holding the
     row-major flattened matrix sum over the path of dM dN^T.
     """
-    if M.tree != N.tree:
+    if M.tree is not N.tree:
         raise ModelError("mismatched trees")
     tree = M.tree
     dM = M.increments()

@@ -252,6 +252,15 @@ def reference_supermartingale(rng, X, lp):
     return V
 
 
+def reference_path_prob(tree):
+    """The level loop that built ``EventTree.path_prob``; the root is 1
+    whatever its p."""
+    path_prob = np.ones(tree.n_nodes)
+    for level in tree.levels[1:]:
+        path_prob[level] = path_prob[tree.parent[level]] * tree.p[level]
+    return path_prob
+
+
 def parent_walk(tree, terms, op):
     out = np.array(terms, dtype=np.float64)
     for i in range(1, tree.n_nodes):
@@ -384,6 +393,19 @@ def test_path_accumulation_matches_parent_walk(seed, d):
     factors = rng.uniform(0.5, 1.5, size=tree.n_nodes)
     np.testing.assert_array_equal(path_cumprod(tree, factors),
                                   parent_walk(tree, factors, np.multiply))
+
+
+@PROPERTY
+@given(SEEDS)
+def test_path_prob_matches_level_loop(seed):
+    """``path_prob`` is bitwise the level loop that it replaced, also when
+    the tree's input gives the root a p of its own."""
+    _, _, (tree, _, _) = random_market(seed, 1)
+    ref = reference_path_prob(tree).tobytes()
+    assert tree.path_prob.tobytes() == ref
+    p = tree.p.copy()
+    p[0] = 0.5
+    assert _finalize_tree(tree.time, tree.parent, p).path_prob.tobytes() == ref
 
 
 @PROPERTY

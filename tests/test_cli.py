@@ -52,6 +52,18 @@ def test_analyze_arbitrage_exit_2(a1_model, capsys):
     assert doc["nodes"] == [0]
 
 
+def test_analyze_price_units_exit_0(tmp_path, capsys):
+    # zero is inside the triangle of the increments: no arbitrage.  In
+    # price units c = (w dM)^T dM is symmetric only up to its rounding.
+    tree = build_tree([[0.2, 0.3, 0.5]])
+    X = AdaptedProcess(tree, [[0.0, 0.0], [158.0, 171.0], [-192.0, 49.0],
+                              [199.0, -154.0]])
+    model = _write(tmp_path, "prices.json", odx_io.model_to_json(X))
+    assert main(["analyze", model]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["status"] == "SOLVABLE" and err == ""
+
+
 def test_malformed_json_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"tree": \n  oops}')

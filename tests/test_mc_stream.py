@@ -205,6 +205,22 @@ def test_linear_drift_leaving_range_of_c_is_caught_at_its_step():
         mc.stream_deflated(spec, mc.bucket_edges(spec.steps))
 
 
+@pytest.mark.parametrize("name", SPECS)
+def test_drift_is_solved_once_per_run_or_once_per_step(monkeypatch, name):
+    """A constant drift is solved once per run, a linear one once at each
+    of the steps 0..n-1."""
+    count = []
+
+    def counting(C, v):
+        count.append(1)
+        return psd_pinv_apply(C, v)
+
+    monkeypatch.setattr(mc, "psd_pinv_apply", counting)
+    spec = _spec(SPECS[name], paths=50, steps=9, seed=1)
+    mc.stream_deflated(spec, mc.bucket_edges(spec.steps))
+    assert len(count) == (1 if spec.slope is None else spec.steps)
+
+
 def _traced_peak(spec_path, paths, steps, capsys):
     tracemalloc.start()
     try:
