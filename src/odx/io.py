@@ -25,14 +25,9 @@ def _check_schema(obj, what):
 
 
 def tree_to_json(tree):
-    nodes = []
-    for i in range(tree.n_nodes):
-        nodes.append({
-            "id": int(i),
-            "time": int(tree.time[i]),
-            "parent": None if tree.parent[i] < 0 else int(tree.parent[i]),
-            "p": None if tree.parent[i] < 0 else float(tree.p[i]),
-        })
+    rows = zip(tree.time.tolist(), tree.parent.tolist(), tree.p.tolist())
+    nodes = [{"id": i, "time": t, "parent": None if q < 0 else q,
+              "p": None if q < 0 else p} for i, (t, q, p) in enumerate(rows)]
     return {"odx_schema": SCHEMA_VERSION, "horizon": int(tree.horizon),
             "nodes": nodes}
 
@@ -58,52 +53,82 @@ def tree_from_json(obj):
     return tree
 
 
+class NodeMap(dict):
+    """The node map {"0": [...], ...} of an (n, d) array, kept as ``values``
+    for ``dump_json`` to write from; read-only by convention."""
+
+
 @lru_cache(maxsize=4)
 def _node_keys(n):
-    return tuple(map(str, range(n)))
+    """Keys of an n-node map by id, their order as strings, '"k": [' heads."""
+    keys = tuple(map(str, range(n)))
+    order = sorted(range(n), key=keys.__getitem__)
+    return keys, np.array(order, dtype=np.intp), [f'"{i}": [' for i in order]
 
 
 def process_to_json(P):
-    vals = P.values
-    return dict(zip(_node_keys(vals.shape[0]), vals.tolist()))
+    out = NodeMap(zip(_node_keys(P.values.shape[0])[0], P.values.tolist()))
+    out.values = P.values
+    return out
 
 
 def adapted_from_json(tree, obj, name="process"):
-    vals = _process_values(tree, obj, name, require_all=True)
-    return AdaptedProcess(tree, vals)
+    return AdaptedProcess(tree, _process_values(tree, obj, name, True))
 
 
 def predictable_from_json(tree, obj, name="process"):
-    vals = _process_values(tree, obj, name, require_all=False)
-    return PredictableProcess(tree, vals)
+    return PredictableProcess(tree, _process_values(tree, obj, name, False))
 
 
 def _process_values(tree, obj, name, require_all):
+    """The (n_nodes, dim) array of a node->vector map in one numpy step;
+    where that step fails, the entry walk names the entry at fault."""
     if not isinstance(obj, dict) or not obj:
         raise ModelError(f"{name}: expected a nonempty node->vector map")
-    dims = set()
-    rows = {}
+    n = tree.n_nodes
+    try:
+        ids = np.fromiter(map(int, obj), np.intp, len(obj))
+        rows = np.asarray(list(obj.values()), dtype=np.float64)
+        rows = rows.reshape(len(obj), -1)  # an entry is a flat vector
+    except (TypeError, ValueError, OverflowError):
+        rows = None
+    if rows is None:
+        ids, rows = _walk_entries(obj, name, n)
+    unknown = (ids < 0) | (ids >= n)
+    if unknown.any():
+        raise ModelError(f"{name}: unknown node id {ids[unknown.argmax()]}")
+    present = np.bincount(ids, minlength=n) > 0
+    if np.count_nonzero(present) < ids.size:  # e.g. "1" and "01": last wins
+        last = ids.size - 1 - np.unique(ids[::-1], return_index=True)[1]
+        ids, rows = ids[last], rows[last]
+    needed = np.arange(n) if require_all else tree.nonleaf_nodes
+    missing = needed[~present[needed]]
+    if missing.size:
+        raise ModelError(f"{name}: missing value at node {missing[0]}")
+    vals = np.zeros((n, rows.shape[1]))
+    vals[ids] = rows
+    bad = ~np.isfinite(vals).all(axis=1)
+    if bad.any():
+        raise ModelError(f"{name}: non-finite value at node {bad.argmax()}")
+    return vals
+
+
+def _walk_entries(obj, name, n):
+    """(ids, rows) entry by entry: raises at the first entry at fault."""
+    ids, rows = [], []
     for key, v in obj.items():
         try:
             i = int(key)
-            row = np.atleast_1d(np.asarray(v, dtype=np.float64))
-        except (TypeError, ValueError):
+            row = np.asarray(v, dtype=np.float64).reshape(-1)
+        except (TypeError, ValueError, OverflowError):
             raise ModelError(f"{name}: malformed entry {key!r}") from None
-        if i < 0 or i >= tree.n_nodes:
+        if i < 0 or i >= n:
             raise ModelError(f"{name}: unknown node id {i}")
-        dims.add(row.shape[0])
-        rows[i] = row
-    if len(dims) != 1:
+        ids.append(i)
+        rows.append(row)
+    if len({row.size for row in rows}) != 1:
         raise ModelError(f"{name}: vector dimension must be constant")
-    dim = dims.pop()
-    vals = np.zeros((tree.n_nodes, dim))
-    needed = range(tree.n_nodes) if require_all else tree.nonleaf_nodes
-    for i in needed:
-        if int(i) not in rows:
-            raise ModelError(f"{name}: missing value at node {int(i)}")
-    for i, row in rows.items():
-        vals[i] = row
-    return vals
+    return np.array(ids, dtype=np.intp), np.stack(rows)
 
 
 def load_model(obj):
@@ -147,23 +172,16 @@ def load_claim(obj, X):
 
 
 def decomposition_to_json(dec):
-    out = {
-        "odx_schema": SCHEMA_VERSION,
-        "V0": float(dec.V0),
-        "H": process_to_json(dec.H),
-        "C": process_to_json(dec.C),
-        "diagnostics": {},
-    }
+    diag = {}
     for key, val in dec.diagnostics.items():
-        if isinstance(val, (AdaptedProcess, PredictableProcess)):
-            out["diagnostics"][key] = process_to_json(val)
-        elif isinstance(val, dict):
-            out["diagnostics"][key] = {str(k): v for k, v in val.items()}
-        elif isinstance(val, tuple):
-            out["diagnostics"][key] = list(val)
-        else:
-            out["diagnostics"][key] = val
-    return out
+        if isinstance(val, dict):
+            val = {str(k): v for k, v in val.items()}
+        elif isinstance(val, (AdaptedProcess, PredictableProcess)):
+            val = process_to_json(val)
+        diag[key] = val
+    return {"odx_schema": SCHEMA_VERSION, "V0": float(dec.V0),
+            "H": process_to_json(dec.H), "C": process_to_json(dec.C),
+            "diagnostics": diag}
 
 
 def decomposition_from_json(tree, obj):
@@ -181,8 +199,54 @@ def decomposition_from_json(tree, obj):
                          diagnostics=dict(obj.get("diagnostics", {})))
 
 
+_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_reprs(values):
+    """``float.__repr__`` of every entry of ``values``, in C order."""
+    return list(map(float.__repr__, np.ravel(values).tolist()))
+
+
+def _node_map_text(vals, indent):
+    """The text of a nonempty node map at line prefix ``indent``."""
+    n, d = vals.shape
+    _, order, heads = _node_keys(n)
+    reps = _float_reprs(vals[order])
+    if not np.isfinite(vals).all():
+        reps = [_JSON_FLOATS.get(r, r) for r in reps]
+    inner, item = indent + "  ", indent + "    "
+    rows = reps if d == 1 else map(("," + item).join, zip(*[iter(reps)] * d))
+    body = ("," + inner).join(map(("{}" + item + "{}" + inner + "]").format,
+                                  heads, rows))
+    return "{" + inner + body + indent + "}"
+
+
+def _write(obj, indent, out):
+    """Append the text of ``obj`` at line prefix ``indent`` to ``out``."""
+    if isinstance(obj, NodeMap) and obj.values.size:
+        out.append(_node_map_text(obj.values, indent))
+    elif isinstance(obj, (dict, list, tuple)) and obj:
+        inner = indent + "  "
+        is_map = isinstance(obj, dict)
+        out.append("{" if is_map else "[")
+        for j, item in enumerate(sorted(obj.items()) if is_map else obj):
+            out.append(("," if j else "") + inner)
+            if is_map:  # '"key": ' by json's own rules for keys
+                out.append(json.dumps({item[0]: 0})[1:-2])
+                item = item[1]
+            _write(item, inner, out)
+        out.append(indent + ("}" if is_map else "]"))
+    else:
+        out.append(json.dumps(obj))
+
+
 def dump_json(obj, path=None, fh=None):
-    text = json.dumps(obj, indent=2, sort_keys=True)
+    """Write ``obj`` as ``json.dumps`` does with two-space indents and sorted
+    keys, plus a newline, to ``path`` and/or ``fh``; return the text without
+    the newline.  Node maps of ``process_to_json`` come from their arrays."""
+    out = []
+    _write(obj, "\n", out)
+    text = "".join(out)
     if path is not None:
         with open(path, "w") as f:
             f.write(text + "\n")
@@ -194,21 +258,19 @@ def dump_json(obj, path=None, fh=None):
 def write_decomposition_csv(path, tree, V, dec):
     """Per-node schedule: value, hedge, consumption increment, KW drift and
     residual diagnostics where available."""
-    d = dec.H.dim
-    diag = dec.diagnostics
-    B = diag.get("B")
-    node_nn = diag.get("node_N_norm", {})
-    dC = dec.C.increments()[:, 0]
+    n, d = dec.H.values.shape
+    B = dec.diagnostics.get("B")
+    node_nn = dec.diagnostics.get("node_N_norm", {})
+    nn = np.full(n, "", dtype=object)
+    nn[list(node_nn)] = _float_reprs(list(node_nn.values()))
+    cols = [map(str, range(n)), map(str, tree.time.tolist()),
+            _float_reprs(V.values[:, 0])]
+    cols += [_float_reprs(dec.H.values[:, j]) for j in range(d)]
+    cols.append(_float_reprs(dec.C.increments()[:, 0]))
+    cols.append([""] * n if B is None else _float_reprs(B.increments()[:, 0]))
+    cols.append(nn.tolist())
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        header = ["node", "time", "V"] + [f"H_{i}" for i in range(d)] + \
-                 ["dC", "dB", "N_norm"]
-        w.writerow(header)
-        dB = B.increments()[:, 0] if B is not None else None
-        for i in range(tree.n_nodes):
-            row = [i, int(tree.time[i]), repr(float(V.values[i, 0]))]
-            row += [repr(float(dec.H.values[i, j])) for j in range(d)]
-            row.append(repr(float(dC[i])))
-            row.append("" if dB is None else repr(float(dB[i])))
-            row.append("" if int(i) not in node_nn else repr(node_nn[int(i)]))
-            w.writerow(row)
+        w.writerow(["node", "time", "V"] + [f"H_{i}" for i in range(d)]
+                   + ["dC", "dB", "N_norm"])
+        w.writerows(zip(*cols))

@@ -45,6 +45,11 @@ class Characteristics:
 
     def validate(self):
         nodes = self.a.tree.nonleaf_nodes
+        finite = (np.isfinite(self.a.values[nodes]).all(axis=1)
+                  & np.isfinite(self.c.values[nodes]).all(axis=1))
+        if not finite.all():
+            raise ModelError(f"node {nodes[finite.argmin()]}: drift or "
+                             "covariance not finite")
         C = self.c_stack(nodes)
         C = C / np.maximum(1.0, np.max(np.abs(C), axis=(1, 2)))[:, None, None]
         failure = _first_failure([
@@ -86,7 +91,9 @@ def extract_characteristics(X):
         w = tree.p[g.kids]
         dM = g.increments(M.values)
         a_vals[g.nodes] = np.vecmat(w, g.increments(X.values))
-        c_vals[g.nodes] = ((w[:, :, None] * dM).mT @ dM).reshape(-1, d * d)
+        with np.errstate(over="ignore"):  # validate() names the node
+            c = (w[:, :, None] * dM).mT @ dM
+        c_vals[g.nodes] = c.reshape(-1, d * d)
         dG_vals[g.nodes, 0] = 1.0
     return Characteristics(a=PredictableProcess(tree, a_vals),
                            c=PredictableProcess(tree, c_vals),

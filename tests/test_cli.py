@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +65,63 @@ def test_analyze_price_units_exit_0(tmp_path, capsys):
     assert main(["analyze", model]) == 0
     out, err = capsys.readouterr()
     assert json.loads(out)["status"] == "SOLVABLE" and err == ""
+
+
+PRICE_UNITS_X = [[0.0, 0.0], [158.0, 171.0], [-192.0, 49.0], [199.0, -154.0]]
+
+
+def _price_units_model(tmp_path, X):
+    X = AdaptedProcess(build_tree([[0.2, 0.3, 0.5]]), X)
+    return _write(tmp_path, "model.json", odx_io.model_to_json(X))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("command", ["analyze", "deflate"])
+def test_non_finite_market_exit_1(tmp_path, capsys, bad, command):
+    """json.load takes NaN and Infinity; X must still be finite.  analyze
+    printed SOLVABLE with a NaN rho and deflate a LinAlgError traceback."""
+    X = np.array(PRICE_UNITS_X)
+    X[2, 1] = bad
+    assert main([command, _price_units_model(tmp_path, X)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: X: non-finite value at node 2\n"
+
+
+def test_overflowing_covariance_exit_1(tmp_path, capsys):
+    """At 1e160 the entries of X are finite but c overflows: analyze
+    printed SOLVABLE with a NaN rho and warned from the PSD check."""
+    X = 1e160 * np.array(PRICE_UNITS_X)
+    assert main(["analyze", _price_units_model(tmp_path, X)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("input error: node 0: drift or covariance not "
+                            "finite\n")
+
+
+def test_scipy_is_imported_only_for_highs():
+    """A fresh process imports odx.cli without scipy; a node of more than
+    VERTEX_ENUM_MAX_BRANCHES children still solves through HiGHS."""
+    code = """if True:
+        import sys
+        import numpy as np
+        import odx.cli
+        from odx import decompose
+        from odx.tree import AdaptedProcess, build_tree
+        assert not any(m.split(".")[0] == "scipy" for m in sys.modules)
+        k = decompose.VERTEX_ENUM_MAX_BRANCHES + 1
+        tree = build_tree([[1 / k] * k])
+        X = AdaptedProcess(tree, np.r_[0.0, np.linspace(-1.0, 1.0, k)])
+        best, q = decompose.MarketLP(X).node_max(0, np.arange(k) % 2.0)
+        assert "scipy.optimize" in sys.modules
+        print(repr(best))
+    """
+    src = str(Path(odx_io.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert float(run.stdout) == pytest.approx(1.0)
 
 
 def test_malformed_json_exit_1(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 from types import SimpleNamespace
 
@@ -8,9 +10,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from odx import io as odx_io
-from odx.decompose import decompose_lp
+from odx.decompose import decompose_kw, decompose_lp
 from odx.random_models import random_market, random_tree
-from odx.tree import ModelError
+from odx.tree import AdaptedProcess, ModelError, build_tree
 
 
 def test_tree_roundtrip():
@@ -87,4 +89,207 @@ def test_process_json_text_unchanged(values):
                  for i in range(values.shape[0])}
     panel = SimpleNamespace(values=values)
     assert (odx_io.dump_json(odx_io.process_to_json(panel))
-            == odx_io.dump_json(reference))
+            == json.dumps(reference, indent=2, sort_keys=True))
+
+
+# floats whose text is hard to get right: signed zero, subnormals, the
+# ends of the range, the exponent switch of repr, and the three non-finite
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+                  1e308, -1e308, 1.7976931348623157e308, 1e16, 1e-5, 0.1,
+                  123456789.0, float("nan"), float("inf"), float("-inf")]
+json_leaves = (st.none() | st.booleans() | st.integers()
+               | st.floats(allow_subnormal=True) | st.text(max_size=4))
+json_values = st.recursive(
+    json_leaves, lambda inner: (st.lists(inner, max_size=3)
+                                | st.dictionaries(st.text(max_size=3), inner,
+                                                  max_size=3)),
+    max_leaves=6)
+
+
+@st.composite
+def node_maps(draw):
+    """A node map of ``process_to_json`` with n across the digit
+    boundaries of its keys, d = 1..3 and special floats planted."""
+    n = draw(st.sampled_from([1, 2, 9, 10, 11, 99, 100, 101, 999, 1000]))
+    d = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = (rng.standard_normal((n, d))
+              * 10.0 ** rng.integers(-300, 300, (n, d)))
+    for i, x in draw(st.lists(st.tuples(st.integers(0, n * d - 1),
+                                        st.sampled_from(SPECIAL_FLOATS)),
+                              max_size=6)):
+        values.flat[i] = x
+    return odx_io.process_to_json(SimpleNamespace(values=values))
+
+
+@settings(max_examples=40, deadline=None)
+@given(node_maps(), node_maps(), json_values, st.data())
+def test_dump_json_is_json_dumps(m1, m2, other, data):
+    """Every document shape the CLI emits, with node maps at each nesting
+    depth it uses, is written byte for byte as json.dumps(indent=2,
+    sort_keys=True) writes it."""
+    docs = [
+        m1,
+        {"odx_schema": 1, "status": "SOLVABLE", "mass_max": 0.5, "rho": m1,
+         "nodes": [0, 3], "other": other},
+        {"seed": 3, "rho_hat": m1, "V_hat": m2,
+         "extras": [{"L": m1, "Y": m2}, {"L": m2, "Y": m1}]},
+        {"price": -0.0, "route": "lp", "decomposition": {
+            "V0": float("nan"), "H": m1, "C": m2, "diagnostics": {
+                "route": "KW", "theta": m2, "B": m1, "N_norm": 1e-310,
+                "node_N_norm": {"0": 0.5, "10": float("inf"), "9": 2.0},
+                "deferred_nodes": (0, 10), "duality_gap": other}},
+         "view": {"S": m1, "shares": m2, "currency": m1}},
+        {"verdict": "FAIL", "problems": [{"check": "supermartingale",
+                                          "witness": {"node": 2,
+                                                      "measure": [0.5, 0.5]}}]},
+        {"empty_map": odx_io.process_to_json(
+            SimpleNamespace(values=np.zeros((3, 0)))), "empty": {}, "l": []},
+        data.draw(st.dictionaries(st.text(max_size=3),
+                                  st.just(m1) | st.just(m2) | json_values,
+                                  max_size=4)),
+    ]
+    for doc in docs:
+        assert odx_io.dump_json(doc) == json.dumps(doc, indent=2,
+                                                   sort_keys=True)
+
+
+def test_dump_json_writes_the_text_and_a_newline(tmp_path):
+    doc = {"b": odx_io.process_to_json(SimpleNamespace(
+        values=np.array([[1.0, float("nan")], [-0.0, 2.5]]))), "a": [1, None]}
+    sink = io.StringIO()
+    text = odx_io.dump_json(doc, path=tmp_path / "doc.json", fh=sink)
+    assert text == json.dumps(doc, indent=2, sort_keys=True)
+    assert sink.getvalue() == (tmp_path / "doc.json").read_text() == text + "\n"
+    with pytest.raises(TypeError):
+        odx_io.dump_json({"x": object()})
+    with pytest.raises(TypeError):
+        odx_io.dump_json({(1, 2): 0.5})
+
+
+def reference_process_values(tree, obj, name, require_all):
+    """The entry-by-entry loader that ``_process_values`` replaced."""
+    if not isinstance(obj, dict) or not obj:
+        raise ModelError(f"{name}: expected a nonempty node->vector map")
+    dims = set()
+    rows = {}
+    for key, v in obj.items():
+        try:
+            i = int(key)
+            row = np.atleast_1d(np.asarray(v, dtype=np.float64))
+        except (TypeError, ValueError):
+            raise ModelError(f"{name}: malformed entry {key!r}") from None
+        if i < 0 or i >= tree.n_nodes:
+            raise ModelError(f"{name}: unknown node id {i}")
+        dims.add(row.shape[0])
+        rows[i] = row
+    if len(dims) != 1:
+        raise ModelError(f"{name}: vector dimension must be constant")
+    dim = dims.pop()
+    vals = np.zeros((tree.n_nodes, dim))
+    needed = range(tree.n_nodes) if require_all else tree.nonleaf_nodes
+    for i in needed:
+        if int(i) not in rows:
+            raise ModelError(f"{name}: missing value at node {int(i)}")
+    for i, row in rows.items():
+        vals[i] = row
+    return vals
+
+
+# two periods, three then two branches: 10 nodes, ids 0..9 across a digit
+LOADER_TREE = build_tree([[0.2, 0.3, 0.5], [0.4, 0.6]])
+odd_keys = st.sampled_from(["10", "-1", "x", "", " 3", "03", "+4", "1.0",
+                            "99999999999999999999999"])
+odd_values = st.sampled_from([1.5, "2.5", "abc", None, True, [], [1.0],
+                              [1.0, 2.0, 3.0, 4.0], [1.0, [2.0]], {"a": 1},
+                              float("nan"), [float("inf"), 1.0]])
+
+
+@st.composite
+def process_maps(draw):
+    """A node->vector map of LOADER_TREE, valid or not: a complete map of
+    one dimension, then some entries dropped, replaced or added."""
+    n = LOADER_TREE.n_nodes
+    d = draw(st.integers(1, 3))
+    scalar = d == 1 and draw(st.booleans())
+    row = st.lists(st.floats(-1e6, 1e6), min_size=d, max_size=d)
+    obj = {str(i): draw(st.floats(-1e6, 1e6) if scalar else row)
+           for i in range(n)}
+    for _ in range(draw(st.integers(0, 3))):
+        key = draw(st.sampled_from(sorted(obj)) | odd_keys)
+        action = draw(st.sampled_from(["drop", "set", "add"]))
+        if action == "drop":
+            obj.pop(key, None)
+        else:
+            obj[key] = draw(odd_values | row | st.just([float("nan")] * d))
+    return obj
+
+
+@settings(max_examples=400, deadline=None)
+@given(process_maps(), st.booleans())
+def test_process_values_match_the_entry_loop(obj, require_all):
+    """The array loader returns the old loop's array on every map the loop
+    took, with the same ModelError text wherever the loop raised one.
+    Non-finite entries are now input errors naming the first such node,
+    and a huge integer is a malformed entry, not a traceback."""
+    load = odx_io._process_values
+    try:
+        want = reference_process_values(LOADER_TREE, obj, "V", require_all)
+    except ModelError as exc:
+        with pytest.raises(ModelError) as got:
+            load(LOADER_TREE, obj, "V", require_all)
+        assert str(got.value) == str(exc)
+        return
+    bad = np.flatnonzero(~np.isfinite(want).all(axis=1))
+    if bad.size:
+        with pytest.raises(ModelError) as got:
+            load(LOADER_TREE, obj, "V", require_all)
+        assert str(got.value) == f"V: non-finite value at node {bad[0]}"
+    else:
+        np.testing.assert_array_equal(
+            load(LOADER_TREE, obj, "V", require_all), want)
+
+
+@pytest.mark.parametrize("entry, message", [
+    (10**400, "X: malformed entry '1'"),
+    ([[0.5]], None),
+    (float("nan"), "X: non-finite value at node 1"),
+    (float("-inf"), "X: non-finite value at node 1"),
+], ids=["huge-int", "nested", "nan", "-inf"])
+def test_process_values_edge_entries(b1, entry, message):
+    """A huge integer was an OverflowError traceback; a row nested in a
+    singleton list reads as the flat row, as before."""
+    tree, _ = b1
+    obj = {"0": [0.0], "1": entry, "2": [-0.1]}
+    if message is None:
+        np.testing.assert_array_equal(
+            odx_io.adapted_from_json(tree, obj, "X").values,
+            [[0.0], [0.5], [-0.1]])
+    else:
+        with pytest.raises(ModelError) as got:
+            odx_io.adapted_from_json(tree, obj, "X")
+        assert str(got.value) == message
+
+
+def test_decomposition_csv_matches_per_node_rows(t1, tmp_path):
+    """The column-wise CSV writer gives the bytes of the old per-node loop,
+    on both routes (the KW route adds dB and N_norm)."""
+    tree, X = t1
+    V = AdaptedProcess(tree, np.array([1.0, 1.0, 0.0, 1.0]))
+    for dec in (decompose_lp(V, X), decompose_kw(V, X)):
+        odx_io.write_decomposition_csv(tmp_path / "new.csv", tree, V, dec)
+        B = dec.diagnostics.get("B")
+        node_nn = dec.diagnostics.get("node_N_norm", {})
+        dC = dec.C.increments()[:, 0]
+        dB = B.increments()[:, 0] if B is not None else None
+        with open(tmp_path / "old.csv", "w", newline="") as f:
+            w = csv.writer(f)
+            w.writerow(["node", "time", "V", "H_0", "dC", "dB", "N_norm"])
+            for i in range(tree.n_nodes):
+                w.writerow([i, int(tree.time[i]), repr(float(V.values[i, 0])),
+                            repr(float(dec.H.values[i, 0])),
+                            repr(float(dC[i])),
+                            "" if dB is None else repr(float(dB[i])),
+                            repr(node_nn[i]) if i in node_nn else ""])
+        assert ((tmp_path / "new.csv").read_bytes()
+                == (tmp_path / "old.csv").read_bytes())
