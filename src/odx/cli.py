@@ -54,6 +54,13 @@ def _out_path(args, name):
     return os.path.join(args.out, name)
 
 
+def _load_model(args):
+    """The model's tree, X and characteristics: every tree command stops
+    here, with exit 1, where a drift or covariance is not finite."""
+    tree, X = odx_io.load_model(_load_json(args.model))
+    return tree, X, extract_characteristics(X).check_finite()
+
+
 def _emit(args, doc, name):
     path = _out_path(args, name)
     doc["odx_schema"] = odx_io.SCHEMA_VERSION
@@ -61,8 +68,7 @@ def _emit(args, doc, name):
 
 
 def cmd_analyze(args):
-    tree, X = odx_io.load_model(_load_json(args.model))
-    ch = extract_characteristics(X)
+    tree, X, ch = _load_model(args)
     report = solve_structure(ch, tol=args.tol)
     doc = {
         "status": report.status,
@@ -70,9 +76,9 @@ def cmd_analyze(args):
         "mass_flag": report.mass_flag,
     }
     if report.solvable:
-        doc["rho"] = odx_io.process_to_json(report.rho)
+        doc["rho"] = report.rho
     else:
-        doc["zeta"] = odx_io.process_to_json(report.zeta)
+        doc["zeta"] = report.zeta
         doc["nodes"] = list(report.bad_nodes)
     _emit(args, doc, "structure.json")
     return EXIT_OK if report.solvable else EXIT_FAIL
@@ -81,22 +87,19 @@ def cmd_analyze(args):
 def cmd_deflate(args):
     if args.extras < 0:
         raise ModelError(f"--extras must be >= 0, got {args.extras}")
-    tree, X = odx_io.load_model(_load_json(args.model))
+    tree, X, _ = _load_model(args)
     fam = build_deflator_family(X, n_extras=args.extras, seed=args.seed)
     doc = {
-        "seed": args.seed,
-        "rho_hat": odx_io.process_to_json(fam.rho_hat),
-        "V_hat": odx_io.process_to_json(fam.V_hat),
-        "Y_hat": odx_io.process_to_json(fam.Y_hat),
-        "extras": [{"L": odx_io.process_to_json(L),
-                    "Y": odx_io.process_to_json(Y)} for L, Y in fam.extras],
+        "seed": args.seed, "rho_hat": fam.rho_hat, "V_hat": fam.V_hat,
+        "Y_hat": fam.Y_hat,
+        "extras": [{"L": L, "Y": Y} for L, Y in fam.extras],
     }
     _emit(args, doc, "deflators.json")
     return EXIT_OK
 
 
 def cmd_decompose(args):
-    tree, X = odx_io.load_model(_load_json(args.model))
+    tree, X, _ = _load_model(args)
     V = odx_io.adapted_from_json(tree, _load_json(args.value), "V")
     lp = MarketLP(X)
     cert = is_supermartingale_under_all(V, X, lp=lp)
@@ -125,17 +128,14 @@ def cmd_decompose(args):
 
 
 def cmd_superhedge(args):
-    tree, X = odx_io.load_model(_load_json(args.model))
+    tree, X, _ = _load_model(args)
     claim = odx_io.load_claim(_load_json(args.claim), X)
     res = superhedge(claim, X)
     doc = {
         "price": float(res.price),
         "decomposition": odx_io.decomposition_to_json(res.decomposition),
-        "view": {
-            "S": odx_io.process_to_json(res.view.S),
-            "shares": odx_io.process_to_json(res.view.shares),
-            "currency": odx_io.process_to_json(res.view.currency),
-        },
+        "view": {"S": res.view.S, "shares": res.view.shares,
+                 "currency": res.view.currency},
     }
     _emit(args, doc, "superhedge.json")
     csv_path = _out_path(args, "hedge_schedule.csv")
@@ -146,7 +146,7 @@ def cmd_superhedge(args):
 
 
 def cmd_verify(args):
-    tree, X = odx_io.load_model(_load_json(args.model))
+    tree, X, _ = _load_model(args)
     V = odx_io.adapted_from_json(tree, _load_json(args.value), "V")
     dec = odx_io.decomposition_from_json(tree, _load_json(args.decomposition))
     problems = []

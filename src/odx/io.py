@@ -53,23 +53,12 @@ def tree_from_json(obj):
     return tree
 
 
-class NodeMap(dict):
-    """The node map {"0": [...], ...} of an (n, d) array, kept as ``values``
-    for ``dump_json`` to write from; read-only by convention."""
-
-
 @lru_cache(maxsize=4)
 def _node_keys(n):
-    """Keys of an n-node map by id, their order as strings, '"k": [' heads."""
-    keys = tuple(map(str, range(n)))
-    order = sorted(range(n), key=keys.__getitem__)
-    return keys, np.array(order, dtype=np.intp), [f'"{i}": [' for i in order]
-
-
-def process_to_json(P):
-    out = NodeMap(zip(_node_keys(P.values.shape[0])[0], P.values.tolist()))
-    out.values = P.values
-    return out
+    """Ids of an n-node map in the order of their keys as strings, and the
+    '"k": [' head of each."""
+    order = sorted(range(n), key=str)
+    return np.array(order, dtype=np.intp), [f'"{i}": [' for i in order]
 
 
 def adapted_from_json(tree, obj, name="process"):
@@ -97,6 +86,8 @@ def _process_values(tree, obj, name, require_all):
     unknown = (ids < 0) | (ids >= n)
     if unknown.any():
         raise ModelError(f"{name}: unknown node id {ids[unknown.argmax()]}")
+    if rows.shape[1] == 0:
+        raise ModelError(f"{name}: empty vector at node {ids.min()}")
     present = np.bincount(ids, minlength=n) > 0
     if np.count_nonzero(present) < ids.size:  # e.g. "1" and "01": last wins
         last = ids.size - 1 - np.unique(ids[::-1], return_index=True)[1]
@@ -143,7 +134,7 @@ def load_model(obj):
 
 def model_to_json(X):
     return {"odx_schema": SCHEMA_VERSION, "tree": tree_to_json(X.tree),
-            "X": process_to_json(X)}
+            "X": X}
 
 
 def load_claim(obj, X):
@@ -172,16 +163,11 @@ def load_claim(obj, X):
 
 
 def decomposition_to_json(dec):
-    diag = {}
-    for key, val in dec.diagnostics.items():
-        if isinstance(val, dict):
-            val = {str(k): v for k, v in val.items()}
-        elif isinstance(val, (AdaptedProcess, PredictableProcess)):
-            val = process_to_json(val)
-        diag[key] = val
-    return {"odx_schema": SCHEMA_VERSION, "V0": float(dec.V0),
-            "H": process_to_json(dec.H), "C": process_to_json(dec.C),
-            "diagnostics": diag}
+    diag = {key: {str(k): v for k, v in val.items()}
+            if isinstance(val, dict) else val
+            for key, val in dec.diagnostics.items()}
+    return {"odx_schema": SCHEMA_VERSION, "V0": float(dec.V0), "H": dec.H,
+            "C": dec.C, "diagnostics": diag}
 
 
 def decomposition_from_json(tree, obj):
@@ -208,9 +194,10 @@ def _float_reprs(values):
 
 
 def _node_map_text(vals, indent):
-    """The text of a nonempty node map at line prefix ``indent``."""
+    """The node map text of the (n, d) array ``vals`` at line prefix
+    ``indent``."""
     n, d = vals.shape
-    _, order, heads = _node_keys(n)
+    order, heads = _node_keys(n)
     reps = _float_reprs(vals[order])
     if not np.isfinite(vals).all():
         reps = [_JSON_FLOATS.get(r, r) for r in reps]
@@ -223,7 +210,7 @@ def _node_map_text(vals, indent):
 
 def _write(obj, indent, out):
     """Append the text of ``obj`` at line prefix ``indent`` to ``out``."""
-    if isinstance(obj, NodeMap) and obj.values.size:
+    if isinstance(obj, (AdaptedProcess, PredictableProcess)):
         out.append(_node_map_text(obj.values, indent))
     elif isinstance(obj, (dict, list, tuple)) and obj:
         inner = indent + "  "
@@ -242,17 +229,16 @@ def _write(obj, indent, out):
 
 def dump_json(obj, path=None, fh=None):
     """Write ``obj`` as ``json.dumps`` does with two-space indents and sorted
-    keys, plus a newline, to ``path`` and/or ``fh``; return the text without
-    the newline.  Node maps of ``process_to_json`` come from their arrays."""
+    keys, plus a newline, to ``path`` and/or ``fh``.  A process is written as
+    its node map {"0": [...], ...}, straight from its array."""
     out = []
     _write(obj, "\n", out)
-    text = "".join(out)
+    out.append("\n")
     if path is not None:
         with open(path, "w") as f:
-            f.write(text + "\n")
+            f.writelines(out)
     if fh is not None:
-        fh.write(text + "\n")
-    return text
+        fh.writelines(out)
 
 
 def write_decomposition_csv(path, tree, V, dec):

@@ -43,14 +43,20 @@ class Characteristics:
         d = self.d
         return self.c.values[nodes].reshape(-1, d, d)
 
-    def validate(self):
+    def check_finite(self):
+        """Raise at the first non-leaf node whose a or c is not finite: c
+        overflows once |dX| passes about 1e154."""
         nodes = self.a.tree.nonleaf_nodes
         finite = (np.isfinite(self.a.values[nodes]).all(axis=1)
                   & np.isfinite(self.c.values[nodes]).all(axis=1))
         if not finite.all():
             raise ModelError(f"node {nodes[finite.argmin()]}: drift or "
                              "covariance not finite")
-        C = self.c_stack(nodes)
+        return self
+
+    def validate(self):
+        nodes = self.a.tree.nonleaf_nodes
+        C = self.check_finite().c_stack(nodes)
         C = C / np.maximum(1.0, np.max(np.abs(C), axis=(1, 2)))[:, None, None]
         failure = _first_failure([
             (np.max(np.abs(C - C.mT), axis=(1, 2)) > SYM_TOL,

@@ -248,8 +248,10 @@ def _panel(tree, values, name):
     values = np.asarray(values, dtype=np.float64)
     if values.ndim == 1:
         values = values[:, None]
-    if values.ndim != 2 or values.shape[0] != tree.n_nodes:
-        raise ModelError(f"{name}: need one fixed-dimension vector per node")
+    if (values.ndim != 2 or values.shape[0] != tree.n_nodes
+            or values.shape[1] == 0):
+        raise ModelError(f"{name}: need one nonempty fixed-dimension "
+                         "vector per node")
     return values
 
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -9,13 +10,13 @@ import pytest
 
 from odx import io as odx_io
 from odx.cli import main
-from odx.superhedge import AMERICAN, vanilla_claim
+from odx.superhedge import AMERICAN, superhedge, vanilla_claim
 from odx.tree import AdaptedProcess, build_tree
 
 
 def _write(tmp_path, name, obj):
     path = tmp_path / name
-    path.write_text(json.dumps(obj))
+    odx_io.dump_json(obj, path=path)
     return str(path)
 
 
@@ -88,15 +89,51 @@ def test_non_finite_market_exit_1(tmp_path, capsys, bad, command):
     assert captured.err == "input error: X: non-finite value at node 2\n"
 
 
-def test_overflowing_covariance_exit_1(tmp_path, capsys):
+@pytest.mark.parametrize("command", [["analyze"], ["deflate"],
+                                     ["decompose", "V", "--route", "both"]],
+                         ids=["analyze", "deflate", "decompose"])
+def test_overflowing_covariance_exit_1(tmp_path, capsys, command):
     """At 1e160 the entries of X are finite but c overflows: analyze
-    printed SOLVABLE with a NaN rho and warned from the PSD check."""
+    printed SOLVABLE with a NaN rho and warned from the PSD check, deflate
+    printed a false ARBITRAGE and decompose a false "no martingale
+    measure"; every command now stops at load."""
     X = 1e160 * np.array(PRICE_UNITS_X)
-    assert main(["analyze", _price_units_model(tmp_path, X)]) == 1
+    value = _write(tmp_path, "v.json", {str(i): [1.0] for i in range(4)})
+    argv = [value if a == "V" else a for a in command]
+    argv.insert(1, _price_units_model(tmp_path, X))
+    assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == ("input error: node 0: drift or covariance not "
                             "finite\n")
+
+
+EMPTY_X_MODEL = {"odx_schema": 1, "tree": {"horizon": 1, "nodes": [
+    {"id": 0, "time": 0, "parent": None, "p": None},
+    {"id": 1, "time": 1, "parent": 0, "p": 0.5},
+    {"id": 2, "time": 1, "parent": 0, "p": 0.5}]},
+    "X": {"0": [], "1": [], "2": []}}
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["deflate"],
+                                     ["decompose", "V", "--route", "both"],
+                                     ["superhedge", "claim"]],
+                         ids=["analyze", "deflate", "decompose", "superhedge"])
+def test_empty_vectors_exit_1(tmp_path, capsys, command):
+    """X with zero-length vectors: analyze and deflate ended in ValueError
+    tracebacks, decompose in a TypeError and superhedge read 'asset must be
+    one of 0..-1'."""
+    files = {"V": _write(tmp_path, "v.json",
+                         {str(i): [1.0] for i in range(3)}),
+             "claim": _write(tmp_path, "claim.json",
+                             {"odx_schema": 1, "kind": "european",
+                              "formula": "put", "strike": 1.0})}
+    argv = [files.get(a, a) for a in command]
+    argv.insert(1, _write(tmp_path, "model.json", EMPTY_X_MODEL))
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: X: empty vector at node 0\n"
 
 
 def test_scipy_is_imported_only_for_highs():
@@ -185,6 +222,42 @@ def test_superhedge_put(tmp_path, capsys):
                                atol=1e-10)
 
 
+def test_superhedge_european_call(binomial2, tmp_path, capsys):
+    """A call with K = 1 on S = E(X) pays 0.21 only after two up moves, so
+    replication under q = 1/2 prices it at 0.21 / 4 = 0.0525 with root hedge
+    (0.105 - 0) / 0.2 = 0.525."""
+    _, X = binomial2
+    model = _write(tmp_path, "binom.json", odx_io.model_to_json(X))
+    claim = _write(tmp_path, "claim.json",
+                   {"odx_schema": 1, "kind": "european", "formula": "call",
+                    "strike": 1.0})
+    assert main(["superhedge", model, claim]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["price"] == pytest.approx(0.0525, abs=1e-12)
+    np.testing.assert_allclose(doc["decomposition"]["H"]["0"], [0.525],
+                               atol=1e-12)
+
+
+def test_superhedge_out_dir(binomial2, tmp_path, capsys):
+    """--out writes superhedge.json as printed and hedge_schedule.csv with
+    one row per node, V the Snell envelope."""
+    tree, X = binomial2
+    model = _write(tmp_path, "binom.json", odx_io.model_to_json(X))
+    claim = _write(tmp_path, "claim.json",
+                   {"odx_schema": 1, "kind": "american", "formula": "put",
+                    "strike": 1.05})
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "superhedge", model, claim]) == 0
+    assert (out / "superhedge.json").read_text() == capsys.readouterr().out
+    with open(out / "hedge_schedule.csv", newline="") as f:
+        rows = list(csv.reader(f))
+    assert rows[0] == ["node", "time", "V", "H_0", "dC", "dB", "N_norm"]
+    assert [r[0] for r in rows[1:]] == [str(i) for i in range(tree.n_nodes)]
+    envelope = superhedge(vanilla_claim(X, "put", 1.05, kind=AMERICAN),
+                          X).envelope.values[:, 0]
+    assert [float(r[2]) for r in rows[1:]] == envelope.tolist()
+
+
 def test_superhedge_explicit_payoff(binomial2, tmp_path, capsys):
     """A payoff map equal to the put's payoff at every node prices and
     hedges to the same bytes as the built-in put; a map that misses a
@@ -193,8 +266,8 @@ def test_superhedge_explicit_payoff(binomial2, tmp_path, capsys):
     model = _write(tmp_path, "binom.json", odx_io.model_to_json(X))
     put = {"odx_schema": 1, "kind": "american", "formula": "put",
            "strike": 1.05}
-    payoff = odx_io.process_to_json(
-        vanilla_claim(X, "put", 1.05, kind=AMERICAN).payoff)
+    payoff = {str(i): row for i, row in enumerate(
+        vanilla_claim(X, "put", 1.05, kind=AMERICAN).payoff.values.tolist())}
     explicit = {"odx_schema": 1, "kind": "american", "payoff": payoff}
     assert main(["superhedge", model, _write(tmp_path, "put.json", put)]) == 0
     expected = capsys.readouterr().out
@@ -254,6 +327,21 @@ def test_verify_not_a_supermartingale_exit_2(t1_model, tmp_path, capsys):
     q = np.array(sm["witness"]["measure"])
     assert abs(q.sum() - 1.0) < 1e-12 and abs(q @ [0.1, 0.0, -0.1]) < 1e-12
     assert not any(p["check"] == "reconstruction" for p in rep["problems"])
+
+
+def test_simulate_abort_limit_exit_1(tmp_path, capsys):
+    """With drift 1 and sigma 1 over one step, 2.45 % of the paths take the
+    numeraire's wealth to zero or below, past the abort limit."""
+    spec = _write(tmp_path, "spec.json",
+                  {"odx_schema": 1, "d": 1, "m": 1, "T": 1.0,
+                   "drift": {"form": "const", "value": [1.0]},
+                   "sigma": {"form": "const", "value": [[1.0]]}})
+    assert main(["--seed", "1", "simulate", spec,
+                 "--paths", "2000", "--steps", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("input error: excessive deflation abort "
+                            "fraction 0.0245\n")
 
 
 def test_simulate_small(tmp_path, capsys):

@@ -1,7 +1,7 @@
 import csv
 import io
 import json
-from types import SimpleNamespace
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -12,7 +12,33 @@ from hypothesis.extra.numpy import arrays
 from odx import io as odx_io
 from odx.decompose import decompose_kw, decompose_lp
 from odx.random_models import random_market, random_tree
-from odx.tree import AdaptedProcess, ModelError, build_tree
+from odx.tree import AdaptedProcess, ModelError, _finalize_tree, build_tree
+
+
+def node_map(P):
+    """The node map {"0": [...], ...} that ``dump_json`` writes for a
+    process: the ``default=`` of the ``json.dumps`` oracle."""
+    return {str(i): row for i, row in enumerate(P.values.tolist())}
+
+
+def dumps(doc):
+    """The text ``dump_json`` writes for ``doc``."""
+    sink = io.StringIO()
+    odx_io.dump_json(doc, fh=sink)
+    return sink.getvalue()
+
+
+@lru_cache(maxsize=None)
+def _star(n):
+    """A one-period tree of n nodes: the root and n - 1 children."""
+    return _finalize_tree([0] + [1] * (n - 1), [-1] + [0] * (n - 1),
+                          [1.0] + [1.0 / max(n - 1, 1)] * (n - 1))
+
+
+def process(values):
+    """An adapted process with the rows of ``values``, one per node."""
+    values = np.asarray(values, dtype=np.float64)
+    return AdaptedProcess(_star(values.shape[0]), values)
 
 
 def test_tree_roundtrip():
@@ -29,7 +55,7 @@ def test_model_roundtrip_lossless():
     rng = np.random.default_rng(2)
     tree = random_tree(rng)
     X = random_market(rng, tree, d=2)
-    doc = json.loads(json.dumps(odx_io.model_to_json(X)))
+    doc = json.loads(dumps(odx_io.model_to_json(X)))
     _, back = odx_io.load_model(doc)
     assert np.array_equal(back.values, X.values)
 
@@ -37,7 +63,7 @@ def test_model_roundtrip_lossless():
 def test_decomposition_roundtrip(b1_claim):
     tree, X, V = b1_claim
     dec = decompose_lp(V, X)
-    doc = json.loads(json.dumps(odx_io.decomposition_to_json(dec)))
+    doc = json.loads(dumps(odx_io.decomposition_to_json(dec)))
     back = odx_io.decomposition_from_json(tree, doc)
     assert back.V0 == dec.V0
     assert np.array_equal(back.H.values, dec.H.values)
@@ -87,9 +113,8 @@ def test_process_json_text_unchanged(values):
     """The emitted text equals that of the per-element float() form."""
     reference = {str(i): [float(v) for v in values[i]]
                  for i in range(values.shape[0])}
-    panel = SimpleNamespace(values=values)
-    assert (odx_io.dump_json(odx_io.process_to_json(panel))
-            == json.dumps(reference, indent=2, sort_keys=True))
+    assert dumps(process(values)) == json.dumps(reference, indent=2,
+                                                sort_keys=True) + "\n"
 
 
 # floats whose text is hard to get right: signed zero, subnormals, the
@@ -108,8 +133,8 @@ json_values = st.recursive(
 
 @st.composite
 def node_maps(draw):
-    """A node map of ``process_to_json`` with n across the digit
-    boundaries of its keys, d = 1..3 and special floats planted."""
+    """A process with n across the digit boundaries of its node map's
+    keys, d = 1..3 and special floats planted."""
     n = draw(st.sampled_from([1, 2, 9, 10, 11, 99, 100, 101, 999, 1000]))
     d = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -119,7 +144,7 @@ def node_maps(draw):
                                         st.sampled_from(SPECIAL_FLOATS)),
                               max_size=6)):
         values.flat[i] = x
-    return odx_io.process_to_json(SimpleNamespace(values=values))
+    return process(values)
 
 
 @settings(max_examples=40, deadline=None)
@@ -143,28 +168,31 @@ def test_dump_json_is_json_dumps(m1, m2, other, data):
         {"verdict": "FAIL", "problems": [{"check": "supermartingale",
                                           "witness": {"node": 2,
                                                       "measure": [0.5, 0.5]}}]},
-        {"empty_map": odx_io.process_to_json(
-            SimpleNamespace(values=np.zeros((3, 0)))), "empty": {}, "l": []},
+        {"empty": {}, "l": []},
         data.draw(st.dictionaries(st.text(max_size=3),
                                   st.just(m1) | st.just(m2) | json_values,
                                   max_size=4)),
     ]
     for doc in docs:
-        assert odx_io.dump_json(doc) == json.dumps(doc, indent=2,
-                                                   sort_keys=True)
+        assert dumps(doc) == json.dumps(doc, indent=2, sort_keys=True,
+                                        default=node_map) + "\n"
 
 
 def test_dump_json_writes_the_text_and_a_newline(tmp_path):
-    doc = {"b": odx_io.process_to_json(SimpleNamespace(
-        values=np.array([[1.0, float("nan")], [-0.0, 2.5]]))), "a": [1, None]}
+    """Both sinks get the same text; a value json cannot write leaves both
+    unwritten."""
+    doc = {"b": process([[1.0, float("nan")], [-0.0, 2.5]]), "a": [1, None]}
     sink = io.StringIO()
-    text = odx_io.dump_json(doc, path=tmp_path / "doc.json", fh=sink)
-    assert text == json.dumps(doc, indent=2, sort_keys=True)
-    assert sink.getvalue() == (tmp_path / "doc.json").read_text() == text + "\n"
-    with pytest.raises(TypeError):
-        odx_io.dump_json({"x": object()})
-    with pytest.raises(TypeError):
-        odx_io.dump_json({(1, 2): 0.5})
+    assert odx_io.dump_json(doc, path=tmp_path / "doc.json", fh=sink) is None
+    assert (sink.getvalue() == (tmp_path / "doc.json").read_text()
+            == json.dumps(doc, indent=2, sort_keys=True, default=node_map)
+            + "\n")
+    for bad in ({"x": object()}, {(1, 2): 0.5}):
+        sink = io.StringIO()
+        with pytest.raises(TypeError):
+            odx_io.dump_json(bad, path=tmp_path / "bad.json", fh=sink)
+        assert sink.getvalue() == ""
+        assert not (tmp_path / "bad.json").exists()
 
 
 def reference_process_values(tree, obj, name, require_all):

@@ -4,6 +4,7 @@
 ``deflate_paths(simulate(spec))`` to the byte, and its memory must not
 grow with the number of steps.
 """
+import io
 import json
 import tracemalloc
 
@@ -79,7 +80,9 @@ def _reference_outputs(obj, paths, steps, seed, csv_path):
                                "passed": rep_yx["passed"]},
     }
     np.savetxt(csv_path, ens.X[:100, :, 0], delimiter=",")
-    return odx_io.dump_json(doc) + "\n"
+    sink = io.StringIO()
+    odx_io.dump_json(doc, fh=sink)
+    return sink.getvalue()
 
 
 # (spec, paths, steps, steps per chunk of normals or None for the default)
