@@ -15,9 +15,8 @@ import sys
 import numpy as np
 
 from . import io as odx_io
-from .decompose import (MarketLP, check_uniqueness, decompose_kw,
-                        decompose_lp, is_supermartingale_under_all,
-                        reconstruct)
+from .decompose import (check_uniqueness, decompose_kw, decompose_lp,
+                        is_supermartingale_under_all, reconstruct)
 from .deflators import DEFAULT_EXTRAS, build_deflator_family
 from .structure import (DEFAULT_STRUCT_TOL, extract_characteristics,
                         solve_structure)
@@ -101,8 +100,7 @@ def cmd_deflate(args):
 def cmd_decompose(args):
     tree, X, _ = _load_model(args)
     V = odx_io.adapted_from_json(tree, _load_json(args.value), "V")
-    lp = MarketLP(X)
-    cert = is_supermartingale_under_all(V, X, lp=lp)
+    cert = is_supermartingale_under_all(V, X)
     if not cert.passed:
         _emit(args, {"verdict": "FAIL", "witness": cert.witness},
               "witness.json")
@@ -111,11 +109,10 @@ def cmd_decompose(args):
     decs = {}
     for route in routes:
         if route == "lp":
-            decs[route] = decompose_lp(V, X, lp=lp,
-                                       tie_break_seed=args.seed)
+            decs[route] = decompose_lp(V, X, tie_break_seed=args.seed)
         else:
-            decs[route] = decompose_kw(V, X, lp=lp)
-        doc = odx_io.decomposition_to_json(decs[route])
+            decs[route] = decompose_kw(V, X)
+        doc = odx_io.decomposition_to_json(decs[route], cert.duality_gap)
         doc["route"] = route
         _emit(args, doc, f"decomposition_{route}.json")
         csv_path = _out_path(args, f"decomposition_{route}.csv")
@@ -133,7 +130,8 @@ def cmd_superhedge(args):
     res = superhedge(claim, X)
     doc = {
         "price": float(res.price),
-        "decomposition": odx_io.decomposition_to_json(res.decomposition),
+        "decomposition": odx_io.decomposition_to_json(res.decomposition,
+                                                       res.duality_gap),
         "view": {"S": res.view.S, "shares": res.view.shares,
                  "currency": res.view.currency},
     }
@@ -150,14 +148,15 @@ def cmd_verify(args):
     V = odx_io.adapted_from_json(tree, _load_json(args.value), "V")
     dec = odx_io.decomposition_from_json(tree, _load_json(args.decomposition))
     problems = []
+    scale = max(1.0, float(np.max(np.abs(V.values))))  # the units of V
     dC = dec.C.increments()[:, 0]
-    if np.min(dC) < -1e-10:
+    if np.min(dC) < -1e-10 * scale:
         node = int(np.argmin(dC))
         problems.append({"check": "C nondecreasing", "node": node,
                          "min_dC": float(dC[node])})
     recon = reconstruct(dec.V0, dec.H, dec.C, X)
     err = float(np.max(np.abs(recon.values - V.values)))
-    if err > 1e-9:
+    if err > 1e-9 * scale:
         problems.append({"check": "reconstruction", "max_error": err})
     cert = is_supermartingale_under_all(V, X)
     if not cert.passed:

@@ -169,7 +169,9 @@ class MarketLP:
 @dataclass(frozen=True)
 class SupermartingaleCertificate:
     verdict: str  # "PASS" | "FAIL"
-    witness: dict | None = None
+    witness: dict | None
+    # max(0, V(node) - polytope max of its child values) over the nodes
+    duality_gap: float
 
     @property
     def passed(self):
@@ -180,8 +182,11 @@ def is_supermartingale_under_all(V, X, lp=None):
     """Test whether V is a supermartingale under every martingale measure.
 
     Per non-leaf node the closed-polytope LP max of the child values is
-    compared against V at the node.  FAIL carries the worst node and the
-    maximizing vertex measure.
+    compared against V at the node; a node fails where the excess exceeds
+    SUPERMART_TOL * max(1, |V(node)|, max |V(children)|), so the verdict
+    does not depend on the units of V.  FAIL carries the failing node of
+    largest excess (the first on ties) and the maximizing vertex measure.
+    The duality gap comes from the same node maxima.
     """
     if V.dim != 1:
         raise ModelError("V must be scalar")
@@ -189,21 +194,20 @@ def is_supermartingale_under_all(V, X, lp=None):
         raise ModelError("V must be finite (locally bounded below)")
     lp = lp if lp is not None else MarketLP(X)
     nodes = X.tree.nonleaf_nodes
-    best, verts = lp.maxima(nodes, V.values[:, 0])
-    violation = best - V.values[nodes, 0]
-    if np.any(violation > SUPERMART_TOL):
-        i = int(np.argmax(violation))  # the first worst node
+    v = V.values[:, 0]
+    best, verts = lp.maxima(nodes, v)
+    violation = best - v[nodes]
+    gap = max(0.0, float(np.max(v[nodes] - best, initial=0.0)))  # not -0.0
+    # children are contiguous, so one reduceat gives each node's child max
+    kid_max = np.maximum.reduceat(np.abs(v), X.tree.first_child[nodes])
+    scale = np.maximum(1.0, np.maximum(np.abs(v[nodes]), kid_max))
+    failed = violation > SUPERMART_TOL * scale
+    if np.any(failed):
+        i = int(np.argmax(np.where(failed, violation, -np.inf)))
         return SupermartingaleCertificate("FAIL", {
             "node": int(nodes[i]), "violation": float(violation[i]),
-            "measure": np.asarray(verts[i]).tolist()})
-    return SupermartingaleCertificate("PASS", None)
-
-
-def _duality_gap(lp, v):
-    """max(0, v(node) - polytope max of its child values) over the nodes."""
-    nodes = lp.tree.nonleaf_nodes
-    best, _ = lp.maxima(nodes, v)
-    return max(0.0, float(np.max(v[nodes] - best, initial=0.0)))  # not -0.0
+            "measure": np.asarray(verts[i]).tolist()}, gap)
+    return SupermartingaleCertificate("PASS", None, gap)
 
 
 def _min_norm_solutions(A, b):
@@ -284,7 +288,7 @@ def _assemble(tree, V0, H_vals, dC, diagnostics):
                          C=C, diagnostics=diagnostics)
 
 
-def decompose_lp(V, X, lp=None, tie_break_seed=None):
+def decompose_lp(V, X, tie_break_seed=None):
     """Hedge/consumption split via per-node minimum-norm superhedging.
 
     Requires (and reproduces) the universal-supermartingale property; the
@@ -293,7 +297,6 @@ def decompose_lp(V, X, lp=None, tie_break_seed=None):
     naming the first node whose hedge cannot be solved.
     """
     tree = X.tree
-    lp = lp if lp is not None else MarketLP(X)
     v = V.values[:, 0]
     rng = (None if tie_break_seed is None
            else np.random.default_rng(tie_break_seed))
@@ -316,17 +319,17 @@ def decompose_lp(V, X, lp=None, tie_break_seed=None):
         if not infeasible[node]:
             raise SolverError(f"negative consumption at node {node}",
                               node=node)
+        lp = MarketLP(X)
         (best,), _ = lp.maxima([node], v)
         raise SolverError(
             f"least-distance hedge infeasible at node {node}, where the "
             f"polytope maximum is {float(best)!r} against V {float(v[node])!r}"
             f" (condition number of [1; dX^T] "
             f"{np.linalg.cond(lp._equality_rows(node)):.3g})", node=node)
-    diags = {"route": "LP", "duality_gap": _duality_gap(lp, v)}
-    return _assemble(tree, v[0], H_vals, dC, diags)
+    return _assemble(tree, v[0], H_vals, dC, {"route": "LP"})
 
 
-def decompose_kw(V, X, lp=None):
+def decompose_kw(V, X):
     """Hedge/consumption split along the proof route: deflate by the
     numeraire wealth, project the (compounded) deflated increments on the
     martingale part, remove the predictable drift, reassemble.
@@ -340,7 +343,6 @@ def decompose_kw(V, X, lp=None):
     nodes are reported in the diagnostics.
     """
     tree = X.tree
-    lp = lp if lp is not None else MarketLP(X)
     rho_hat, V_hat = numeraire_portfolio(X)
     rho = rho_hat.values
     Vh = V_hat.values[:, 0]
@@ -397,7 +399,6 @@ def decompose_kw(V, X, lp=None):
                                 np.sqrt(n_sq[nonleaf]).tolist())),
         "min_dB": float(np.min(dB_steps[nonleaf])) if nonleaf.size else 0.0,
         "deferred_nodes": tuple(np.flatnonzero(defer).tolist()),
-        "duality_gap": _duality_gap(lp, V.values[:, 0]),
     }
     return _assemble(tree, V.values[0, 0], H_vals, dC, diags)
 

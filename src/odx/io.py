@@ -162,10 +162,13 @@ def load_claim(obj, X):
     raise ModelError("claim: need 'payoff' or 'formula'")
 
 
-def decomposition_to_json(dec):
+def decomposition_to_json(dec, duality_gap):
+    """The decomposition document; its diagnostics carry the duality gap of
+    V, which depends on V alone (the supermartingale certificate's)."""
     diag = {key: {str(k): v for k, v in val.items()}
             if isinstance(val, dict) else val
             for key, val in dec.diagnostics.items()}
+    diag["duality_gap"] = duality_gap
     return {"odx_schema": SCHEMA_VERSION, "V0": float(dec.V0), "H": dec.H,
             "C": dec.C, "diagnostics": diag}
 

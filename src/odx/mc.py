@@ -179,21 +179,14 @@ def simulate(spec):
     return PathEnsemble(spec=spec, X=X)
 
 
-def structural_rho(spec, x):
-    """Pointwise rho = c^+ a(x), (paths, d), at the states x (paths, d).
-    c = sigma sigma^T is one (d, d) matrix, so ``psd_pinv_apply`` does one
-    eigendecomposition for all paths (closed form when d = 1)."""
-    c = np.einsum("ik,jk->ij", spec.sigma, spec.sigma)
-    rho, _ = psd_pinv_apply(c, spec.drift_at(x))
-    return rho
-
-
 def check_structure(spec, x, step, tol=DEFAULT_STRUCT_TOL):
-    """:func:`structural_rho` at the states x (paths, d) of one step, from
-    the one ``psd_pinv_apply`` solve that also gives the part zeta of a(x)
-    in the kernel of c.  A path fails, by the rule of ``solve_structure``,
-    where some |zeta_i| > tol * max(1, max |a|): :class:`ArbitrageError`
-    then names the step, the first such path, its zeta and <zeta, a> > 0."""
+    """Pointwise rho = c^+ a(x), (paths, d), at the states x (paths, d) of
+    one step.  c = sigma sigma^T is one (d, d) matrix, so one
+    ``psd_pinv_apply`` solve serves all paths; it also gives the part zeta
+    of a(x) in the kernel of c.  A path fails, by the rule of
+    ``solve_structure``, where some |zeta_i| > tol * max(1, max |a|):
+    :class:`ArbitrageError` then names the step, the first such path, its
+    zeta and <zeta, a> > 0."""
     c = np.einsum("ik,jk->ij", spec.sigma, spec.sigma)
     a = spec.drift_at(x)
     rho, zeta = psd_pinv_apply(c, a)

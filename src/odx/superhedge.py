@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import Decomposition, MarketLP, decompose_lp
+from .decompose import (Decomposition, MarketLP, decompose_lp,
+                        is_supermartingale_under_all)
 from .deflators import numeraire_portfolio, stochastic_exponential
 from .tree import AdaptedProcess, ModelError, PredictableProcess
 
@@ -105,13 +106,15 @@ class SuperhedgeResult:
     envelope: AdaptedProcess
     decomposition: Decomposition
     view: PortfolioView
+    duality_gap: float  # of the envelope
 
 
 def superhedge(claim, X):
     """Superhedging price, hedge/consumption schedule, and portfolio view."""
     lp = MarketLP(X)
     env = snell_envelope(claim, X, lp=lp)
-    dec = decompose_lp(env, X, lp=lp)
+    gap = is_supermartingale_under_all(env, X, lp=lp).duality_gap
+    dec = decompose_lp(env, X)
     view = portfolio_view(X)
     return SuperhedgeResult(price=float(env.values[0, 0]), envelope=env,
-                            decomposition=dec, view=view)
+                            decomposition=dec, view=view, duality_gap=gap)

@@ -91,7 +91,7 @@ def test_criterion_2_theorem_equivalence(seeded_markets):
             assert is_supermartingale_under_all(V, X, lp=lp).passed
         for _ in range(20):
             V = random_universal_supermartingale(rng, X, lp=lp)
-            dec = decompose_lp(V, X, lp=lp)
+            dec = decompose_lp(V, X)
             worst_dc = min(worst_dc, float(np.min(dec.C.increments())))
             back = reconstruct(dec.V0, dec.H, dec.C, X)
             worst_recon = max(worst_recon, float(np.max(

@@ -8,8 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from odx import decompose
 from odx import io as odx_io
 from odx.cli import main
+from odx.decompose import MarketLP, is_supermartingale_under_all
+from odx.random_models import (random_market, random_tree,
+                               random_universal_supermartingale)
 from odx.superhedge import AMERICAN, superhedge, vanilla_claim
 from odx.tree import AdaptedProcess, build_tree
 
@@ -327,6 +331,72 @@ def test_verify_not_a_supermartingale_exit_2(t1_model, tmp_path, capsys):
     q = np.array(sm["witness"]["measure"])
     assert abs(q.sum() - 1.0) < 1e-12 and abs(q @ [0.1, 0.0, -0.1]) < 1e-12
     assert not any(p["check"] == "reconstruction" for p in rep["problems"])
+
+
+def _random_model(tmp_path, seed, d, max_periods, max_branches, s=1.0):
+    """(model, value, X, V) files and processes of a random market and a
+    universal supermartingale on it, both scaled by s."""
+    rng = np.random.default_rng(seed)
+    tree = random_tree(rng, max_periods=max_periods,
+                       max_branches=max_branches)
+    X = random_market(rng, tree, d=d)
+    V = random_universal_supermartingale(rng, X)
+    X, V = AdaptedProcess(tree, s * X.values), AdaptedProcess(tree, s * V.values)
+    return (_write(tmp_path, "model.json", odx_io.model_to_json(X)),
+            _write(tmp_path, "value.json", V), X, V)
+
+
+@pytest.mark.parametrize("seed, d, s", [(17, 2, 1e3), (26, 1, 1e4)])
+def test_decompose_and_verify_in_price_units(tmp_path, capsys, seed, d, s):
+    """Universal supermartingales in price units pass the test and both
+    routes verify.  For seed 17, max |V| is 2,445 and the KW split
+    reconstructs V to 3.7e-9, which verify takes relative to V; seed 26
+    failed an absolute SUPERMART_TOL."""
+    model, value, _, _ = _random_model(tmp_path, seed, d, 3, 4, s=s)
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "decompose", model, value,
+                 "--route", "both"]) == 0
+    for route in ("lp", "kw"):
+        dec = str(out / f"decomposition_{route}.json")
+        assert main(["verify", model, value, dec]) == 0, route
+    capsys.readouterr()
+
+
+def test_decompose_takes_the_polytope_maxima_of_V_once(tmp_path, capsys,
+                                                        monkeypatch):
+    """decompose --route both on wide trees: one ``MarketLP.maxima`` pass
+    over V, one HiGHS solve per node of more than
+    VERTEX_ENUM_MAX_BRANCHES children, and both routes report the duality
+    gap of the supermartingale certificate."""
+    calls = {"maxima": 0, "linprog": 0}
+
+    def counting(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(MarketLP, "maxima",
+                        counting("maxima", MarketLP.maxima))
+    monkeypatch.setattr(decompose, "linprog",
+                        counting("linprog", decompose.linprog))
+    wide = 0
+    for seed in range(4):
+        model, value, X, V = _random_model(tmp_path, seed, 2, 2, 12)
+        gap = is_supermartingale_under_all(V, X).duality_gap
+        n_wide = int(np.sum(X.tree.n_children
+                            > decompose.VERTEX_ENUM_MAX_BRANCHES))
+        wide += n_wide
+        calls.update(maxima=0, linprog=0)
+        out = tmp_path / f"out{seed}"
+        assert main(["--out", str(out), "decompose", model, value,
+                     "--route", "both"]) == 0
+        assert calls == {"maxima": 1, "linprog": n_wide}
+        for route in ("lp", "kw"):
+            doc = json.loads((out / f"decomposition_{route}.json").read_text())
+            assert doc["diagnostics"]["duality_gap"] == gap
+    assert wide > 0
+    capsys.readouterr()
 
 
 def test_simulate_abort_limit_exit_1(tmp_path, capsys):

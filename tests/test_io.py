@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from odx import io as odx_io
-from odx.decompose import decompose_kw, decompose_lp
+from odx.decompose import (decompose_kw, decompose_lp,
+                           is_supermartingale_under_all)
 from odx.random_models import random_market, random_tree
 from odx.tree import AdaptedProcess, ModelError, _finalize_tree, build_tree
 
@@ -63,8 +64,10 @@ def test_model_roundtrip_lossless():
 def test_decomposition_roundtrip(b1_claim):
     tree, X, V = b1_claim
     dec = decompose_lp(V, X)
-    doc = json.loads(dumps(odx_io.decomposition_to_json(dec)))
+    gap = is_supermartingale_under_all(V, X).duality_gap
+    doc = json.loads(dumps(odx_io.decomposition_to_json(dec, gap)))
     back = odx_io.decomposition_from_json(tree, doc)
+    assert back.diagnostics["duality_gap"] == gap
     assert back.V0 == dec.V0
     assert np.array_equal(back.H.values, dec.H.values)
     assert np.array_equal(back.C.values, dec.C.values)

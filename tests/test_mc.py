@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from odx.mc import (DiffusionSpec, deflate_paths, kw_regress,
-                    martingale_test, scalar_spec, simulate, structural_rho)
+from odx.mc import (DiffusionSpec, check_structure, deflate_paths,
+                    kw_regress, martingale_test, scalar_spec, simulate)
 from odx.tree import ModelError
 
 
@@ -33,17 +33,18 @@ def test_terminal_drift_clt_bound():
 def test_structural_rho_constant_coefficients():
     spec = scalar_spec(0.05, 0.2)
     x = np.zeros((10, 1))
-    rho = structural_rho(spec, x)
+    rho = check_structure(spec, x, 0)
     np.testing.assert_allclose(rho, 1.25)
-    # degenerate c = 0 gives rho = 0, not a division error
+    # degenerate c = 0 gives rho = 0, not a division error (the drift is
+    # then off the range of c, so the arbitrage check is switched off)
     flat = scalar_spec(0.05, 0.0)
-    np.testing.assert_allclose(structural_rho(flat, x), 0.0)
+    np.testing.assert_allclose(check_structure(flat, x, 0, tol=np.inf), 0.0)
 
 
 def test_structural_rho_multidim():
     spec = DiffusionSpec(drift=[0.3, -0.1], sigma=np.eye(2), T=1.0,
                          steps=4, paths=2, seed=0, x0=[0.0, 0.0])
-    rho = structural_rho(spec, np.zeros((5, 2)))
+    rho = check_structure(spec, np.zeros((5, 2)), 0)
     np.testing.assert_allclose(rho, np.broadcast_to([0.3, -0.1], (5, 2)))
 
 
@@ -160,11 +161,13 @@ def test_linear_coefficients_run():
 
 def test_structural_rho_subnormal_variance_is_rank_zero():
     # sigma^2 = 5.3e-309 is subnormal: its reciprocal overflows, so c
-    # counts as rank 0 and rho = 0 in one dimension as in two
+    # counts as rank 0 and rho = 0 in one dimension as in two (with the
+    # arbitrage check off, as the drift is then off the range of c)
     x = np.zeros((3, 1))
-    rho = structural_rho(scalar_spec(0.05, 7.3e-155), x)
+    rho = check_structure(scalar_spec(0.05, 7.3e-155), x, 0, tol=np.inf)
     assert np.array_equal(rho, np.zeros((3, 1)))
     spec2 = DiffusionSpec(drift=[0.05, 0.05], sigma=7.3e-155 * np.eye(2),
                           T=1.0, x0=[0.0, 0.0])
-    assert np.array_equal(structural_rho(spec2, np.zeros((3, 2))),
+    assert np.array_equal(check_structure(spec2, np.zeros((3, 2)), 0,
+                                          tol=np.inf),
                           np.zeros((3, 2)))
