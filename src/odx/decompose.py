@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
@@ -25,12 +26,13 @@ SUPERMART_TOL = 1e-10
 FEAS_TOL = 1e-9
 KW_DEFER_TOL = 1e-8
 UNIQUENESS_TOL = 1e-8
-VERTEX_ENUM_MAX_BRANCHES = 8
+VERTEX_ENUM_BUDGET = 10_000  # support weights per node, see _enum_cost
+VERTEX_ENUM_BLOCK = 1 << 21  # support weights per enumerated block
 
 
 class _HiGHS:
-    """scipy's linprog, imported on first use (past VERTEX_ENUM_MAX_BRANCHES
-    children); an object, so perfbench's tracer counts each call once."""
+    """scipy's linprog, imported on first use (past VERTEX_ENUM_BUDGET); an
+    object, so perfbench's tracer counts each call once."""
 
     def __call__(self, *args, **kwargs):
         from scipy.optimize import linprog
@@ -43,6 +45,14 @@ linprog = _HiGHS()
 # ---------------------------------------------------------------------------
 # Martingale-measure polytopes, one branch group at a time
 # ---------------------------------------------------------------------------
+
+def _enum_cost(k, d):
+    """Support weights :func:`_group_vertices` allocates per node of k
+    children and d assets: one k-wide candidate per support of 1..d + 1
+    children.  The enumeration's time and memory grow roughly with it; at
+    VERTEX_ENUM_BUDGET a node takes about as long as one HiGHS solve."""
+    return k * sum(comb(k, m) for m in range(1, min(k, d + 1) + 1))
+
 
 def _group_vertices(dX):
     """Vertices of {q >= 0, sum q = 1, sum q dX = 0} for every node of an
@@ -102,29 +112,37 @@ def _group_vertices(dX):
 class MarketLP:
     """Per-node martingale-measure polytopes of a market process X.
 
-    Nodes with at most :data:`VERTEX_ENUM_MAX_BRANCHES` children are
-    handled by their vertex sets, enumerated once per branch group by
-    :func:`_group_vertices` for any number of assets.  Each group's padded
-    vertex stack is kept with its node axis flattened, and ``node_max``
-    looks a node's rows up by their span.  Larger nodes fall back to a
-    simplex solve.  An empty polytope at some node signals arbitrage.
-    Every caller takes node maxima through ``maxima``, of values per node.
+    Nodes whose :func:`_enum_cost` is within :data:`VERTEX_ENUM_BUDGET`
+    are handled by their vertex sets, enumerated by :func:`_group_vertices`
+    in blocks of a branch group of at most :data:`VERTEX_ENUM_BLOCK` support
+    weights.  Each block's padded vertex stack is kept with its node axis
+    flattened, and ``node_max`` looks a node's rows up by their span.  Nodes
+    past the budget fall back to a simplex solve.  An empty polytope at some
+    node signals arbitrage.  Every caller takes node maxima through
+    ``maxima``, of values per node.
     """
 
     def __init__(self, X):
         self.X = X
         self.tree = X.tree
-        self._stacks = []  # one (n_k * m_max, k) vertex stack per group
+        self._stacks = []  # one (n_block * m_max, k) vertex stack per block
         # node -> (stack, first row, end row); stack -1 for the simplex
         self._span = np.full((self.tree.n_nodes, 3), -1)
         for g in self.tree.branch_groups:
-            if g.k > VERTEX_ENUM_MAX_BRANCHES:
+            cost = _enum_cost(g.k, X.dim)
+            if cost > VERTEX_ENUM_BUDGET:
                 continue
-            verts, counts = _group_vertices(g.increments(X.values))
-            lo = np.arange(g.nodes.size) * verts.shape[1]
-            self._span[g.nodes] = np.column_stack(
-                [np.full_like(lo, len(self._stacks)), lo, lo + counts])
-            self._stacks.append(verts.reshape(-1, g.k))
+            dX = g.increments(X.values)
+            # no block of one node cut from a larger group: np.vecdot rounds
+            # a lone node's contiguous support rows apart from strided ones
+            rows = max(2, VERTEX_ENUM_BLOCK // cost)
+            edges = [*range(0, max(g.nodes.size - 1, 1), rows), g.nodes.size]
+            for at, end in zip(edges, edges[1:]):
+                verts, counts = _group_vertices(dX[at:end])
+                lo = np.arange(counts.size) * verts.shape[1]
+                self._span[g.nodes[at:end]] = np.column_stack(
+                    [np.full_like(lo, len(self._stacks)), lo, lo + counts])
+                self._stacks.append(verts.reshape(-1, g.k))
 
     def node_max(self, node, child_values):
         """(max over polytope of q . child_values, attaining vertex q).

@@ -199,7 +199,7 @@ def orthogonal_jump_martingale(tree, M, rng, weights=None, n_samples=1):
     normals = rng.standard_normal(offset[-1])
     dL_all = np.zeros((tree.n_nodes, n_samples))
     for g, r, vh in svd:
-        for rk in np.unique(r):
+        for rk in np.flatnonzero(np.bincount(r)):
             dim = g.k - rk
             if dim == 0:
                 continue

@@ -131,7 +131,7 @@ class EventTree:
         nonleaf = self.nonleaf_nodes
         ks = self.n_children[nonleaf]
         groups = []
-        for k in np.unique(ks):
+        for k in np.flatnonzero(np.bincount(ks)):
             nodes = nonleaf[ks == k]
             groups.append(BranchGroup(
                 nodes, self.first_child[nodes][:, None] + np.arange(k)))

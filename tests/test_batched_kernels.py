@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from odx import decompose, random_models
 from odx.decompose import (FEAS_TOL, SUPERMART_TOL, MarketLP,
                            _group_vertices, is_supermartingale_under_all)
 from odx.deflators import numeraire_portfolio
@@ -15,8 +16,8 @@ from odx.random_models import random_universal_supermartingale
 from odx.structure import extract_characteristics
 from odx.superhedge import (AMERICAN, EUROPEAN, Claim, snell_envelope,
                             superhedge)
-from odx.tree import (AdaptedProcess, ModelError, _finalize_tree, build_tree,
-                      path_cumprod, path_cumsum)
+from odx.tree import (AdaptedProcess, ArbitrageError, ModelError,
+                      _finalize_tree, build_tree, path_cumprod, path_cumsum)
 
 SEEDS = st.integers(0, 2**32 - 1)
 DIMS = st.integers(1, 3)
@@ -383,6 +384,34 @@ def test_node_maxima_layer_matches_per_node_loops(seed, d, american):
     V = random_universal_supermartingale(seeded, X, lp=lp).values[:, 0]
     ref = reference_supermartingale(np.random.default_rng(seed), X, lp)
     assert V.tobytes() == ref.tobytes()
+
+
+@PROPERTY
+@given(SEEDS, DIMS, st.integers(1, 3000))
+@example(seed=0, d=3, block=1)  # groups of odd size, two nodes per block
+def test_vertex_blocks_leave_node_maxima_unchanged(seed, d, block):
+    """Enumerated in blocks of VERTEX_ENUM_BLOCK support weights, down to
+    two nodes per block, every node keeps bitwise the maximum and the
+    vertex of its whole branch group."""
+    rng = np.random.default_rng(seed)
+    tree = random_models.random_tree(rng, max_periods=3, max_branches=6)
+    X = random_models.random_market(rng, tree, d=d)
+    whole = MarketLP(X)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decompose, "VERTEX_ENUM_BLOCK", block)
+        blocked = MarketLP(X)
+    V = rng.normal(size=tree.n_nodes)
+    for node in tree.nonleaf_nodes:
+        v = V[tree.children(node)]
+        try:
+            best, q = whole.node_max(node, v)
+        except ArbitrageError:
+            with pytest.raises(ArbitrageError):
+                blocked.node_max(node, v)
+            continue
+        best_b, q_b = blocked.node_max(node, v)
+        assert repr(best_b) == repr(best)
+        assert q_b.tobytes() == q.tobytes()
 
 
 @PROPERTY

@@ -140,29 +140,76 @@ def test_empty_vectors_exit_1(tmp_path, capsys, command):
     assert captured.err == "input error: X: empty vector at node 0\n"
 
 
+def _fresh_python(code):
+    """Run ``code`` in a fresh interpreter that imports odx from source."""
+    src = str(Path(odx_io.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+
+
 def test_scipy_is_imported_only_for_highs():
-    """A fresh process imports odx.cli without scipy; a node of more than
-    VERTEX_ENUM_MAX_BRANCHES children still solves through HiGHS."""
+    """A fresh process imports odx.cli without scipy; a one-asset node at
+    the edge of VERTEX_ENUM_BUDGET is enumerated without it, and the node
+    just past the budget still solves through HiGHS."""
     code = """if True:
         import sys
+        from itertools import count
         import numpy as np
         import odx.cli
         from odx import decompose
         from odx.tree import AdaptedProcess, build_tree
-        assert not any(m.split(".")[0] == "scipy" for m in sys.modules)
-        k = decompose.VERTEX_ENUM_MAX_BRANCHES + 1
-        tree = build_tree([[1 / k] * k])
-        X = AdaptedProcess(tree, np.r_[0.0, np.linspace(-1.0, 1.0, k)])
-        best, q = decompose.MarketLP(X).node_max(0, np.arange(k) % 2.0)
+        def scipy_loaded():
+            return any(m.split(".")[0] == "scipy" for m in sys.modules)
+        assert not scipy_loaded()
+        k = next(k for k in count(1) if decompose._enum_cost(k, 1)
+                 > decompose.VERTEX_ENUM_BUDGET)
+        for k in (k - 1, k):
+            tree = build_tree([[1 / k] * k])
+            X = AdaptedProcess(tree, np.r_[0.0, np.linspace(-1.0, 1.0, k)])
+            best, q = decompose.MarketLP(X).node_max(0, np.arange(k) % 2.0)
+            print(repr(best), scipy_loaded())
         assert "scipy.optimize" in sys.modules
-        print(repr(best))
     """
-    src = str(Path(odx_io.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env=env)
+    run = _fresh_python(code)
     assert run.returncode == 0, run.stderr
-    assert float(run.stdout) == pytest.approx(1.0)
+    (edge, edge_scipy), (past, past_scipy) = (
+        line.split() for line in run.stdout.splitlines())
+    assert (edge_scipy, past_scipy) == ("False", "True")
+    assert float(edge) == pytest.approx(1.0)
+    assert float(past) == pytest.approx(1.0)
+
+
+def test_wide_decompose_loads_neither_scipy_nor_numpy_ma(tmp_path):
+    """decompose --route both on a d = 3 tree of 9 and 10 children per node,
+    in a fresh process: every node is enumerated, so neither scipy nor
+    numpy.ma is imported."""
+    rng = np.random.default_rng(5)
+
+    def spec(t):
+        if t == 2:
+            return None
+        k = int(rng.integers(9, 11))
+        return {"probs": rng.dirichlet(np.full(k, 2.0)),
+                "children": [spec(t + 1) for _ in range(k)]}
+
+    tree = build_tree(spec(0))
+    X = random_market(rng, tree, d=3)
+    V = random_universal_supermartingale(rng, X)
+    model = _write(tmp_path, "model.json", odx_io.model_to_json(X))
+    value = _write(tmp_path, "value.json", V)
+    code = f"""if True:
+        import sys
+        from odx.cli import main
+        rc = main(["--out", {str(tmp_path / "out")!r}, "decompose",
+                   {model!r}, {value!r}, "--route", "both"])
+        print(rc, sorted(m for m in sys.modules
+                         if m.split(".")[0] == "scipy" or m == "numpy.ma"))
+    """
+    run = _fresh_python(code)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "0 []"
+    assert set(np.unique(tree.n_children)) == {0, 9, 10}
 
 
 def test_malformed_json_exit_1(tmp_path, capsys):
@@ -365,9 +412,9 @@ def test_decompose_and_verify_in_price_units(tmp_path, capsys, seed, d, s):
 def test_decompose_takes_the_polytope_maxima_of_V_once(tmp_path, capsys,
                                                         monkeypatch):
     """decompose --route both on wide trees: one ``MarketLP.maxima`` pass
-    over V, one HiGHS solve per node of more than
-    VERTEX_ENUM_MAX_BRANCHES children, and both routes report the duality
-    gap of the supermartingale certificate."""
+    over V, one HiGHS solve per node past VERTEX_ENUM_BUDGET (d = 2 and 16
+    or more children), and both routes report the duality gap of the
+    supermartingale certificate."""
     calls = {"maxima": 0, "linprog": 0}
 
     def counting(name, fn):
@@ -382,10 +429,11 @@ def test_decompose_takes_the_polytope_maxima_of_V_once(tmp_path, capsys,
                         counting("linprog", decompose.linprog))
     wide = 0
     for seed in range(4):
-        model, value, X, V = _random_model(tmp_path, seed, 2, 2, 12)
+        model, value, X, V = _random_model(tmp_path, seed, 2, 2, 18)
         gap = is_supermartingale_under_all(V, X).duality_gap
-        n_wide = int(np.sum(X.tree.n_children
-                            > decompose.VERTEX_ENUM_MAX_BRANCHES))
+        n_wide = sum(decompose._enum_cost(int(k), 2)
+                     > decompose.VERTEX_ENUM_BUDGET
+                     for k in X.tree.n_children[X.tree.nonleaf_nodes])
         wide += n_wide
         calls.update(maxima=0, linprog=0)
         out = tmp_path / f"out{seed}"

@@ -1,3 +1,5 @@
+from itertools import count
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -205,11 +207,25 @@ def test_deflated_supermartingale_property():
         assert np.max(child_weighted_sums(tree, d_yv)) <= SUPERMART_TOL
 
 
-def _mixed_market(rng, d):
+def _enumeration_edge(d):
+    """The most children a node of d assets can have and be enumerated."""
+    budget = decompose.VERTEX_ENUM_BUDGET
+    return next(k for k in count(1) if decompose._enum_cost(k + 1, d) > budget)
+
+
+def _mixed_market(rng, d, wide=False):
     """Random market in which about half the nodes are centred under an
     interior measure (arbitrage-free) and the rest keep raw normal
-    increments (often arbitrage)."""
-    tree = random_tree(rng, max_periods=3, max_branches=6)
+    increments (often arbitrage).  A wide market has two periods: the root
+    has the most children that are enumerated, and each of them 2 to that
+    many."""
+    if wide:
+        edge = _enumeration_edge(d)
+        tree = build_tree({"probs": [1 / edge] * edge, "children": [
+            {"probs": [1 / k] * k, "children": [None] * k}
+            for k in rng.integers(2, edge + 1, size=edge)]})
+    else:
+        tree = random_tree(rng, max_periods=3, max_branches=6)
     vals = np.zeros((tree.n_nodes, d))
     for node in tree.nonleaf_nodes:
         kids = tree.children(node)
@@ -221,14 +237,15 @@ def _mixed_market(rng, d):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 3))
-def test_highs_fallback_matches_vertex_enumeration(seed, d):
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.booleans())
+def test_highs_fallback_matches_vertex_enumeration(seed, d, wide):
     rng = np.random.default_rng(seed)
-    X = _mixed_market(rng, d)
+    X = _mixed_market(rng, d, wide)
     tree = X.tree
     enum = MarketLP(X)
+    assert np.all(enum._span[tree.nonleaf_nodes, 0] >= 0)  # all enumerated
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(decompose, "VERTEX_ENUM_MAX_BRANCHES", 0)
+        mp.setattr(decompose, "VERTEX_ENUM_BUDGET", 0)
         highs = MarketLP(X)
     V = rng.normal(size=tree.n_nodes)
     for node in tree.nonleaf_nodes:
@@ -435,8 +452,9 @@ def test_min_norm_hedge_low_volatility(seed, node, norm2):
 @pytest.mark.parametrize("vol", [0.1, 1e-3])
 def test_fuzz_grid_decomposes(d, vol, monkeypatch):
     """Every universal supermartingale of the fuzz grid decomposes, on
-    narrow trees and on wide ones whose nodes of more than
-    VERTEX_ENUM_MAX_BRANCHES children take the HiGHS fallback."""
+    narrow trees and on wide ones whose nodes past VERTEX_ENUM_BUDGET (16
+    or more children at d = 2, 13 or more at d = 3) take the HiGHS
+    fallback."""
     highs_calls = 0
     linprog = decompose.linprog
 
@@ -446,7 +464,7 @@ def test_fuzz_grid_decomposes(d, vol, monkeypatch):
         return linprog(*args, **kwargs)
 
     monkeypatch.setattr(decompose, "linprog", counting_linprog)
-    for max_periods, max_branches, n_seeds in [(3, 6, 200), (2, 12, 30)]:
+    for max_periods, max_branches, n_seeds in [(3, 6, 200), (2, 18, 30)]:
         for seed in range(n_seeds):
             rng = np.random.default_rng(seed)
             tree = random_tree(rng, max_periods=max_periods,
