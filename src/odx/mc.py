@@ -182,13 +182,20 @@ def simulate(spec):
 def check_structure(spec, x, step, tol=DEFAULT_STRUCT_TOL):
     """Pointwise rho = c^+ a(x), (paths, d), at the states x (paths, d) of
     one step.  c = sigma sigma^T is one (d, d) matrix, so one
-    ``psd_pinv_apply`` solve serves all paths; it also gives the part zeta
-    of a(x) in the kernel of c.  A path fails, by the rule of
-    ``solve_structure``, where some |zeta_i| > tol * max(1, max |a|):
-    :class:`ArbitrageError` then names the step, the first such path, its
-    zeta and <zeta, a> > 0."""
+    ``psd_pinv_apply`` solve serves all paths; it applies c's eigenbasis by
+    plain sums, so a path's rho does not depend on the paths solved with
+    it.  The solve also gives the part zeta of a(x) in the kernel of c.  A
+    path fails, by the rule of ``solve_structure``, where some
+    |zeta_i| > tol * max(1, max |a|): :class:`ArbitrageError` then names
+    the step, the first such path, its zeta and <zeta, a> > 0.  A drift
+    that is not finite (it overflows at large x) is a :class:`ModelError`
+    naming the step and the first such path."""
     c = np.einsum("ik,jk->ij", spec.sigma, spec.sigma)
-    a = spec.drift_at(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = spec.drift_at(x)
+    if not np.isfinite(a).all():
+        path = int(np.argwhere(~np.isfinite(a))[0, 0])
+        raise ModelError(f"non-finite drift at step {step}, path {path}")
     rho, zeta = psd_pinv_apply(c, a)
     # no path fails below tol; a max over the short last axis is slow
     if np.max(np.abs(zeta)) > tol:

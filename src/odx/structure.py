@@ -106,6 +106,19 @@ def extract_characteristics(X):
                            dG=PredictableProcess(tree, dG_vals))
 
 
+def _column_sums(cols, M):
+    """The columns of v M for one (d, d) matrix M, from the d columns of
+    v: each a plain left-to-right sum of products, so the bits of a row do
+    not depend on the rows computed with it."""
+    out = []
+    for j in range(M.shape[1]):
+        s = cols[0] * M[0, j]
+        for i in range(1, M.shape[0]):
+            s = s + cols[i] * M[i, j]
+        out.append(s)
+    return out
+
+
 def psd_pinv_apply(C, v):
     """Minimum-norm solution of C x = v for symmetric PSD C, plus the
     residual projection of v onto the kernel of C.
@@ -118,21 +131,32 @@ def psd_pinv_apply(C, v):
     under uniform scaling of C.  An eigenvalue whose reciprocal overflows
     (a subnormal one) counts as zero too.  A 1 x 1 stack takes the closed
     form v * (1/c), which is what the eigendecomposition computes there.
+    One (d, d) matrix against many right-hand sides is applied by plain
+    sums of products over its short axis, so the bits of a row do not
+    depend on the batch it is solved in; a stack keeps its per-matrix
+    products.
     """
-    if C.shape[-1] == 1:
-        w, coeff = C[..., 0], v
+    d = C.shape[-1]
+    if d == 1:
+        w = C[..., 0]
     else:
         w, Q = np.linalg.eigh(0.5 * (C + C.mT))
-        coeff = np.vecmat(v, Q)
     with np.errstate(divide="ignore", over="ignore"):
         inv = 1.0 / w
     # eigh sorts ascending
     keep = (w > PINV_RELTOL * np.maximum(w[..., -1:], 0.0)) & np.isfinite(inv)
-    x = np.where(keep, inv, 0.0) * coeff
-    kernel_part = np.where(keep, 0.0, coeff)
-    if C.shape[-1] > 1:
-        x, kernel_part = np.matvec(Q, x), np.matvec(Q, kernel_part)
-    return x, kernel_part
+    scale = np.where(keep, inv, 0.0)
+    if d == 1:
+        return scale * v, np.where(keep, 0.0, v)
+    if C.ndim > 2:
+        coeff = np.vecmat(v, Q)
+        return (np.matvec(Q, scale * coeff),
+                np.matvec(Q, np.where(keep, 0.0, coeff)))
+    coeff = _column_sums(np.moveaxis(v, -1, 0), Q)
+    x = _column_sums([s * c for s, c in zip(scale, coeff)], Q.T)
+    kernel_part = _column_sums(
+        [np.zeros_like(c) if k else c for k, c in zip(keep, coeff)], Q.T)
+    return np.stack(x, axis=-1), np.stack(kernel_part, axis=-1)
 
 
 def solve_structure(ch, tol=DEFAULT_STRUCT_TOL):

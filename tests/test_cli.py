@@ -599,6 +599,20 @@ def test_simulate_non_finite_increment_exit_1(tmp_path, capsys):
         "input error: non-finite increment at step ")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_simulate_drift_overflowing_at_x0_exit_1(tmp_path, capsys):
+    """a(x0) overflows: the structure solve ran through the inf/NaN drift
+    and warned from matmul and matvec before the Euler step stopped the
+    run; the drift check now stops it first, naming the step and path."""
+    spec = _with(_with(SIM_SPEC, [[-1e10, 0.05], [0.1, -0.3]], "drift",
+                       "slope"), [1e300, 0.0], "x0")
+    path = _write(tmp_path, "spec.json", spec)
+    assert main(["simulate", path, "--paths", "50", "--steps", "8"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: non-finite drift at step 0, path 0\n"
+
+
 @pytest.mark.parametrize("flag", ["--paths", "--steps"])
 def test_simulate_zero_count_exit_1(tmp_path, capsys, flag):
     path = _write(tmp_path, "spec.json", SIM_SPEC)

@@ -137,9 +137,10 @@ def _per_path_rho(spec, x):
 
 @st.composite
 def _coefficients(draw):
-    d = draw(st.integers(2, 3))
+    # at d <= 3 a BLAS product may happen to round like the per-row one
+    d = draw(st.integers(2, 6))
     m = draw(st.integers(1, 4))
-    P = draw(st.integers(1, 12))
+    P = draw(st.integers(1, 40))
     values = st.one_of(st.just(0.0),
                        st.floats(-5.0, 5.0, allow_nan=False,
                                  allow_subnormal=False))

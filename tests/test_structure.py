@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from odx.structure import (Characteristics, extract_characteristics,
-                           psd_pinv_apply, riskless_gain, solve_structure)
+from odx.structure import (PINV_RELTOL, Characteristics,
+                           extract_characteristics, psd_pinv_apply,
+                           riskless_gain, solve_structure)
 from odx.tree import AdaptedProcess, ModelError, PredictableProcess, build_tree
 
 
@@ -123,3 +126,56 @@ def test_mass_finite_on_trees(b1):
     assert not rep.mass_flag
     # mass = <rho, c rho> accumulated: (0.02^2 / 0.0096)
     np.testing.assert_allclose(rep.mass.values[1, 0], 0.02**2 / 0.0096)
+
+
+@st.composite
+def _shared_matrix_and_rows(draw):
+    """One PSD c = B B^T of quarters (exact, so exactly symmetric), often
+    rank-deficient, with rows V (P, d) and a slice [i, j) of them."""
+    d = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 6))
+    P = draw(st.integers(1, 40))
+    B = draw(arrays(np.float64, (d, m),
+                    elements=st.integers(-12, 12).map(lambda k: k / 4)))
+    kind = draw(st.sampled_from(["any", "zero_row", "collinear", "zero"]))
+    if kind == "zero_row":
+        B[-1, :] = 0.0
+    elif kind == "collinear" and d > 1:
+        B[1, :] = 2.5 * B[0, :]
+    elif kind == "zero":
+        B[:] = 0.0
+    V = draw(arrays(np.float64, (P, d), elements=st.one_of(
+        st.just(0.0), st.floats(-5.0, 5.0, allow_nan=False,
+                                allow_subnormal=False))))
+    i = draw(st.integers(0, P - 1))
+    j = draw(st.integers(i + 1, P))
+    return B @ B.T, V, i, j
+
+
+@settings(max_examples=200, deadline=None)
+@given(_shared_matrix_and_rows())
+def test_pinv_of_one_matrix_is_the_same_per_row(case):
+    """One (d, d) c against many rows: a row's bits do not depend on the
+    rows solved with it, x is c^+ v and the kernel part is in ker c."""
+    c, V, i, j = case
+    x, kernel_part = psd_pinv_apply(c, V)
+    for k in range(V.shape[0]):
+        row = psd_pinv_apply(c, V[k])
+        assert row[0].tobytes() == x[k].tobytes()
+        assert row[1].tobytes() == kernel_part[k].tobytes()
+    part = psd_pinv_apply(c, V[i:j])
+    assert part[0].tobytes() == x[i:j].tobytes()
+    assert part[1].tobytes() == kernel_part[i:j].tobytes()
+
+    w = np.linalg.eigvalsh(c)
+    top = max(w[-1], 0.0)
+    assert np.max(np.abs(c @ kernel_part.T), initial=0.0) <= (
+        1e-12 * top * np.max(np.abs(V)))
+    # pinv cuts at the same relative level; compare only where no
+    # eigenvalue is near the cut and the kept ones are well conditioned
+    kept = w[w > PINV_RELTOL * top]
+    assume(not np.any((np.abs(w) > 1e-14 * top) & (np.abs(w) <= 1e-3 * top)))
+    c_plus = np.linalg.pinv(c, rcond=PINV_RELTOL, hermitian=True)
+    scale = (1.0 / kept[0] if kept.size else 0.0) * np.linalg.norm(V, axis=1)
+    err = np.linalg.norm(x - V @ c_plus, axis=1)
+    assert np.all(err <= 1e-12 * scale)
