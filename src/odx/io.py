@@ -5,6 +5,8 @@ from __future__ import annotations
 import csv
 import json
 from functools import lru_cache
+from itertools import chain, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -34,19 +36,21 @@ def tree_to_json(tree):
 
 def tree_from_json(obj):
     _check_schema(obj, "tree")
-    try:
-        nodes = sorted(obj["nodes"], key=lambda r: int(r["id"]))
-        ids = [int(r["id"]) for r in nodes]
-        time = [int(r["time"]) for r in nodes]
-        parent = [-1 if r.get("parent") is None else int(r["parent"])
-                  for r in nodes]
-        p = [1.0 if r.get("p") is None else float(r["p"]) for r in nodes]
+    try:  # one pass over the rows
+        rows = [(int(r["id"]), int(r["time"]),
+                 -1 if (q := r.get("parent")) is None else int(q),
+                 1.0 if (w := r.get("p")) is None else float(w))
+                for r in obj["nodes"]]
         horizon = (None if obj.get("horizon") is None
                    else int(obj["horizon"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"tree: malformed nodes or horizon ({exc})") from exc
-    if ids != list(range(len(nodes))):
-        raise ModelError("tree: node ids must be 0..n-1 (breadth-first)")
+    ids, time, parent, p = zip(*rows) if rows else [()] * 4
+    if ids != tuple(range(len(rows))):  # sorted by id only when out of order
+        rows.sort(key=itemgetter(0))
+        ids, time, parent, p = zip(*rows)
+        if ids != tuple(range(len(rows))):
+            raise ModelError("tree: node ids must be 0..n-1 (breadth-first)")
     tree = _finalize_tree(time, parent, p)
     if horizon is not None and horizon != tree.horizon:
         raise ModelError("tree: horizon field disagrees with the leaf depth")
@@ -198,23 +202,33 @@ def _float_reprs(values):
 
 def _node_map_text(vals, indent):
     """The node map text of the (n, d) array ``vals`` at line prefix
-    ``indent``."""
+    ``indent``, in one join of the keys' heads, the reprs and the line
+    breaks between them."""
     n, d = vals.shape
     order, heads = _node_keys(n)
     reps = _float_reprs(vals[order])
     if not np.isfinite(vals).all():
         reps = [_JSON_FLOATS.get(r, r) for r in reps]
     inner, item = indent + "  ", indent + "    "
-    rows = reps if d == 1 else map(("," + item).join, zip(*[iter(reps)] * d))
-    body = ("," + inner).join(map(("{}" + item + "{}" + inner + "]").format,
-                                  heads, rows))
-    return "{" + inner + body + indent + "}"
+    it = iter(reps)
+    parts = chain.from_iterable(zip(
+        repeat("," + inner), heads, repeat(item), it,
+        *[repeat("," + item), it] * (d - 1), repeat(inner + "]")))
+    next(parts)  # no comma before the first key
+    return "".join(chain(("{", inner), parts, (indent + "}",)))
 
 
-def _write(obj, indent, out):
-    """Append the text of ``obj`` at line prefix ``indent`` to ``out``."""
+def _write(obj, indent, out, memo):
+    """Append the text of ``obj`` at line prefix ``indent`` to ``out``.
+    ``memo`` maps (shape, indent, bytes) of each node map rendered so far
+    to its text, so an equal array at the same prefix is rendered once."""
     if isinstance(obj, (AdaptedProcess, PredictableProcess)):
-        out.append(_node_map_text(obj.values, indent))
+        vals = obj.values
+        key = (vals.shape, indent, vals.tobytes())
+        text = memo.get(key)
+        if text is None:
+            text = memo[key] = _node_map_text(vals, indent)
+        out.append(text)
     elif isinstance(obj, (dict, list, tuple)) and obj:
         inner = indent + "  "
         is_map = isinstance(obj, dict)
@@ -224,7 +238,7 @@ def _write(obj, indent, out):
             if is_map:  # '"key": ' by json's own rules for keys
                 out.append(json.dumps({item[0]: 0})[1:-2])
                 item = item[1]
-            _write(item, inner, out)
+            _write(item, inner, out, memo)
         out.append(indent + ("}" if is_map else "]"))
     else:
         out.append(json.dumps(obj))
@@ -233,9 +247,11 @@ def _write(obj, indent, out):
 def dump_json(obj, path=None, fh=None):
     """Write ``obj`` as ``json.dumps`` does with two-space indents and sorted
     keys, plus a newline, to ``path`` and/or ``fh``.  A process is written as
-    its node map {"0": [...], ...}, straight from its array."""
+    its node map {"0": [...], ...}, straight from its array.  A map repeated
+    in one document, such as the extra deflators Y = Y_hat of a complete
+    market, is rendered once per line prefix and its text reused."""
     out = []
-    _write(obj, "\n", out)
+    _write(obj, "\n", out, {})
     out.append("\n")
     if path is not None:
         with open(path, "w") as f:

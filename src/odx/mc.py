@@ -146,19 +146,33 @@ def _wealth(spec, states, tol=DEFAULT_STRUCT_TOL):
     moves, and of a linear one once at each step 0..n-1."""
     states = iter(states)
     x = next(states)
-    rho = check_structure(spec, x, 0, tol)
+    rho = _numeraire_rho(spec, x, 0, tol)
     V = np.ones(x.shape[0])
     alive = np.ones(x.shape[0], dtype=bool)
     yield x, V, alive
     for step, x_next in enumerate(states):
         if step and spec.slope is not None:
-            rho = check_structure(spec, x, step, tol)
+            rho = _numeraire_rho(spec, x, step, tol)
         growth = 1.0 + np.einsum("pd,pd->p", rho, x_next - x)
         dead = growth <= 0.0
         alive &= ~dead
         V = V * np.where(dead, 1.0, growth)
         x = x_next
         yield x, V, alive
+
+
+def _numeraire_rho(spec, x, step, tol):
+    """rho of :func:`check_structure` at one step, for the wealth.  Where
+    c^+ a(x) overflows (a finite but large drift, a small eigenvalue of c),
+    the wealth would be NaN: that is a :class:`ModelError` naming the step
+    and the first such path, raised without a floating-point warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho = check_structure(spec, x, step, tol)
+    if not np.isfinite(rho).all():
+        path = int(np.argwhere(~np.isfinite(rho))[0, 0])
+        raise ModelError(
+            f"non-finite numeraire rho at step {step}, path {path}")
+    return rho
 
 
 def _abort_fraction(alive):

@@ -613,6 +613,27 @@ def test_simulate_drift_overflowing_at_x0_exit_1(tmp_path, capsys):
     assert captured.err == "input error: non-finite drift at step 0, path 0\n"
 
 
+RHO_OVERFLOW_SPEC = {"odx_schema": 1, "d": 2, "m": 2, "T": 1.0,
+                     "x0": [1e300, 0.0],
+                     "drift": {"form": "linear", "value": [0.0, 0.0],
+                               "slope": [[0.5, 0.0], [0.0, 0.5]]},
+                     "sigma": {"form": "const",
+                               "value": [[1e-5, 0.0], [0.0, 1e-5]]}}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_simulate_rho_overflowing_at_x0_exit_1(tmp_path, capsys):
+    """a(x0) is finite but rho = c^+ a(x0) overflows: simulate printed NaN
+    statistics, which are not JSON, after two RuntimeWarnings, and exited
+    0; the wealth now stops on the non-finite rho."""
+    path = _write(tmp_path, "spec.json", RHO_OVERFLOW_SPEC)
+    assert main(["simulate", path, "--paths", "5", "--steps", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (captured.err
+            == "input error: non-finite numeraire rho at step 0, path 0\n")
+
+
 @pytest.mark.parametrize("flag", ["--paths", "--steps"])
 def test_simulate_zero_count_exit_1(tmp_path, capsys, flag):
     path = _write(tmp_path, "spec.json", SIM_SPEC)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from odx import io as odx_io
+from odx.cli import main
 from odx.decompose import (decompose_kw, decompose_lp,
                            is_supermartingale_under_all)
 from odx.random_models import random_market, random_tree
@@ -95,6 +96,20 @@ def test_tree_rejects_bad_ids(b1):
     doc["nodes"][1]["id"] = 5
     with pytest.raises(ModelError, match="breadth-first"):
         odx_io.tree_from_json(doc)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.randoms(use_true_random=False))
+def test_tree_from_json_reads_rows_in_any_order(seed, random):
+    """Rows out of id order are sorted before they are read: the tree is
+    that of the sorted rows."""
+    doc = odx_io.tree_to_json(random_tree(np.random.default_rng(seed)))
+    shuffled = dict(doc, nodes=random.sample(doc["nodes"], len(doc["nodes"])))
+    want = odx_io.tree_from_json(doc)
+    got = odx_io.tree_from_json(shuffled)
+    for field in ("horizon", "time", "parent", "p", "first_child",
+                  "n_children"):
+        assert np.array_equal(getattr(got, field), getattr(want, field))
 
 
 def test_claim_loader(binomial2):
@@ -196,6 +211,46 @@ def test_dump_json_writes_the_text_and_a_newline(tmp_path):
             odx_io.dump_json(bad, path=tmp_path / "bad.json", fh=sink)
         assert sink.getvalue() == ""
         assert not (tmp_path / "bad.json").exists()
+
+
+def test_dump_json_repeated_maps_are_json_dumps():
+    """Maps equal in shape, bytes and line prefix share one render; json
+    tells apart what the writer must keep apart: -0.0 from 0.0, the same
+    bytes in another shape, the same array at another depth.  NaN and the
+    infinities match themselves."""
+    values = np.array([[0.5], [-1.0], [0.0], [2.0]])
+    signed = values.copy()
+    signed[2] = -0.0
+    special = process([[float("nan")], [float("inf")], [float("-inf")],
+                       [float("nan")]])
+    a = process(values)
+    doc = {"a": a, "again": a, "copy": process(values.copy()),
+           "signed": process(signed), "wide": process(values.reshape(2, 2)),
+           "special": special, "special_copy": process(special.values.copy()),
+           "nested": {"a": a, "list": [a, special, process(signed)]}}
+    assert dumps(doc) == json.dumps(doc, indent=2, sort_keys=True,
+                                    default=node_map) + "\n"
+
+
+def test_complete_market_deflators_render_once(tmp_path, capsys, monkeypatch):
+    """On a binary d = 1 tree every extra is L = 0 and Y = Y_hat, so the
+    19 maps of ``deflate --extras 8`` take 5 renders: rho_hat, V_hat and
+    Y_hat, then L and Y one level deeper."""
+    X = random_market(np.random.default_rng(4),
+                      build_tree([[0.5, 0.5]] * 3), d=1)
+    model = tmp_path / "model.json"
+    odx_io.dump_json(odx_io.model_to_json(X), path=model)
+    renders = []
+
+    def counted(vals, indent):
+        renders.append(indent)
+        return node_map_text(vals, indent)
+
+    node_map_text = odx_io._node_map_text
+    monkeypatch.setattr(odx_io, "_node_map_text", counted)
+    assert main(["--seed", "3", "deflate", str(model), "--extras", "8"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["extras"]) == 8 and len(renders) == 5
 
 
 def reference_process_values(tree, obj, name, require_all):
