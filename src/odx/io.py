@@ -43,7 +43,7 @@ def tree_from_json(obj):
                 for r in obj["nodes"]]
         horizon = (None if obj.get("horizon") is None
                    else int(obj["horizon"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelError(f"tree: malformed nodes or horizon ({exc})") from exc
     ids, time, parent, p = zip(*rows) if rows else [()] * 4
     if ids != tuple(range(len(rows))):  # sorted by id only when out of order
@@ -51,6 +51,11 @@ def tree_from_json(obj):
         ids, time, parent, p = zip(*rows)
         if ids != tuple(range(len(rows))):
             raise ModelError("tree: node ids must be 0..n-1 (breadth-first)")
+    try:
+        time, parent = np.array(time, np.int64), np.array(parent, np.int64)
+    except OverflowError as exc:
+        raise ModelError(
+            f"tree: node time or parent beyond int64 ({exc})") from exc
     tree = _finalize_tree(time, parent, p)
     if horizon is not None and horizon != tree.horizon:
         raise ModelError("tree: horizon field disagrees with the leaf depth")

@@ -9,12 +9,18 @@ Everything runs on one streaming step kernel: the Euler step and the
 deflation step are each written once and advance all paths together, one
 step at a time.  Normals are drawn from counter-based Philox in chunks of
 steps, so a run holds paths x chunk normals rather than paths x steps, and
-path i sees the same draws however the steps are chunked.
+path i sees the same draws however the steps are chunked.  A worker thread
+draws the next chunk while the steps of the current one run; both the fill
+and numpy's loops over the paths release the GIL.
 ``stream_deflated`` keeps only the columns it is asked for; ``simulate``
 and ``deflate_paths`` are the full-panel consumers of the same steps.
 """
 from __future__ import annotations
 
+import ctypes
+import os
+import threading
+from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +31,8 @@ from .tree import ArbitrageError, ModelError
 DEFAULT_PATHS = 100_000
 DEFAULT_STEPS = 256
 ABORT_FRACTION_LIMIT = 0.01
-# Byte budget of one chunk of normals; a chunk holds at least one step.
+# Byte budget of the normals alive at once: the chunk in use and the one
+# drawn ahead, half each; a chunk holds at least one step.
 NORMAL_CHUNK_BYTES = 4 * 2**20
 N_BUCKETS = 16
 T_MAX = 4.0
@@ -104,14 +111,64 @@ class StreamRecord:
     abort_fraction: float
 
 
+def _leave_creator_cpu():
+    """Move the calling thread to another CPU it may use, if there is one,
+    then allow it every CPU again.  Linux starts a thread on its creator's
+    CPU; on a 2-vCPU VM it left the worker there for most of a second, so
+    the draws took turns with the steps instead of overlapping them."""
+    if not hasattr(os, "sched_setaffinity"):  # Linux only
+        return
+    allowed = os.sched_getaffinity(0)
+    others = allowed - {ctypes.CDLL(None).sched_getcpu()}
+    if others:
+        os.sched_setaffinity(0, others)
+        os.sched_setaffinity(0, allowed)
+
+
 def _normals(spec):
-    """The (paths, m) standard normals of each step, in step order, drawn
-    from Philox in chunks of steps that fit ``NORMAL_CHUNK_BYTES``."""
+    """The (paths, m) standard normals of each step, in step order: one
+    Philox Generator's draws, chunk after chunk, as if drawn at once.
+
+    A worker thread fills each chunk of half ``NORMAL_CHUNK_BYTES``.  The
+    consumer allocates it, a fresh array it may keep, when it takes the one
+    before, so the chunk in use and the one ahead fit the budget, and the
+    chunks stay in the consumer's malloc arena.  A worker exception is
+    raised here; every exit, ``close()`` too, stops and joins the worker."""
     n, P, m = spec.steps, spec.paths, spec.m
     rng = np.random.Generator(np.random.Philox(key=spec.seed))
-    chunk = max(1, NORMAL_CHUNK_BYTES // (8 * P * m))
-    for lo in range(0, n, chunk):
-        yield from rng.standard_normal((min(chunk, n - lo), P, m))
+    chunk = max(1, NORMAL_CHUNK_BYTES // (16 * P * m))
+    todo, done = [], []
+    asked, ready = threading.Semaphore(0), threading.Semaphore(0)
+
+    def ask(lo):  # None, last in, stops the worker
+        todo.append(np.empty((min(chunk, n - lo), P, m)) if lo < n else None)
+        asked.release()
+
+    def draw():
+        try:
+            _leave_creator_cpu()
+            while asked.acquire() and (block := todo.pop()) is not None:
+                done.append(rng.standard_normal(out=block))
+                ready.release()
+        except BaseException as exc:  # raised again by the consumer
+            done.append(exc)
+            ready.release()
+
+    worker = threading.Thread(target=draw, name="odx.mc normals", daemon=True)
+    worker.start()
+    try:
+        ask(0)
+        for lo in range(0, n, chunk):
+            ready.acquire()
+            block = done.pop()
+            if isinstance(block, BaseException):
+                raise block
+            if lo + chunk < n:
+                ask(lo + chunk)
+            yield from block
+    finally:
+        ask(n)
+        worker.join()
 
 
 def _euler_states(spec):
@@ -122,16 +179,21 @@ def _euler_states(spec):
     x = np.empty((spec.paths, spec.d))
     x[:] = spec.x0
     yield x
-    for step, xi in enumerate(_normals(spec)):
+    step = 0
+    # no enumerate: its cached tuple would keep xi's chunk alive while
+    # _normals allocates the next one
+    for xi in _normals(spec):
         # overflow shows as a non-finite increment, reported below
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             dX = (spec.drift_at(x) * dt
                   + np.einsum("ij,...j->...i", spec.sigma, xi) * sqdt)
+        del xi
         if not np.all(np.isfinite(dX)):
             bad = np.argwhere(~np.isfinite(dX))[0]
             raise ModelError(
                 f"non-finite increment at step {step}, path {int(bad[0])}")
         x = x + dX
+        step += 1
         yield x
 
 
@@ -253,14 +315,16 @@ def stream_deflated(spec, record_steps, head=0, tol=DEFAULT_STRUCT_TOL):
     Y = np.empty((P, len(column)))
     YX = np.empty((P, len(column)))
     X_head = np.empty((min(head, P), spec.steps + 1))
-    for step, (x, v, alive) in enumerate(
-            _wealth(spec, _euler_states(spec), tol)):
-        X_head[:, step] = x[:head, 0]
-        k = column.get(step)
-        if k is not None:
-            with np.errstate(divide="ignore"):
-                Y[:, k] = 1.0 / v
-            YX[:, k] = Y[:, k] * x[:, 0]
+    # closed here: a traceback that holds _wealth's frame, as an
+    # ArbitrageError's does, keeps the states and their worker running
+    with closing(_euler_states(spec)) as states:
+        for step, (x, v, alive) in enumerate(_wealth(spec, states, tol)):
+            X_head[:, step] = x[:head, 0]
+            k = column.get(step)
+            if k is not None:
+                with np.errstate(divide="ignore"):
+                    Y[:, k] = 1.0 / v
+                YX[:, k] = Y[:, k] * x[:, 0]
     return StreamRecord(Y_hat=Y, YX=YX, X_head=X_head, alive=alive,
                         abort_fraction=_abort_fraction(alive))
 

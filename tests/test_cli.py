@@ -140,6 +140,29 @@ def test_empty_vectors_exit_1(tmp_path, capsys, command):
     assert captured.err == "input error: X: empty vector at node 0\n"
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("time", 10**20, "node time or parent beyond int64"),
+    ("time", -10**20, "node time or parent beyond int64"),
+    ("parent", 10**20, "node time or parent beyond int64"),
+    ("parent", -10**20, "node time or parent beyond int64"),
+    ("p", 10**400, "malformed nodes or horizon"),
+], ids=["time+", "time-", "parent+", "parent-", "p-huge"])
+def test_integer_beyond_int64_exit_1(tmp_path, capsys, field, value, message):
+    """A JSON integer past int64 in a node's time or parent ended in an
+    OverflowError traceback from the int64 conversion of the tree, and one
+    past the float range in its p from float()."""
+    doc = json.loads(json.dumps(EMPTY_X_MODEL))
+    doc["tree"]["nodes"][1][field] = value
+    doc["X"] = {"0": [0.0], "1": [0.1], "2": [-0.1]}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"input error: tree: {message} (")
+    assert captured.err.count("\n") == 1
+
+
 def _fresh_python(code):
     """Run ``code`` in a fresh interpreter that imports odx from source."""
     src = str(Path(odx_io.__file__).parents[1])

@@ -4,9 +4,15 @@
 ``deflate_paths(simulate(spec))`` to the byte, and its memory must not
 grow with the number of steps.
 """
+import ctypes
 import io
 import json
+import os
+import sys
+import threading
+import time
 import tracemalloc
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -254,3 +260,215 @@ def test_non_finite_increment_is_model_error():
                             T=1.0, steps=8, paths=50, seed=0, x0=[0.0])
     with pytest.raises(ModelError, match="non-finite increment at step"):
         mc.simulate(spec)
+
+
+# The normals of a run are drawn by a worker thread one chunk ahead of the
+# steps.  Below, a budget under one step gives one step per chunk, so the
+# worker is still drawing, or waiting to, when a run ends early.
+ONE_STEP_CHUNKS = 16
+
+
+class _FillError(Exception):
+    pass
+
+
+def _generator_stub(fail_at=None, delay=0.0):
+    """A stand-in for np.random.Generator whose standard_normal counts its
+    fills in ``Stub.fills``, sleeps ``delay`` seconds and raises on fill
+    number ``fail_at``."""
+    real = np.random.Generator
+
+    class Stub:
+        fills = 0
+
+        def __init__(self, bit_generator):
+            self.rng = real(bit_generator)
+
+        def standard_normal(self, size=None, out=None):
+            Stub.fills += 1
+            time.sleep(delay)
+            if Stub.fills == fail_at:
+                raise _FillError(f"fill {Stub.fills}")
+            return self.rng.standard_normal(size, out=out)
+
+    return Stub
+
+
+def _within(seconds, fn):
+    """fn() on a daemon thread, failing rather than hanging if it has not
+    returned after ``seconds``: its value, or its exception raised here."""
+    outcome = []
+
+    def target():
+        try:
+            outcome.append((fn(), None))
+        except BaseException as exc:
+            outcome.append((None, exc))
+
+    runner = threading.Thread(target=target, daemon=True)
+    runner.start()
+    runner.join(seconds)
+    assert not runner.is_alive(), f"still running after {seconds} s"
+    value, exc = outcome[0]
+    if exc is not None:
+        raise exc
+    return value
+
+
+def _full_stream():
+    spec = _spec(D1, paths=200, steps=40, seed=3)
+    return mc.stream_deflated(spec, mc.bucket_edges(spec.steps), head=5)
+
+
+def _non_finite_increment():
+    spec = mc.DiffusionSpec(drift=[0.0], slope=[[1e300]], sigma=[[0.2]],
+                            T=1.0, steps=40, paths=50, seed=0, x0=[0.0])
+    with pytest.raises(ModelError,
+                       match="non-finite increment at step 2,") as caught:
+        mc.simulate(spec)
+    return caught
+
+
+def _arbitrage_mid_run():
+    spec = mc.DiffusionSpec(drift=[0.0, 0.0], slope=[[0.0, 0.0], [1.0, 0.0]],
+                            sigma=[[0.2], [0.1]], T=1.0, steps=40, paths=50,
+                            seed=0, x0=[0.0, 0.0])
+    with pytest.raises(ArbitrageError, match="at step 1, path 0") as caught:
+        mc.stream_deflated(spec, mc.bucket_edges(spec.steps))
+    return caught
+
+
+def _closed_after_one_step():
+    spec = _spec(D2_LINEAR, paths=60, steps=40, seed=2)
+    states = mc._euler_states(spec)
+    next(states), next(states)
+    assert "odx.mc normals" in [t.name for t in threading.enumerate()]
+    time.sleep(0.1)  # the worker fills the next chunk and waits to be asked
+    states.close()
+    return states
+
+
+@pytest.mark.parametrize("run", [_full_stream, _non_finite_increment,
+                                 _arbitrage_mid_run, _closed_after_one_step])
+def test_no_thread_outlives_a_run(monkeypatch, run):
+    """The worker is stopped and joined however the run ends, not when the
+    run's frames are freed: the exception, and with it those frames, is
+    still referenced here."""
+    monkeypatch.setattr(mc, "NORMAL_CHUNK_BYTES", ONE_STEP_CHUNKS)
+    before = threading.enumerate()
+    kept = _within(30, run)
+    assert threading.enumerate() == before, kept
+
+
+def test_worker_exception_is_raised_in_the_consumer(monkeypatch):
+    spec = _spec(D1, paths=100, steps=12, seed=4)
+    monkeypatch.setattr(mc, "NORMAL_CHUNK_BYTES", ONE_STEP_CHUNKS)
+    monkeypatch.setattr(np.random, "Generator", _generator_stub(fail_at=2))
+    before = threading.enumerate()
+    with pytest.raises(_FillError, match="^fill 2$") as caught:
+        _within(30, lambda: mc.stream_deflated(spec, [0, 12]))
+    assert threading.enumerate() == before, caught
+
+
+def test_worker_draws_one_chunk_ahead(monkeypatch):
+    """While the consumer holds the first chunk the worker fills the
+    second, and no more."""
+    spec = _spec(D1, paths=50, steps=6, seed=2)
+    monkeypatch.setattr(mc, "NORMAL_CHUNK_BYTES", ONE_STEP_CHUNKS)
+    stub = _generator_stub()
+    monkeypatch.setattr(np.random, "Generator", stub)
+    with closing(mc._normals(spec)) as normals:
+        next(normals)
+        deadline = time.monotonic() + 30
+        while stub.fills < 2 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(0.1)
+        assert stub.fills == 2
+
+
+@pytest.mark.parametrize("slow", ["consumer", "producer"])
+def test_normals_are_one_draw_whichever_side_is_slow(monkeypatch, slow):
+    """The worker may run ahead of the steps or fall behind them; the
+    normals are the (steps, paths, m) panel drawn at once either way."""
+    spec = _spec(D2_LINEAR, 30, 20, seed=9)
+    monkeypatch.setattr(mc, "NORMAL_CHUNK_BYTES", 16 * 30 * 2 * 3)
+    if slow == "producer":
+        monkeypatch.setattr(np.random, "Generator",
+                            _generator_stub(delay=0.01))
+    drawn = []
+    for xi in mc._normals(spec):
+        if slow == "consumer":
+            time.sleep(0.005)
+        drawn.append(xi)
+    panel = np.random.Generator(np.random.Philox(key=9)).standard_normal(
+        (20, 30, 2))
+    assert np.stack(drawn).tobytes() == panel.tobytes()
+
+
+def test_normals_under_a_short_switch_interval(monkeypatch):
+    """Four runs at once, eight threads on the host's cores, switching
+    every microsecond: each run's normals are still its own panel."""
+    specs = [_spec(D2_LINEAR, 40, 24, seed=seed) for seed in range(4)]
+    monkeypatch.setattr(mc, "NORMAL_CHUNK_BYTES", ONE_STEP_CHUNKS)
+    drawn = {}
+
+    def run(spec):
+        drawn[spec.seed] = np.stack(list(mc._normals(spec)))
+
+    runners = [threading.Thread(target=run, args=(spec,)) for spec in specs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for runner in runners:
+            runner.start()
+        for runner in runners:
+            runner.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(runner.is_alive() for runner in runners)
+    for spec in specs:
+        panel = np.random.Generator(np.random.Philox(key=spec.seed))
+        assert drawn[spec.seed].tobytes() == panel.standard_normal(
+            (24, 40, 2)).tobytes()
+
+
+def test_normals_in_flight_fit_the_budget(monkeypatch):
+    """The chunk in use and the one drawn ahead fit NORMAL_CHUNK_BYTES: a
+    chunk is allocated only once the one before it is taken and its last
+    row dropped."""
+    spec = _spec(D1, paths=1000, steps=128, seed=6)
+    step_bytes = 8 * spec.paths
+    monkeypatch.setattr(mc, "NORMAL_CHUNK_BYTES", 32 * step_bytes)
+    peaks = []
+    for _ in range(2):  # the first run also allocates numpy's first-use state
+        tracemalloc.start()
+        try:
+            for x in mc._euler_states(spec):
+                del x
+            peaks.append(tracemalloc.get_traced_memory()[1] / step_bytes)
+        finally:
+            tracemalloc.stop()
+    # two chunks of 16 steps and a few (paths, 1) arrays of the step; a
+    # third chunk, allocated while the one before is still held, takes 16
+    # more
+    assert peaks[1] < 32 + 12, peaks
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="Linux")
+def test_worker_leaves_its_creators_cpu_and_keeps_every_cpu():
+    """A new thread starts on its creator's CPU; the worker moves to
+    another one it may use, if any, and is left free to run on all."""
+    seen = {}
+
+    def probe():
+        cpu = ctypes.CDLL(None).sched_getcpu
+        seen["allowed"], seen["start"] = os.sched_getaffinity(0), cpu()
+        mc._leave_creator_cpu()
+        seen["after"], seen["end"] = os.sched_getaffinity(0), cpu()
+
+    runner = threading.Thread(target=probe)
+    runner.start()
+    runner.join(30)
+    assert not runner.is_alive()
+    assert seen["after"] == seen["allowed"]
+    assert (seen["end"] != seen["start"]) == (len(seen["allowed"]) > 1)
