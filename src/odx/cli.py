@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success / PASS, 1 input error, 2 mathematical FAIL
-(arbitrage certificate, supermartingale violation, failed verification,
-or a per-node solve that failed on valid input) with a machine-readable
-witness document on stdout.
+Exit codes: 0 success / PASS, 1 input error, a usage error too, 2
+mathematical FAIL (arbitrage certificate, supermartingale violation,
+failed verification, or a per-node solve that failed on valid input) with
+a machine-readable witness document on stdout.
 """
 from __future__ import annotations
 
@@ -147,6 +147,9 @@ def cmd_verify(args):
     tree, X, _ = _load_model(args)
     V = odx_io.adapted_from_json(tree, _load_json(args.value), "V")
     dec = odx_io.decomposition_from_json(tree, _load_json(args.decomposition))
+    if dec.H.dim != X.dim:
+        raise ModelError(f"decomposition: H vectors must have length "
+                         f"{X.dim}, the d of X, got {dec.H.dim}")
     problems = []
     scale = max(1.0, float(np.max(np.abs(V.values))))  # the units of V
     dC = dec.C.increments()[:, 0]
@@ -269,12 +272,17 @@ def cmd_simulate(args):
     return EXIT_OK
 
 
+def seed(text):
+    """The --seed integer as a 64-bit Philox key, modulo 2**64."""
+    return int(text) & (2**64 - 1)
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="odx",
                                 description="Optional-decomposition toolkit: "
                                 "deflators, hedge/consumption splits, and "
                                 "superhedging on event trees.")
-    p.add_argument("--seed", type=lambda s: int(s) & (2**64 - 1), default=0)
+    p.add_argument("--seed", type=seed, default=0)
     p.add_argument("--tol", type=float, default=DEFAULT_STRUCT_TOL)
     p.add_argument("--out", default=None, help="output directory")
     sub = p.add_subparsers(dest="command", required=True)
@@ -315,7 +323,10 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse's usage error, or -h
+        return EXIT_INPUT if exc.code else EXIT_OK
     if not (np.isfinite(args.tol) and args.tol > 0):
         print(f"input error: --tol must be finite and > 0, got {args.tol!r}",
               file=sys.stderr)

@@ -34,15 +34,25 @@ def tree_to_json(tree):
             "nodes": nodes}
 
 
+def _whole(value, what):
+    """``int(value)`` of a whole number, 2 or 2.0 as in a diffusion spec's
+    counts; a ValueError for 1.7, which ``int`` would truncate."""
+    number = int(value)
+    if number != value and number != float(value):
+        raise ValueError(f"{what} must be a whole number, got {value!r}")
+    return number
+
+
 def tree_from_json(obj):
     _check_schema(obj, "tree")
     try:  # one pass over the rows
-        rows = [(int(r["id"]), int(r["time"]),
-                 -1 if (q := r.get("parent")) is None else int(q),
+        rows = [(_whole(r["id"], "id"), _whole(r["time"], "time"),
+                 -1 if (q := r.get("parent")) is None
+                 else _whole(q, "parent"),
                  1.0 if (w := r.get("p")) is None else float(w))
                 for r in obj["nodes"]]
         horizon = (None if obj.get("horizon") is None
-                   else int(obj["horizon"]))
+                   else _whole(obj["horizon"], "horizon"))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelError(f"tree: malformed nodes or horizon ({exc})") from exc
     ids, time, parent, p = zip(*rows) if rows else [()] * 4
@@ -191,10 +201,16 @@ def decomposition_from_json(tree, obj):
     except (TypeError, ValueError):
         raise ModelError(f"decomposition: V0 must be a number, got "
                          f"{obj['V0']!r}") from None
+    diagnostics = obj.get("diagnostics", {})
+    if not isinstance(diagnostics, dict):
+        raise ModelError(f"decomposition: diagnostics must be a JSON object, "
+                         f"got {diagnostics!r}")
     H = predictable_from_json(tree, obj["H"], "H")
     C = adapted_from_json(tree, obj["C"], "C")
-    return Decomposition(V0=V0, H=H, C=C,
-                         diagnostics=dict(obj.get("diagnostics", {})))
+    if C.dim != 1:
+        raise ModelError(f"decomposition: C vectors must have length 1, "
+                         f"got {C.dim}")
+    return Decomposition(V0=V0, H=H, C=C, diagnostics=dict(diagnostics))
 
 
 _JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}

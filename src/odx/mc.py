@@ -9,9 +9,11 @@ Everything runs on one streaming step kernel: the Euler step and the
 deflation step are each written once and advance all paths together, one
 step at a time.  Normals are drawn from counter-based Philox in chunks of
 steps, so a run holds paths x chunk normals rather than paths x steps, and
-path i sees the same draws however the steps are chunked.  A worker thread
-draws the next chunk while the steps of the current one run; both the fill
-and numpy's loops over the paths release the GIL.
+path i sees the same draws however the steps are chunked.  A one-thread
+``concurrent.futures`` pool draws the next chunk while the steps of the
+current one run; both the fill and numpy's loops over the paths release the
+GIL.  ``concurrent.futures`` is imported only when a run starts: it loads
+``logging``, which no tree command needs.
 ``stream_deflated`` keeps only the columns it is asked for; ``simulate``
 and ``deflate_paths`` are the full-panel consumers of the same steps.
 """
@@ -19,7 +21,6 @@ from __future__ import annotations
 
 import ctypes
 import os
-import threading
 from contextlib import closing
 from dataclasses import dataclass, field
 
@@ -129,46 +130,27 @@ def _normals(spec):
     """The (paths, m) standard normals of each step, in step order: one
     Philox Generator's draws, chunk after chunk, as if drawn at once.
 
-    A worker thread fills each chunk of half ``NORMAL_CHUNK_BYTES``.  The
+    A one-thread pool fills each chunk of half ``NORMAL_CHUNK_BYTES``.  The
     consumer allocates it, a fresh array it may keep, when it takes the one
     before, so the chunk in use and the one ahead fit the budget, and the
-    chunks stay in the consumer's malloc arena.  A worker exception is
-    raised here; every exit, ``close()`` too, stops and joins the worker."""
+    chunks stay in the consumer's malloc arena.  A fill's exception is
+    raised here by ``Future.result()``; every exit, ``close()`` too, shuts
+    the pool down and joins its thread."""
+    # imported here: concurrent.futures loads logging, which no tree
+    # command needs
+    from concurrent.futures import ThreadPoolExecutor
     n, P, m = spec.steps, spec.paths, spec.m
     rng = np.random.Generator(np.random.Philox(key=spec.seed))
     chunk = max(1, NORMAL_CHUNK_BYTES // (16 * P * m))
-    todo, done = [], []
-    asked, ready = threading.Semaphore(0), threading.Semaphore(0)
-
-    def ask(lo):  # None, last in, stops the worker
-        todo.append(np.empty((min(chunk, n - lo), P, m)) if lo < n else None)
-        asked.release()
-
-    def draw():
-        try:
-            _leave_creator_cpu()
-            while asked.acquire() and (block := todo.pop()) is not None:
-                done.append(rng.standard_normal(out=block))
-                ready.release()
-        except BaseException as exc:  # raised again by the consumer
-            done.append(exc)
-            ready.release()
-
-    worker = threading.Thread(target=draw, name="odx.mc normals", daemon=True)
-    worker.start()
-    try:
-        ask(0)
-        for lo in range(0, n, chunk):
-            ready.acquire()
-            block = done.pop()
-            if isinstance(block, BaseException):
-                raise block
-            if lo + chunk < n:
-                ask(lo + chunk)
+    with ThreadPoolExecutor(1, "odx.mc normals", _leave_creator_cpu) as pool:
+        ahead = pool.submit(rng.standard_normal,
+                            out=np.empty((min(chunk, n), P, m)))
+        for lo in range(chunk, n + chunk, chunk):  # the next chunk's start
+            block = ahead.result()
+            if lo < n:
+                ahead = pool.submit(rng.standard_normal,
+                                    out=np.empty((min(chunk, n - lo), P, m)))
             yield from block
-    finally:
-        ask(n)
-        worker.join()
 
 
 def _euler_states(spec):
@@ -316,7 +298,7 @@ def stream_deflated(spec, record_steps, head=0, tol=DEFAULT_STRUCT_TOL):
     YX = np.empty((P, len(column)))
     X_head = np.empty((min(head, P), spec.steps + 1))
     # closed here: a traceback that holds _wealth's frame, as an
-    # ArbitrageError's does, keeps the states and their worker running
+    # ArbitrageError's does, keeps the states and their pool's thread running
     with closing(_euler_states(spec)) as states:
         for step, (x, v, alive) in enumerate(_wealth(spec, states, tol)):
             X_head[:, step] = x[:head, 0]

@@ -146,13 +146,21 @@ def test_empty_vectors_exit_1(tmp_path, capsys, command):
     ("parent", 10**20, "node time or parent beyond int64"),
     ("parent", -10**20, "node time or parent beyond int64"),
     ("p", 10**400, "malformed nodes or horizon"),
-], ids=["time+", "time-", "parent+", "parent-", "p-huge"])
+    ("id", 1.7, "malformed nodes or horizon"),
+    ("time", 1.2, "malformed nodes or horizon"),
+    ("parent", 0.9, "malformed nodes or horizon"),
+    ("horizon", 1.9, "malformed nodes or horizon"),
+], ids=["time+", "time-", "parent+", "parent-", "p-huge", "id-1.7",
+        "time-1.2", "parent-0.9", "horizon-1.9"])
 def test_integer_beyond_int64_exit_1(tmp_path, capsys, field, value, message):
     """A JSON integer past int64 in a node's time or parent ended in an
     OverflowError traceback from the int64 conversion of the tree, and one
-    past the float range in its p from float()."""
+    past the float range in its p from float().  A number that is not whole
+    in an id, time, parent or the horizon was truncated by int(), and
+    analyze exited 0."""
     doc = json.loads(json.dumps(EMPTY_X_MODEL))
-    doc["tree"]["nodes"][1][field] = value
+    target = doc["tree"] if field == "horizon" else doc["tree"]["nodes"][1]
+    target[field] = value
     doc["X"] = {"0": [0.0], "1": [0.1], "2": [-0.1]}
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc))
@@ -161,6 +169,40 @@ def test_integer_beyond_int64_exit_1(tmp_path, capsys, field, value, message):
     assert captured.out == ""
     assert captured.err.startswith(f"input error: tree: {message} (")
     assert captured.err.count("\n") == 1
+
+
+def test_whole_floats_in_the_tree_are_integers(tmp_path, capsys):
+    """2.0 is the whole number 2 in a tree, as in a diffusion spec."""
+    doc = json.loads(json.dumps(EMPTY_X_MODEL))
+    doc["X"] = {"0": [0.0], "1": [0.1], "2": [-0.1]}
+    assert main(["analyze", _write(tmp_path, "ints.json", doc)]) == 0
+    as_ints = capsys.readouterr()
+    doc["tree"]["horizon"] = 1.0
+    doc["tree"]["nodes"][2].update(id=2.0, time=1.0, parent=0.0)
+    assert main(["analyze", _write(tmp_path, "floats.json", doc)]) == 0
+    assert capsys.readouterr() == as_ints
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--seed", "abc", "analyze", "m.json"],
+     "argument --seed: invalid seed value: 'abc'"),
+    (["simulate", "s.json", "--paths", "1e3"],
+     "argument --paths: invalid int value: '1e3'"),
+    ([], "the following arguments are required: command"),
+], ids=["seed-abc", "paths-1e3", "no-command"])
+def test_usage_error_exit_1(capsys, argv, message):
+    """argparse exits 2 on a usage error, the code of a mathematical FAIL
+    with a witness; odx exits 1 and keeps argparse's message on stderr."""
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: odx ")
+    assert captured.err.endswith(f" error: {message}\n")
+
+
+def test_help_exit_0(capsys):
+    assert main(["-h"]) == 0
+    assert capsys.readouterr().out.startswith("usage: odx ")
 
 
 def _fresh_python(code):
@@ -201,6 +243,24 @@ def test_scipy_is_imported_only_for_highs():
     assert (edge_scipy, past_scipy) == ("False", "True")
     assert float(edge) == pytest.approx(1.0)
     assert float(past) == pytest.approx(1.0)
+
+
+def test_logging_is_imported_only_for_a_run():
+    """A fresh process imports odx.cli without concurrent.futures, which
+    loads logging; the normals of a Monte Carlo run import both."""
+    code = """if True:
+        import sys
+        import odx.cli
+        from odx import mc
+        def loaded():
+            return [m in sys.modules for m in ("concurrent.futures", "logging")]
+        print(loaded())
+        list(mc._normals(mc.scalar_spec(0.0, 0.2, steps=2, paths=3)))
+        print(loaded())
+    """
+    run = _fresh_python(code)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[False, False]\n[True, True]\n"
 
 
 def test_wide_decompose_loads_neither_scipy_nor_numpy_ma(tmp_path):
@@ -694,6 +754,7 @@ def _bad_model_argv(*path):
 
 B1_ZERO = {str(i): [0.0] for i in range(3)}
 B1_DEC = {"odx_schema": 1, "V0": 0.0, "H": B1_ZERO, "C": B1_ZERO}
+B1_PAIRS = {str(i): [0.0, 1.0] for i in range(3)}
 
 
 def _verify_argv(decomposition):
@@ -725,12 +786,27 @@ def _out_is_file_argv(tmp_path, model):
     (_verify_argv(_without(B1_DEC, "H")), "need 'V0', 'H' and 'C'"),
     (_verify_argv(_with(B1_DEC, "abc", "V0")),
      "V0 must be a number, got 'abc'"),
+    (_verify_argv(_with(B1_DEC, None, "diagnostics")),
+     "diagnostics must be a JSON object, got None"),
+    (_verify_argv(_with(B1_DEC, 1.5, "diagnostics")),
+     "diagnostics must be a JSON object, got 1.5"),
+    (_verify_argv(_with(B1_DEC, "gap", "diagnostics")),
+     "diagnostics must be a JSON object, got 'gap'"),
+    (_verify_argv(_with(B1_DEC, [], "diagnostics")),
+     "diagnostics must be a JSON object, got []"),
+    (_verify_argv(_with(B1_DEC, B1_PAIRS, "H")),
+     "H vectors must have length 1, the d of X, got 2"),
+    (_verify_argv(_with(B1_DEC, B1_PAIRS, "C")),
+     "C vectors must have length 1, got 2"),
     (_out_is_file_argv, "File exists"),
     (lambda tmp_path, model: ["deflate", model, "--extras", "-1"],
      "--extras must be >= 0, got -1"),
 ], ids=["no-strike", "strike-abc", "asset-3", "asset-0.5", "time-x",
         "horizon-x", "X-value-x", "verify-no-H", "verify-V0-abc",
-        "out-is-file", "extras-negative"])
+        "verify-diagnostics-null", "verify-diagnostics-number",
+        "verify-diagnostics-string", "verify-diagnostics-list",
+        "verify-H-length-2", "verify-C-length-2", "out-is-file",
+        "extras-negative"])
 def test_malformed_input_exit_1(tmp_path, b1_model, capsys, argv, message):
     assert main(argv(tmp_path, b1_model)) == 1
     captured = capsys.readouterr()
