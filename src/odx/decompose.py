@@ -17,7 +17,7 @@ from math import comb
 import numpy as np
 
 from .deflators import numeraire_portfolio
-from .structure import PINV_RELTOL, psd_pinv_apply
+from .structure import PINV_RELTOL, _sum_products, psd_pinv_apply
 from .tree import (AdaptedProcess, ArbitrageError, BranchGroup, ModelError,
                    PredictableProcess, SolverError, doob_decompose,
                    path_cumsum, spread_to_children, step_gains)
@@ -54,6 +54,13 @@ def _enum_cost(k, d):
     return k * sum(comb(k, m) for m in range(1, min(k, d + 1) + 1))
 
 
+def _blocks(n, cost):
+    """Slices of n nodes, each of at most VERTEX_ENUM_BLOCK support weights
+    at ``cost`` weights a node, and of at least one node; none for n = 0."""
+    rows = max(1, VERTEX_ENUM_BLOCK // cost)
+    return [slice(at, at + rows) for at in range(0, n, rows)]
+
+
 def _group_vertices(dX):
     """Vertices of {q >= 0, sum q = 1, sum q dX = 0} for every node of an
     (n, k, d) stack of child increments.
@@ -78,7 +85,7 @@ def _group_vertices(dX):
         S = np.array(list(combinations(range(k), m)))
         A = cols[:, S].mT  # (n, s, d + 1, m)
         q, rank = _min_norm_solutions(A, np.broadcast_to(e0, A.shape[:-1]))
-        resid = np.max(np.abs(np.matvec(A, q) - e0), axis=-1)
+        resid = np.abs(_sum_products(A, q[..., None, :]) - e0).max(axis=-1)
         good = ((rank == m) & (np.min(q, axis=-1) >= -1e-11)
                 & (resid <= FEAS_TOL))
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -115,11 +122,12 @@ class MarketLP:
     Nodes whose :func:`_enum_cost` is within :data:`VERTEX_ENUM_BUDGET`
     are handled by their vertex sets, enumerated by :func:`_group_vertices`
     in blocks of a branch group of at most :data:`VERTEX_ENUM_BLOCK` support
-    weights.  Each block's padded vertex stack is kept with its node axis
-    flattened, and ``node_max`` looks a node's rows up by their span.  Nodes
-    past the budget fall back to a simplex solve.  An empty polytope at some
-    node signals arbitrage.  Every caller takes node maxima through
-    ``maxima``, of values per node.
+    weights, down to one node: a node's vertices do not depend on its block.
+    Each block's padded vertex stack is kept with its node axis flattened,
+    and ``node_max`` looks a node's rows up by their span.  Nodes past the
+    budget fall back to a simplex solve.  An empty polytope at some node
+    signals arbitrage.  Every caller takes node maxima through ``maxima``,
+    of values per node.
     """
 
     def __init__(self, X):
@@ -133,14 +141,10 @@ class MarketLP:
             if cost > VERTEX_ENUM_BUDGET:
                 continue
             dX = g.increments(X.values)
-            # no block of one node cut from a larger group: np.vecdot rounds
-            # a lone node's contiguous support rows apart from strided ones
-            rows = max(2, VERTEX_ENUM_BLOCK // cost)
-            edges = [*range(0, max(g.nodes.size - 1, 1), rows), g.nodes.size]
-            for at, end in zip(edges, edges[1:]):
-                verts, counts = _group_vertices(dX[at:end])
+            for b in _blocks(g.nodes.size, cost):
+                verts, counts = _group_vertices(dX[b])
                 lo = np.arange(counts.size) * verts.shape[1]
-                self._span[g.nodes[at:end]] = np.column_stack(
+                self._span[g.nodes[b]] = np.column_stack(
                     [np.full_like(lo, len(self._stacks)), lo, lo + counts])
                 self._stacks.append(verts.reshape(-1, g.k))
 
@@ -230,20 +234,21 @@ def is_supermartingale_under_all(V, X, lp=None):
 
 def _min_norm_solutions(A, b):
     """(x, rank): minimum-norm x with A x = b by Gram-Schmidt on the rows,
-    for a stack of (m, d) systems A and (m,) right-hand sides b.  The one
-    small dense solver, of the vertices and the hedges.  A row whose
-    residual is at most ``PINV_RELTOL`` of its norm is skipped as dependent
-    and not counted in the rank; callers reject a rank below m."""
+    for a stack of (m, d) systems A and (m,) right-hand sides b, each dot
+    and norm a ``_sum_products``, so a system's bits are its own whatever
+    its stack.  The one small dense solver, of the vertices and the hedges.
+    A row whose residual is at most ``PINV_RELTOL`` of its norm is skipped
+    as dependent and not counted in the rank; callers reject a rank below m."""
     Q, Y = [], []
     rank = np.zeros(A.shape[:-2], dtype=int)
     with np.errstate(divide="ignore", invalid="ignore"):
         for a, y in zip(np.moveaxis(A, -2, 0), np.moveaxis(b, -1, 0)):
-            scale = np.linalg.norm(a, axis=-1)
+            scale = np.sqrt(_sum_products(a, a))
             for q, yq in [*zip(Q, Y)] * 2:  # twice keeps Q orthonormal
-                c = np.vecdot(a, q)
+                c = _sum_products(a, q)
                 a = a - c[..., None] * q
                 y = y - c * yq
-            r = np.linalg.norm(a, axis=-1)
+            r = np.sqrt(_sum_products(a, a))
             keep = r > PINV_RELTOL * scale
             Q.append(np.where(keep[..., None], a / r[..., None], 0.0))
             Y.append(np.where(keep, y / r, 0.0))
@@ -261,31 +266,30 @@ def _min_norm_superhedges(dX, dV):
     active set of at most d rows, so every row subset of size 0..min(k, d)
     is tried, lexicographically within each size, and the feasible solution
     of least norm is kept, the first one on ties.  A row is met when its
-    slack is at least -FEAS_TOL * max(1, max |dV|) of its node.
+    slack is at least -FEAS_TOL * max(1, max |dV|) of its node.  Nodes are
+    solved in blocks of at most :data:`VERTEX_ENUM_BLOCK` slack entries,
+    ``_enum_cost(k, d - 1)`` a node; every sum is a ``_sum_products``, so a
+    node's H does not depend on its group or its block.
     """
     n, k, d = dX.shape
+    blocks = _blocks(n, _enum_cost(k, d - 1))
+    if len(blocks) > 1:
+        parts = [_min_norm_superhedges(dX[b], dV[b]) for b in blocks]
+        return tuple(np.concatenate(part) for part in zip(*parts))
     tol = FEAS_TOL * np.maximum(1.0, np.max(np.abs(dV), axis=1))
     H = np.zeros((n, d))
     best = np.where(np.all(dV <= tol[:, None], axis=1), 0.0, np.inf)
     for m in range(1, min(k, d) + 1):
         S = np.array(list(combinations(range(k), m)))
         cand, rank = _min_norm_solutions(dX[:, S], dV[:, S])  # (n, s, d)
-        feasible = (rank == m) & np.all(
-            cand @ dX.mT - dV[:, None] >= -tol[:, None, None], axis=2)
-        norm = np.where(feasible, np.vecdot(cand, cand), np.inf)
+        slack = _sum_products(cand[:, :, None], dX[:, None]) - dV[:, None]
+        feasible = (rank == m) & np.all(slack >= -tol[:, None, None], axis=2)
+        norm = np.where(feasible, _sum_products(cand, cand), np.inf)
         i = np.argmin(norm, axis=1)
         better = norm.min(axis=1) < best
         H[better] = cand[better, i[better]]
         best[better] = norm[better, i[better]]
     return H, np.isfinite(best)
-
-
-def min_norm_superhedge(dX, dV):
-    """Minimum-norm H with <H, dX_c> >= dV_c for every child c, or None
-    when no H satisfies them.  dX is (k, d), dV is (k,).
-    """
-    H, feasible = _min_norm_superhedges(dX[None], dV[None])
-    return H[0] if feasible[0] else None
 
 
 @dataclass(frozen=True)

@@ -291,12 +291,18 @@ def stream_deflated(spec, record_steps, head=0, tol=DEFAULT_STRUCT_TOL):
     ``record_steps``, and X[..., 0] of the first ``head`` paths at every
     step.  The values are those of ``deflate_paths(simulate(spec))``, but
     memory is paths x (chunk + recorded columns), not paths x steps.
-    ``tol`` bounds the drift check of :func:`check_structure`."""
+    ``tol`` bounds the drift check of :func:`check_structure`.  Columns
+    that numpy cannot allocate are a :class:`ModelError` naming the path
+    count."""
     column = {int(s): k for k, s in enumerate(record_steps)}
     P = spec.paths
-    Y = np.empty((P, len(column)))
-    YX = np.empty((P, len(column)))
-    X_head = np.empty((min(head, P), spec.steps + 1))
+    try:
+        Y = np.empty((P, len(column)))
+        YX = np.empty((P, len(column)))
+        X_head = np.empty((min(head, P), spec.steps + 1))
+    except (ValueError, MemoryError) as exc:
+        raise ModelError(
+            f"cannot hold the columns of {P} paths: {exc}") from exc
     # closed here: a traceback that holds _wealth's frame, as an
     # ArbitrageError's does, keeps the states and their pool's thread running
     with closing(_euler_states(spec)) as states:

@@ -106,17 +106,13 @@ def extract_characteristics(X):
                            dG=PredictableProcess(tree, dG_vals))
 
 
-def _column_sums(cols, M):
-    """The columns of v M for one (d, d) matrix M, from the d columns of
-    v: each a plain left-to-right sum of products, so the bits of a row do
-    not depend on the rows computed with it."""
-    out = []
-    for j in range(M.shape[1]):
-        s = cols[0] * M[0, j]
-        for i in range(1, M.shape[0]):
-            s = s + cols[i] * M[i, j]
-        out.append(s)
-    return out
+def _sum_products(a, b):
+    """sum_i a[..., i] * b[..., i], broadcast, added left to right: each
+    entry is rounded by itself, whatever the batch or layout it is in."""
+    s = a[..., 0] * b[..., 0]
+    for i in range(1, a.shape[-1]):
+        s = s + a[..., i] * b[..., i]
+    return s
 
 
 def psd_pinv_apply(C, v):
@@ -131,10 +127,9 @@ def psd_pinv_apply(C, v):
     under uniform scaling of C.  An eigenvalue whose reciprocal overflows
     (a subnormal one) counts as zero too.  A 1 x 1 stack takes the closed
     form v * (1/c), which is what the eigendecomposition computes there.
-    One (d, d) matrix against many right-hand sides is applied by plain
-    sums of products over its short axis, so the bits of a row do not
-    depend on the batch it is solved in; a stack keeps its per-matrix
-    products.
+    One (d, d) matrix against many right-hand sides is applied by
+    :func:`_sum_products`, so the bits of a row do not depend on the batch
+    it is solved in; a stack keeps its per-matrix products.
     """
     d = C.shape[-1]
     if d == 1:
@@ -152,11 +147,11 @@ def psd_pinv_apply(C, v):
         coeff = np.vecmat(v, Q)
         return (np.matvec(Q, scale * coeff),
                 np.matvec(Q, np.where(keep, 0.0, coeff)))
-    coeff = _column_sums(np.moveaxis(v, -1, 0), Q)
-    x = _column_sums([s * c for s, c in zip(scale, coeff)], Q.T)
-    kernel_part = _column_sums(
-        [np.zeros_like(c) if k else c for k, c in zip(keep, coeff)], Q.T)
-    return np.stack(x, axis=-1), np.stack(kernel_part, axis=-1)
+    # v Q, then (.) Q^T, a column at a time; the columns of v Q are stored
+    # contiguous, which the second products read fastest
+    coeff = np.moveaxis(np.stack([_sum_products(v, q) for q in Q.T]), 0, -1)
+    return tuple(np.stack([_sum_products(u, q) for q in Q], axis=-1)
+                 for u in (scale * coeff, np.where(keep, 0.0, coeff)))
 
 
 def solve_structure(ch, tol=DEFAULT_STRUCT_TOL):

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from odx import decompose, random_models
 from odx.decompose import (FEAS_TOL, SUPERMART_TOL, MarketLP,
-                           _group_vertices, is_supermartingale_under_all)
+                           _enum_cost, _group_vertices,
+                           _min_norm_superhedges,
+                           is_supermartingale_under_all)
 from odx.deflators import numeraire_portfolio
 from odx.random_models import random_universal_supermartingale
 from odx.structure import extract_characteristics
@@ -388,10 +390,10 @@ def test_node_maxima_layer_matches_per_node_loops(seed, d, american):
 
 @PROPERTY
 @given(SEEDS, DIMS, st.integers(1, 3000))
-@example(seed=0, d=3, block=1)  # groups of odd size, two nodes per block
+@example(seed=0, d=3, block=1)  # one node per block
 def test_vertex_blocks_leave_node_maxima_unchanged(seed, d, block):
     """Enumerated in blocks of VERTEX_ENUM_BLOCK support weights, down to
-    two nodes per block, every node keeps bitwise the maximum and the
+    one node per block, every node keeps bitwise the maximum and the
     vertex of its whole branch group."""
     rng = np.random.default_rng(seed)
     tree = random_models.random_tree(rng, max_periods=3, max_branches=6)
@@ -412,6 +414,43 @@ def test_vertex_blocks_leave_node_maxima_unchanged(seed, d, block):
         best_b, q_b = blocked.node_max(node, v)
         assert repr(best_b) == repr(best)
         assert q_b.tobytes() == q.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(SEEDS, DIMS, st.integers(1, 10), st.integers(1, 6))
+@example(seed=1, d=3, k=5, n=4)
+def test_node_solves_do_not_depend_on_group_or_block(seed, d, k, n):
+    """A node's vertices and count, and its minimum-norm hedge H and
+    feasibility, are bitwise the same solved alone, in its whole group and
+    in any block split of it, with zero, repeated or collinear rows."""
+    rng = np.random.default_rng(seed)
+    dX = random_increments(rng, d, k, n, int(rng.integers(0, 4)))
+    # feasible hedges by construction at most nodes, random dV at the rest
+    dV = (np.matvec(dX, rng.normal(0.0, 10.0, size=(n, d)))
+          - np.abs(rng.normal(size=(n, k))) * (rng.random((n, k)) < 0.5))
+    redrawn = rng.random(n) < 0.3
+    dV[redrawn] = rng.normal(size=(redrawn.sum(), k))
+    edges = [0, *np.sort(rng.choice(np.arange(1, n), int(rng.integers(0, n)),
+                                    replace=False)).tolist(), n]
+    cuts = [_group_vertices(dX[a:b]) for a, b in zip(edges, edges[1:])]
+    split = [(v, m) for verts, counts in cuts for v, m in zip(verts, counts)]
+    block = int(rng.integers(1, n * _enum_cost(k, d - 1) + 1))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decompose, "VERTEX_ENUM_BLOCK", block)
+        H_split, feasible_split = _min_norm_superhedges(dX, dV)
+    verts, counts = _group_vertices(dX)
+    H, feasible = _min_norm_superhedges(dX, dV)
+    for i in range(n):
+        (v_alone,), (m_alone,) = _group_vertices(dX[i:i + 1])
+        (H_alone,), (f_alone,) = _min_norm_superhedges(dX[i:i + 1],
+                                                       dV[i:i + 1])
+        m = counts[i]
+        for v_other, m_other in [(v_alone, m_alone), split[i]]:
+            assert m_other == m
+            assert v_other[:m].tobytes() == verts[i, :m].tobytes()
+            np.testing.assert_array_equal(v_other[m:], 0.0)
+        assert f_alone == feasible[i] == feasible_split[i]
+        assert H_alone.tobytes() == H[i].tobytes() == H_split[i].tobytes()
 
 
 @PROPERTY

@@ -726,6 +726,20 @@ def test_simulate_zero_count_exit_1(tmp_path, capsys, flag):
     assert "need steps >= 1 and paths >= 1" in capsys.readouterr().err
 
 
+def test_simulate_too_many_paths_exit_1(tmp_path, capsys):
+    """10^20 paths passed numpy's dimension limit in the allocation of the
+    recorded columns and ended in a traceback; it fails before anything is
+    allocated."""
+    path = _write(tmp_path, "spec.json", SIM_SPEC)
+    assert main(["simulate", path, "--paths", str(10**20),
+                 "--steps", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"input error: cannot hold the columns of {10**20} paths: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_simulate_one_path_exit_1(tmp_path, capsys):
     # one path has no standard error: the t-statistics would be NaN
     path = _write(tmp_path, "spec.json", SIM_SPEC)

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import count
 
 import numpy as np
@@ -8,9 +9,9 @@ from scipy.optimize import nnls
 
 from odx import decompose
 from odx.decompose import (FEAS_TOL, SUPERMART_TOL, MarketLP,
-                           check_uniqueness, decompose_kw, decompose_lp,
-                           is_supermartingale_under_all, min_norm_superhedge,
-                           reconstruct)
+                           _min_norm_superhedges, check_uniqueness,
+                           decompose_kw, decompose_lp,
+                           is_supermartingale_under_all, reconstruct)
 from odx.deflators import build_deflator_family, numeraire_portfolio
 from odx.random_models import (martingale_value_process,
                                random_complete_binary_model,
@@ -66,9 +67,12 @@ def test_no_martingale_measure_signals_arbitrage(a1):
 def test_min_norm_superhedge_interval():
     dX = np.array([[0.1], [0.0], [-0.1]])
     dV = np.array([0.0, -1.0, 0.0])
-    H = min_norm_superhedge(dX, dV)
+    (H,), (feasible,) = _min_norm_superhedges(dX[None], dV[None])
+    assert feasible
     np.testing.assert_allclose(H, [0.0], atol=1e-14)
-    assert min_norm_superhedge(dX, np.array([0.0, 0.1, 0.0])) is None
+    _, (feasible,) = _min_norm_superhedges(dX[None],
+                                           np.array([[0.0, 0.1, 0.0]]))
+    assert not feasible
 
 
 def test_decompose_lp_t1(t1):
@@ -341,11 +345,32 @@ def test_min_norm_superhedge_is_exact_and_scales(seed, d, k, s):
     # feasible by construction; about half the rows touch the hedge H0
     H0 = rng.normal(0.0, 10.0, size=d)
     dV = dX @ H0 - np.abs(rng.normal(size=k)) * (rng.random(k) < 0.5)
-    H = min_norm_superhedge(dX, dV)
+    (H,), (feasible,) = _min_norm_superhedges(dX[None], dV[None])
+    assert feasible
     assert_min_norm_superhedge(H, dX, dV)
     assert H @ H <= H0 @ H0 * (1.0 + 1e-9)
-    np.testing.assert_allclose(min_norm_superhedge(s * dX, dV), H / s,
+    (Hs,), (feasible,) = _min_norm_superhedges(s * dX[None], dV[None])
+    assert feasible
+    np.testing.assert_allclose(Hs, H / s,
                                rtol=1e-7, atol=1e-9 * np.abs(H).max() / s)
+
+
+def test_min_norm_superhedges_memory_is_bounded():
+    """200 nodes of 30 children and 3 assets: every row subset of the whole
+    group at once traced 398 MB; blocks of VERTEX_ENUM_BLOCK keep it near
+    32 MB, whatever the number of nodes."""
+    rng = np.random.default_rng(8)
+    dX = rng.normal(size=(200, 30, 3))
+    dV = (np.matvec(dX, rng.normal(size=(200, 3)))
+          - np.abs(rng.normal(size=(200, 30))))
+    tracemalloc.start()
+    try:
+        _, feasible = _min_norm_superhedges(dX, dV)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert feasible.all()
+    assert peak < 100 * 2**20
 
 
 def _market_in_units(seed, d, s):
