@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -169,84 +170,11 @@ def cmd_verify(args):
     return EXIT_OK if verdict == "PASS" else EXIT_FAIL
 
 
-def _spec_array(value, what, shape=None):
-    try:
-        arr = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise ModelError(f"diffusion spec: {what} is not a numeric "
-                         "array") from None
-    if shape is not None and arr.shape != shape:
-        want = " x ".join(map(str, shape))
-        raise ModelError(f"diffusion spec: {what} must be {want}, "
-                         f"got shape {arr.shape}")
-    return arr
-
-
-def _coeff(spec_obj, key, shape):
-    """(value, slope) arrays of the ``key`` coefficient, value of ``shape``
-    and slope None unless the form is linear in x (slope d x d; only the
-    drift may be linear)."""
-    form = spec_obj.get(key)
-    if not isinstance(form, dict) or "form" not in form:
-        raise ModelError(f"diffusion spec: missing {key} form")
-    forms = ("const", "linear") if key == "drift" else ("const",)
-    if form["form"] not in forms:
-        raise ModelError(f"diffusion spec: {key} form {form['form']!r} is "
-                         f"not supported (use {' or '.join(forms)})")
-    needs = ("value", "slope") if form["form"] == "linear" else ("value",)
-    for part in needs:
-        if part not in form:
-            raise ModelError(f"diffusion spec: {key} form "
-                             f"{form['form']!r} needs {part!r}")
-    value = _spec_array(form["value"], f"{key} value", shape)
-    if form["form"] == "const":
-        return value, None
-    d = shape[0]
-    return value, _spec_array(form["slope"], f"{key} slope", (d, d))
-
-
-def _spec_number(obj, key, default, kind):
-    """``obj[key]`` as ``kind``; an int field must hold a whole number."""
-    value = obj.get(key, default)
-    try:
-        number = kind(value)
-        whole = kind is float or number == float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ModelError(f"diffusion spec: {key} must be a number, got "
-                         f"{value!r}") from None
-    if not whole:
-        raise ModelError(f"diffusion spec: {key} must be an integer, got "
-                         f"{value!r}")
-    return number
-
-
-def _diffusion_spec(obj, args):
-    odx_io._check_schema(obj, "diffusion spec")
-    if "d" not in obj:
-        raise ModelError("diffusion spec: missing 'd'")
-    d = _spec_number(obj, "d", None, int)
-    m = _spec_number(obj, "m", d, int)
-    if d < 1 or m < 1:
-        raise ModelError("diffusion spec: need d >= 1 and m >= 1")
-    T = _spec_number(obj, "T", 1.0, float)
-    if not (np.isfinite(T) and T > 0.0):
-        raise ModelError(f"diffusion spec: T must be finite and > 0, "
-                         f"got {T!r}")
-    # the spec's counts are checked even where a flag overrides them
-    steps = _spec_number(obj, "steps", mc.DEFAULT_STEPS, int)
-    paths = _spec_number(obj, "paths", mc.DEFAULT_PATHS, int)
-    drift, slope = _coeff(obj, "drift", (d,))
-    sigma, _ = _coeff(obj, "sigma", (d, m))
-    return mc.DiffusionSpec(
-        drift=drift, sigma=sigma, slope=slope, T=T,
-        steps=steps if args.steps is None else args.steps,
-        paths=paths if args.paths is None else args.paths, seed=args.seed,
-        x0=_spec_array(obj.get("x0", [0.0] * d), "x0"),
-    )
-
-
 def cmd_simulate(args):
-    spec = _diffusion_spec(_load_json(args.spec), args)
+    spec = odx_io.load_diffusion_spec(_load_json(args.spec))
+    spec = replace(spec, seed=args.seed,
+                   steps=spec.steps if args.steps is None else args.steps,
+                   paths=spec.paths if args.paths is None else args.paths)
     if spec.paths < 2:
         raise ModelError("simulate needs paths >= 2 for its standard errors")
     head = PATHS_CSV_ROWS if args.out is not None else 0

@@ -177,7 +177,14 @@ def orthogonal_jump_martingale(tree, M, rng, weights=None, n_samples=1):
     deflator on drifting markets.
 
     Returns a list of ``n_samples`` scalar AdaptedProcess L with L(0) = 0.
+    A sample count whose increments numpy cannot allocate is a
+    :class:`ModelError` naming the count.
     """
+    try:
+        dL_all = np.zeros((tree.n_nodes, n_samples))
+    except (ValueError, MemoryError) as exc:
+        raise ModelError(
+            f"cannot hold {n_samples} jump martingales: {exc}") from exc
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
     w_all = tree.p if weights is None else np.asarray(weights, dtype=np.float64)
@@ -197,7 +204,6 @@ def orthogonal_jump_martingale(tree, M, rng, weights=None, n_samples=1):
     # block per node, so a seed gives the same deflators in any layout
     offset = np.concatenate([[0], np.cumsum(free * n_samples)])
     normals = rng.standard_normal(offset[-1])
-    dL_all = np.zeros((tree.n_nodes, n_samples))
     for g, r, vh in svd:
         for rk in np.flatnonzero(np.bincount(r)):
             dim = g.k - rk

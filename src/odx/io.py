@@ -10,6 +10,7 @@ from operator import itemgetter
 
 import numpy as np
 
+from . import mc
 from .decompose import Decomposition
 from .superhedge import AMERICAN, EUROPEAN, Claim, vanilla_claim
 from .tree import (AdaptedProcess, ModelError, PredictableProcess,
@@ -34,26 +35,31 @@ def tree_to_json(tree):
             "nodes": nodes}
 
 
-def _whole(value, what):
-    """``int(value)`` of a whole number, 2 or 2.0 as in a diffusion spec's
-    counts; a ValueError for 1.7, which ``int`` would truncate."""
-    number = int(value)
-    if number != value and number != float(value):
-        raise ValueError(f"{what} must be a whole number, got {value!r}")
+def _number(value, what, kind=float):
+    """``kind(value)`` of a JSON scalar: 2, 2.0 and "2" read as 2, True as
+    1.  A value that ``kind()`` or ``float()`` cannot read is not a number;
+    an int field refuses 1.7, which ``int()`` would truncate."""
+    try:
+        number, real = kind(value), float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ModelError(f"{what} must be a number, got {value!r}") from None
+    if kind is int and number != value and number != real:
+        raise ModelError(f"{what} must be an integer, got {value!r}")
     return number
 
 
 def tree_from_json(obj):
     _check_schema(obj, "tree")
     try:  # one pass over the rows
-        rows = [(_whole(r["id"], "id"), _whole(r["time"], "time"),
+        rows = [(_number(r["id"], "id", int),
+                 _number(r["time"], "time", int),
                  -1 if (q := r.get("parent")) is None
-                 else _whole(q, "parent"),
-                 1.0 if (w := r.get("p")) is None else float(w))
+                 else _number(q, "parent", int),
+                 1.0 if (w := r.get("p")) is None else _number(w, "p"))
                 for r in obj["nodes"]]
         horizon = (None if obj.get("horizon") is None
-                   else _whole(obj["horizon"], "horizon"))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                   else _number(obj["horizon"], "horizon", int))
+    except (KeyError, TypeError, ModelError) as exc:
         raise ModelError(f"tree: malformed nodes or horizon ({exc})") from exc
     ids, time, parent, p = zip(*rows) if rows else [()] * 4
     if ids != tuple(range(len(rows))):  # sorted by id only when out of order
@@ -165,13 +171,9 @@ def load_claim(obj, X):
         payoff = adapted_from_json(X.tree, obj["payoff"], "payoff")
         return Claim(kind=kind, payoff=payoff)
     if "formula" in obj:
-        try:
-            strike = float(obj["strike"])
-        except KeyError:
-            raise ModelError("claim: formula needs 'strike'") from None
-        except (TypeError, ValueError):
-            raise ModelError(f"claim: strike must be a number, got "
-                             f"{obj['strike']!r}") from None
+        if "strike" not in obj:
+            raise ModelError("claim: formula needs 'strike'")
+        strike = _number(obj["strike"], "claim: strike")
         asset = obj.get("asset", 0)
         if asset not in range(X.dim):
             raise ModelError(f"claim: asset must be one of 0..{X.dim - 1}, "
@@ -179,6 +181,67 @@ def load_claim(obj, X):
         return vanilla_claim(X, obj["formula"], strike, kind=kind,
                              asset=int(asset))
     raise ModelError("claim: need 'payoff' or 'formula'")
+
+
+def _spec_array(value, what, shape=None):
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        raise ModelError(f"diffusion spec: {what} is not a numeric "
+                         "array") from None
+    if shape is not None and arr.shape != shape:
+        want = " x ".join(map(str, shape))
+        raise ModelError(f"diffusion spec: {what} must be {want}, "
+                         f"got shape {arr.shape}")
+    return arr
+
+
+def _coeff(obj, key, shape):
+    """(value, slope) arrays of the ``key`` coefficient, value of ``shape``
+    and slope None unless the form is linear in x (slope d x d; only the
+    drift may be linear)."""
+    form = obj.get(key)
+    if not isinstance(form, dict) or "form" not in form:
+        raise ModelError(f"diffusion spec: missing {key} form")
+    forms = ("const", "linear") if key == "drift" else ("const",)
+    if form["form"] not in forms:
+        raise ModelError(f"diffusion spec: {key} form {form['form']!r} is "
+                         f"not supported (use {' or '.join(forms)})")
+    needs = ("value", "slope") if form["form"] == "linear" else ("value",)
+    for part in needs:
+        if part not in form:
+            raise ModelError(f"diffusion spec: {key} form "
+                             f"{form['form']!r} needs {part!r}")
+    value = _spec_array(form["value"], f"{key} value", shape)
+    if form["form"] == "const":
+        return value, None
+    d = shape[0]
+    return value, _spec_array(form["slope"], f"{key} slope", (d, d))
+
+
+def load_diffusion_spec(obj):
+    """Diffusion spec document: {"odx_schema": 1, "d": .., "drift": {..},
+    "sigma": {..}}, with "m", "T", "x0", "steps" and "paths" optional."""
+    _check_schema(obj, "diffusion spec")
+    if "d" not in obj:
+        raise ModelError("diffusion spec: missing 'd'")
+    d = _number(obj["d"], "diffusion spec: d", int)
+    m = _number(obj.get("m", d), "diffusion spec: m", int)
+    if d < 1 or m < 1:
+        raise ModelError("diffusion spec: need d >= 1 and m >= 1")
+    T = _number(obj.get("T", 1.0), "diffusion spec: T")
+    if not (np.isfinite(T) and T > 0.0):
+        raise ModelError(f"diffusion spec: T must be finite and > 0, "
+                         f"got {T!r}")
+    steps = _number(obj.get("steps", mc.DEFAULT_STEPS),
+                    "diffusion spec: steps", int)
+    paths = _number(obj.get("paths", mc.DEFAULT_PATHS),
+                    "diffusion spec: paths", int)
+    drift, slope = _coeff(obj, "drift", (d,))
+    sigma, _ = _coeff(obj, "sigma", (d, m))
+    return mc.DiffusionSpec(
+        drift=drift, sigma=sigma, slope=slope, T=T, steps=steps, paths=paths,
+        x0=_spec_array(obj.get("x0", [0.0] * d), "x0"))
 
 
 def decomposition_to_json(dec, duality_gap):
@@ -196,11 +259,7 @@ def decomposition_from_json(tree, obj):
     _check_schema(obj, "decomposition")
     if not {"V0", "H", "C"} <= obj.keys():
         raise ModelError("decomposition: need 'V0', 'H' and 'C'")
-    try:
-        V0 = float(obj["V0"])
-    except (TypeError, ValueError):
-        raise ModelError(f"decomposition: V0 must be a number, got "
-                         f"{obj['V0']!r}") from None
+    V0 = _number(obj["V0"], "decomposition: V0")
     diagnostics = obj.get("diagnostics", {})
     if not isinstance(diagnostics, dict):
         raise ModelError(f"decomposition: diagnostics must be a JSON object, "

@@ -1,4 +1,4 @@
-"""Per-step characteristics (a, c, dG) and the structural drift condition.
+"""Per-step characteristics (a, c) and the structural drift condition.
 
 ``solve_structure`` either produces a predictable ``rho`` with ``a = c rho``
 (minimum-norm, via a PSD pseudoinverse) or an arbitrage certificate
@@ -24,11 +24,10 @@ MASS_THRESHOLD = 1e6
 
 @dataclass(frozen=True)
 class Characteristics:
-    """Drift a, covariance c (flattened d x d) and clock increment dG per step."""
+    """Drift a and covariance c (flattened d x d) per step."""
 
     a: PredictableProcess
     c: PredictableProcess  # (n_nodes, d*d) row-major
-    dG: PredictableProcess  # positive scalar per step
 
     @property
     def d(self):
@@ -63,7 +62,6 @@ class Characteristics:
              "covariance not symmetric"),
             (np.min(np.linalg.eigvalsh(0.5 * (C + C.mT)), axis=1) < -EIG_TOL,
              "covariance not PSD"),
-            (~(self.dG.values[nodes, 0] > 0.0), "dG must be positive"),
         ])
         if failure is not None:
             i, msg = failure
@@ -86,13 +84,12 @@ class StructureReport:
 
 
 def extract_characteristics(X):
-    """Per-step (a, c, dG) of a market process, with unit clock dG = 1."""
+    """Per-step (a, c) of a market process."""
     tree = X.tree
     d = X.dim
     _, M = doob_decompose(X)
     a_vals = np.zeros((tree.n_nodes, d))
     c_vals = np.zeros((tree.n_nodes, d * d))
-    dG_vals = np.zeros((tree.n_nodes, 1))
     for g in tree.branch_groups:
         w = tree.p[g.kids]
         dM = g.increments(M.values)
@@ -100,10 +97,8 @@ def extract_characteristics(X):
         with np.errstate(over="ignore"):  # validate() names the node
             c = (w[:, :, None] * dM).mT @ dM
         c_vals[g.nodes] = c.reshape(-1, d * d)
-        dG_vals[g.nodes, 0] = 1.0
     return Characteristics(a=PredictableProcess(tree, a_vals),
-                           c=PredictableProcess(tree, c_vals),
-                           dG=PredictableProcess(tree, dG_vals))
+                           c=PredictableProcess(tree, c_vals))
 
 
 def _sum_products(a, b):
@@ -178,7 +173,7 @@ def solve_structure(ch, tol=DEFAULT_STRUCT_TOL):
     zeta_vals = np.zeros((tree.n_nodes, d))
     zeta_vals[nodes[flagged]] = kernel_part[flagged]
     step_mass = np.zeros(tree.n_nodes)
-    step_mass[nodes] = np.vecdot(rho, C_rho) * ch.dG.values[nodes, 0]
+    step_mass[nodes] = np.vecdot(rho, C_rho)
     # the step mass sits on the children so it accumulates along paths
     mass = AdaptedProcess(tree, path_cumsum(tree,
                                             spread_to_children(tree, step_mass)))

@@ -223,10 +223,6 @@ def build_tree(spec):
             probs = np.asarray(sub["probs"], dtype=np.float64)
             if probs.ndim != 1 or probs.size == 0:
                 raise ModelError("probability row must be a non-empty vector")
-            if np.any(probs <= 0.0):
-                raise ModelError("zero probability branch violates equivalence")
-            if abs(probs.sum() - 1.0) > PROB_TOL:
-                raise ModelError("probabilities must sum to 1")
             kids = sub.get("children")
             if kids is not None and len(kids) != probs.size:
                 raise ModelError("children list must match probability row")

@@ -311,7 +311,6 @@ def test_characteristics_match_per_node_moments(seed, d):
         np.testing.assert_allclose(ch.a.values[node], a, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(ch.c_matrix(node), (p[:, None] * dM).T @ dM,
                                    rtol=1e-12, atol=1e-15)
-        assert ch.dG.values[node, 0] == 1.0
 
 
 @PROPERTY

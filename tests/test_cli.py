@@ -183,6 +183,92 @@ def test_whole_floats_in_the_tree_are_integers(tmp_path, capsys):
     assert capsys.readouterr() == as_ints
 
 
+# node 1 has one child, so its id, time and p and the parent of node 2 are
+# all 1, the value that True spells
+ONE_CHILD_MODEL = {"odx_schema": 1, "tree": {"horizon": 2, "nodes": [
+    {"id": 0, "time": 0, "parent": None, "p": None},
+    {"id": 1, "time": 1, "parent": 0, "p": 1},
+    {"id": 2, "time": 2, "parent": 1, "p": 0.6},
+    {"id": 3, "time": 2, "parent": 1, "p": 0.4}]},
+    "X": {"0": [0.0], "1": [0.0], "2": [0.1], "3": [-0.1]}}
+ONE_CHILD_ONES = {str(i): [1.0] for i in range(4)}
+ONE_CHILD_PUT = {"odx_schema": 1, "kind": "european", "formula": "put",
+                 "strike": 1}
+ONE_CHILD_DEC = {"odx_schema": 1, "V0": 1,
+                 "H": {str(i): [0.0] for i in range(4)},
+                 "C": {str(i): [0.0] for i in range(4)}}
+SCALAR_SPEC = {"odx_schema": 1, "d": 1, "m": 1, "T": 1, "steps": 4,
+               "paths": 50, "drift": {"form": "const", "value": [0.05]},
+               "sigma": {"form": "const", "value": [[0.2]]}}
+# field: (argv with "doc" for the document that holds it, that document,
+# the path to the field, its value as a JSON integer)
+SCALAR_FIELDS = {
+    "id": (["analyze", "doc"], ONE_CHILD_MODEL, ("tree", "nodes", 1, "id"), 1),
+    "time": (["analyze", "doc"], ONE_CHILD_MODEL,
+             ("tree", "nodes", 1, "time"), 1),
+    "parent": (["analyze", "doc"], ONE_CHILD_MODEL,
+               ("tree", "nodes", 2, "parent"), 1),
+    "p": (["analyze", "doc"], ONE_CHILD_MODEL, ("tree", "nodes", 1, "p"), 1),
+    "horizon": (["analyze", "doc"], ONE_CHILD_MODEL, ("tree", "horizon"), 2),
+    "d": (["simulate", "doc"], SCALAR_SPEC, ("d",), 1),
+    "m": (["simulate", "doc"], SCALAR_SPEC, ("m",), 1),
+    "T": (["simulate", "doc"], SCALAR_SPEC, ("T",), 1),
+    "steps": (["simulate", "doc"], SCALAR_SPEC, ("steps",), 1),
+    "paths": (["simulate", "doc"], SCALAR_SPEC, ("paths",), 2),
+    "strike": (["superhedge", "model", "doc"], ONE_CHILD_PUT, ("strike",), 1),
+    "V0": (["verify", "model", "ones", "doc"], ONE_CHILD_DEC, ("V0",), 1),
+}
+INT_FIELDS = ("id", "time", "parent", "horizon", "d", "m", "steps", "paths")
+# null is the root's parent and p, or a tree without a horizon field
+NULL_MEANS_ABSENT = ("parent", "p", "horizon")
+
+
+def _scalar_cases():
+    """(field, value, message): a spelling of the field's integer value
+    with message None, or a value the field refuses with its message."""
+    for field, (*_, whole) in SCALAR_FIELDS.items():
+        for value in [float(whole), str(whole)] + [True] * (whole == 1):
+            yield pytest.param(field, value, None, id=f"{field}={value!r}")
+        bad = [1.7] * (field in INT_FIELDS) + ["abc", [1]]
+        bad += [None] * (field not in NULL_MEANS_ABSENT)
+        for value in bad:
+            kind = "an integer" if value == 1.7 else "a number"
+            yield pytest.param(field, value,
+                               f"{field} must be {kind}, got {value!r}",
+                               id=f"{field}={value!r}")
+
+
+def _run_with_scalar(tmp_path, capsys, field, value):
+    argv, doc, path, _ = SCALAR_FIELDS[field]
+    files = {"model": ONE_CHILD_MODEL, "ones": ONE_CHILD_ONES,
+             "doc": _with(doc, value, *path)}
+    code = main([_write(tmp_path, f"{arg}.json", files[arg])
+                 if arg in files else arg for arg in argv])
+    return code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("field, value, message", _scalar_cases())
+def test_every_scalar_reads_by_one_rule(tmp_path, capsys, field, value,
+                                        message):
+    """The tree's, the diffusion spec's, the claim's and the
+    decomposition's scalars are read by one rule: 2.0, "2" and True (which
+    is 1) give the output of the integer they spell; 1.7 is not an integer
+    and "abc", [1] and null are not numbers, each an input error that
+    names the field."""
+    code, captured = _run_with_scalar(tmp_path, capsys, field, value)
+    if message is None:
+        whole = SCALAR_FIELDS[field][3]
+        assert (code, captured) == _run_with_scalar(tmp_path, capsys, field,
+                                                    whole)
+        assert code == 0
+        return
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ")
+    assert message in captured.err and "Traceback" not in captured.err
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--seed", "abc", "analyze", "m.json"],
      "argument --seed: invalid seed value: 'abc'"),
@@ -793,9 +879,9 @@ def _out_is_file_argv(tmp_path, model):
     (_superhedge_argv(_with(PUT, 0.5, "asset")),
      "asset must be one of 0..0, got 0.5"),
     (_bad_model_argv("tree", "nodes", 1, "time"),
-     "tree: malformed nodes or horizon (invalid literal"),
+     "tree: malformed nodes or horizon (time must be a number, got 'x')"),
     (_bad_model_argv("tree", "horizon"),
-     "tree: malformed nodes or horizon (invalid literal"),
+     "tree: malformed nodes or horizon (horizon must be a number, got 'x')"),
     (_bad_model_argv("X", "1"), "X: malformed entry '1'"),
     (_verify_argv(_without(B1_DEC, "H")), "need 'V0', 'H' and 'C'"),
     (_verify_argv(_with(B1_DEC, "abc", "V0")),
@@ -815,15 +901,22 @@ def _out_is_file_argv(tmp_path, model):
     (_out_is_file_argv, "File exists"),
     (lambda tmp_path, model: ["deflate", model, "--extras", "-1"],
      "--extras must be >= 0, got -1"),
+    # numpy's "array is too big" and an OverflowError in the int64 offsets
+    # of the normals ended these two in tracebacks
+    (lambda tmp_path, model: ["deflate", model, "--extras", str(2**62)],
+     f"cannot hold {2**62} jump martingales: "),
+    (lambda tmp_path, model: ["deflate", model, "--extras", str(10**20)],
+     f"cannot hold {10**20} jump martingales: "),
 ], ids=["no-strike", "strike-abc", "asset-3", "asset-0.5", "time-x",
         "horizon-x", "X-value-x", "verify-no-H", "verify-V0-abc",
         "verify-diagnostics-null", "verify-diagnostics-number",
         "verify-diagnostics-string", "verify-diagnostics-list",
         "verify-H-length-2", "verify-C-length-2", "out-is-file",
-        "extras-negative"])
+        "extras-negative", "extras-2**62", "extras-10**20"])
 def test_malformed_input_exit_1(tmp_path, b1_model, capsys, argv, message):
     assert main(argv(tmp_path, b1_model)) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("input error: ")
     assert message in captured.err and "Traceback" not in captured.err
+    assert captured.err.count("\n") == 1

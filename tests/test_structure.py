@@ -10,7 +10,7 @@ from odx.tree import AdaptedProcess, ModelError, PredictableProcess, build_tree
 
 
 def _chars_on_one_step(a, c):
-    """Single-step Characteristics carrying the given (a, c), dG = 1."""
+    """Single-step Characteristics carrying the given (a, c)."""
     a = np.atleast_1d(np.asarray(a, float))
     d = a.shape[0]
     tree = build_tree([[0.5, 0.5]])
@@ -18,11 +18,8 @@ def _chars_on_one_step(a, c):
     a_vals[0] = a
     c_vals = np.zeros((3, d * d))
     c_vals[0] = np.asarray(c, float).ravel()
-    dg = np.zeros((3, 1))
-    dg[0] = 1.0
     return Characteristics(a=PredictableProcess(tree, a_vals),
-                           c=PredictableProcess(tree, c_vals),
-                           dG=PredictableProcess(tree, dg))
+                           c=PredictableProcess(tree, c_vals))
 
 
 def test_extract_b1(b1):
@@ -30,7 +27,6 @@ def test_extract_b1(b1):
     ch = extract_characteristics(X)
     np.testing.assert_allclose(ch.a.values[0], [0.02])
     np.testing.assert_allclose(ch.c.values[0], [0.0096])
-    assert ch.dG.values[0, 0] == 1.0
 
 
 def test_extract_t1(t1):

@@ -25,7 +25,7 @@ def test_build_t1():
 def test_build_rejects_bad_probs():
     with pytest.raises(ModelError, match="probabilities must sum to 1"):
         build_tree([[0.6, 0.5]])
-    with pytest.raises(ModelError, match="zero probability"):
+    with pytest.raises(ModelError, match="zero or negative branch probability"):
         build_tree([[1.0, 0.0]])
 
 
