@@ -33,24 +33,21 @@ PATHS_CSV_ROWS = 100
 
 
 def _load_json(path):
-    try:
-        with open(path) as f:
+    with open(path, encoding="utf-8") as f:  # main reports an OSError
+        try:
             return json.load(f)
-    except OSError as exc:
-        raise ModelError(f"{path}: {exc.strerror}") from exc
-    except json.JSONDecodeError as exc:
-        raise ModelError(
-            f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}"
-        ) from exc
+        except json.JSONDecodeError as exc:
+            raise ModelError(f"{path}: malformed JSON at line {exc.lineno}, "
+                             f"column {exc.colno}") from exc
+        # undecodable bytes, an integer of too many digits, deep nesting
+        except (ValueError, RecursionError) as exc:
+            raise ModelError(f"{path}: malformed JSON ({exc})") from exc
 
 
 def _out_path(args, name):
     if args.out is None:
         return None
-    try:
-        os.makedirs(args.out, exist_ok=True)
-    except OSError as exc:
-        raise ModelError(f"--out {args.out}: {exc.strerror}") from exc
+    os.makedirs(args.out, exist_ok=True)
     return os.path.join(args.out, name)
 
 
@@ -272,6 +269,10 @@ def main(argv=None):
         return EXIT_FAIL
     except ModelError as exc:
         print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except OSError as exc:  # a file that cannot be read or written
+        name = "" if exc.filename is None else f"{exc.filename}: "
+        print(f"input error: {name}{exc.strerror}", file=sys.stderr)
         return EXIT_INPUT
 
 

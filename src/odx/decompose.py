@@ -126,8 +126,8 @@ class MarketLP:
     Each block's padded vertex stack is kept with its node axis flattened,
     and ``node_max`` looks a node's rows up by their span.  Nodes past the
     budget fall back to a simplex solve.  An empty polytope at some node
-    signals arbitrage.  Every caller takes node maxima through ``maxima``,
-    of values per node.
+    signals arbitrage.  Callers take node maxima through ``maxima``, and a
+    FAIL witness its attaining vertex through ``node_max``.
     """
 
     def __init__(self, X):
@@ -182,10 +182,9 @@ class MarketLP:
                           (self.X.values[kids] - self.X.values[node]).T])
 
     def maxima(self, nodes, values):
-        """(maxima, attaining vertices) at ``nodes``, one ``node_max`` each."""
-        pairs = [self.node_max(n, values[self.tree.children(n)])
-                 for n in nodes]
-        return np.array([b for b, _ in pairs]), [q for _, q in pairs]
+        """The polytope maxima at ``nodes``, one ``node_max`` each."""
+        return np.array([self.node_max(n, values[self.tree.children(n)])[0]
+                         for n in nodes])
 
 
 @dataclass(frozen=True)
@@ -217,7 +216,7 @@ def is_supermartingale_under_all(V, X, lp=None):
     lp = lp if lp is not None else MarketLP(X)
     nodes = X.tree.nonleaf_nodes
     v = V.values[:, 0]
-    best, verts = lp.maxima(nodes, v)
+    best = lp.maxima(nodes, v)
     violation = best - v[nodes]
     gap = max(0.0, float(np.max(v[nodes] - best, initial=0.0)))  # not -0.0
     # children are contiguous, so one reduceat gives each node's child max
@@ -226,9 +225,11 @@ def is_supermartingale_under_all(V, X, lp=None):
     failed = violation > SUPERMART_TOL * scale
     if np.any(failed):
         i = int(np.argmax(np.where(failed, violation, -np.inf)))
+        node = int(nodes[i])
+        _, q = lp.node_max(node, v[X.tree.children(node)])
         return SupermartingaleCertificate("FAIL", {
-            "node": int(nodes[i]), "violation": float(violation[i]),
-            "measure": np.asarray(verts[i]).tolist()}, gap)
+            "node": node, "violation": float(violation[i]),
+            "measure": np.asarray(q).tolist()}, gap)
     return SupermartingaleCertificate("PASS", None, gap)
 
 
@@ -342,7 +343,7 @@ def decompose_lp(V, X, tie_break_seed=None):
             raise SolverError(f"negative consumption at node {node}",
                               node=node)
         lp = MarketLP(X)
-        (best,), _ = lp.maxima([node], v)
+        (best,) = lp.maxima([node], v)
         raise SolverError(
             f"least-distance hedge infeasible at node {node}, where the "
             f"polytope maximum is {float(best)!r} against V {float(v[node])!r}"

@@ -174,12 +174,12 @@ def load_claim(obj, X):
         if "strike" not in obj:
             raise ModelError("claim: formula needs 'strike'")
         strike = _number(obj["strike"], "claim: strike")
-        asset = obj.get("asset", 0)
+        asset = _number(obj.get("asset", 0), "claim: asset", int)
         if asset not in range(X.dim):
             raise ModelError(f"claim: asset must be one of 0..{X.dim - 1}, "
                              f"got {asset!r}")
         return vanilla_claim(X, obj["formula"], strike, kind=kind,
-                             asset=int(asset))
+                             asset=asset)
     raise ModelError("claim: need 'payoff' or 'formula'")
 
 

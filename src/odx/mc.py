@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .structure import DEFAULT_STRUCT_TOL, psd_pinv_apply
+from .structure import DEFAULT_STRUCT_TOL, off_range, psd_pinv_apply
 from .tree import ArbitrageError, ModelError
 
 DEFAULT_PATHS = 100_000
@@ -190,33 +190,19 @@ def _wealth(spec, states, tol=DEFAULT_STRUCT_TOL):
     moves, and of a linear one once at each step 0..n-1."""
     states = iter(states)
     x = next(states)
-    rho = _numeraire_rho(spec, x, 0, tol)
+    rho = check_structure(spec, x, 0, tol)
     V = np.ones(x.shape[0])
     alive = np.ones(x.shape[0], dtype=bool)
     yield x, V, alive
     for step, x_next in enumerate(states):
         if step and spec.slope is not None:
-            rho = _numeraire_rho(spec, x, step, tol)
+            rho = check_structure(spec, x, step, tol)
         growth = 1.0 + np.einsum("pd,pd->p", rho, x_next - x)
         dead = growth <= 0.0
         alive &= ~dead
         V = V * np.where(dead, 1.0, growth)
         x = x_next
         yield x, V, alive
-
-
-def _numeraire_rho(spec, x, step, tol):
-    """rho of :func:`check_structure` at one step, for the wealth.  Where
-    c^+ a(x) overflows (a finite but large drift, a small eigenvalue of c),
-    the wealth would be NaN: that is a :class:`ModelError` naming the step
-    and the first such path, raised without a floating-point warning."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        rho = check_structure(spec, x, step, tol)
-    if not np.isfinite(rho).all():
-        path = int(np.argwhere(~np.isfinite(rho))[0, 0])
-        raise ModelError(
-            f"non-finite numeraire rho at step {step}, path {path}")
-    return rho
 
 
 def _abort_fraction(alive):
@@ -243,28 +229,30 @@ def check_structure(spec, x, step, tol=DEFAULT_STRUCT_TOL):
     ``psd_pinv_apply`` solve serves all paths; it applies c's eigenbasis by
     plain sums, so a path's rho does not depend on the paths solved with
     it.  The solve also gives the part zeta of a(x) in the kernel of c.  A
-    path fails, by the rule of ``solve_structure``, where some
-    |zeta_i| > tol * max(1, max |a|): :class:`ArbitrageError` then names
-    the step, the first such path, its zeta and <zeta, a> > 0.  A drift
-    that is not finite (it overflows at large x) is a :class:`ModelError`
-    naming the step and the first such path."""
+    path that :func:`~odx.structure.off_range` flags is an
+    :class:`ArbitrageError` naming the step, the first such path, its zeta
+    and <zeta, a> > 0.  A drift that is not finite (it overflows at large
+    x), or a rho (a large drift over a small eigenvalue of c), is a
+    :class:`ModelError` naming the step and the first such path, raised
+    without a floating-point warning."""
     c = np.einsum("ik,jk->ij", spec.sigma, spec.sigma)
     with np.errstate(over="ignore", invalid="ignore"):
         a = spec.drift_at(x)
-    if not np.isfinite(a).all():
-        path = int(np.argwhere(~np.isfinite(a))[0, 0])
-        raise ModelError(f"non-finite drift at step {step}, path {path}")
-    rho, zeta = psd_pinv_apply(c, a)
-    # no path fails below tol; a max over the short last axis is slow
-    if np.max(np.abs(zeta)) > tol:
-        scale = np.maximum(1.0, np.max(np.abs(a), axis=-1))
-        bad = np.flatnonzero(np.max(np.abs(zeta), axis=-1) > tol * scale)
+        if not np.isfinite(a).all():
+            path = int(np.argwhere(~np.isfinite(a))[0, 0])
+            raise ModelError(f"non-finite drift at step {step}, path {path}")
+        rho, zeta = psd_pinv_apply(c, a)
+        bad = off_range(a, zeta, tol)
         if bad.size:
             path = int(bad[0])
             raise ArbitrageError(
                 f"drift outside the range of c at step {step}, path {path}: "
                 f"zeta = {zeta[path].tolist()}, <zeta, a> = "
                 f"{float(zeta[path] @ a[path])!r}")
+    if not np.isfinite(rho).all():
+        path = int(np.argwhere(~np.isfinite(rho))[0, 0])
+        raise ModelError(
+            f"non-finite numeraire rho at step {step}, path {path}")
     return rho
 
 

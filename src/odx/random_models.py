@@ -99,7 +99,7 @@ def random_universal_supermartingale(rng, X, lp=None):
     V = np.zeros(tree.n_nodes)
     V[tree.leaves] = rng.normal(0.0, 1.0, size=tree.leaves.size)
     for level in reversed(tree.levels[:-1]):
-        best, _ = lp.maxima(level, V)
+        best = lp.maxima(level, V)
         for node, b in zip(level, best):  # the draws stay in node order
             slack = abs(rng.normal(0.0, 0.2)) if rng.random() < 0.5 else 0.0
             V[node] = b + slack

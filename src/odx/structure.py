@@ -149,13 +149,25 @@ def psd_pinv_apply(C, v):
                  for u in (scale * coeff, np.where(keep, 0.0, coeff)))
 
 
+def off_range(a, zeta, tol):
+    """Rows of the drifts a (n, d) off the range of c, given the parts zeta
+    of a in the kernel of c: where some |zeta_i| > tol * max(1, max |a|).
+    The one structure rule, of tree nodes and Monte Carlo paths alike."""
+    abs_zeta = np.abs(zeta)
+    # no row is off while every |zeta_i| <= tol: skips a slow row-wise max
+    if np.max(abs_zeta, initial=0.0) <= tol:
+        return np.empty(0, dtype=np.intp)
+    scale = np.maximum(1.0, np.max(np.abs(a), axis=-1))
+    return np.flatnonzero(np.max(abs_zeta, axis=-1) > tol * scale)
+
+
 def solve_structure(ch, tol=DEFAULT_STRUCT_TOL):
     """Solve a = c rho per step, or certify failure.
 
     ``psd_pinv_apply`` gives rho and the part zeta of a in the kernel of c.
-    A step fails where some |zeta_i| > tol * max(1, max |a|); its zeta
-    (zero on all other steps) has c zeta = 0 and <zeta, a> = |zeta|^2 > 0,
-    i.e. a conditionally riskless strictly positive gain.
+    A step fails where :func:`off_range` flags it; its zeta (zero on all
+    other steps) has c zeta = 0 and <zeta, a> = |zeta|^2 > 0, i.e. a
+    conditionally riskless strictly positive gain.
     """
     ch.validate()
     tree = ch.a.tree
@@ -165,8 +177,7 @@ def solve_structure(ch, tol=DEFAULT_STRUCT_TOL):
     a = ch.a.values[nodes]
     rho, kernel_part = psd_pinv_apply(C, a)
     C_rho = np.matvec(C, rho)
-    scale = np.maximum(1.0, np.max(np.abs(a), axis=1))
-    flagged = np.max(np.abs(kernel_part), axis=1) > tol * scale
+    flagged = off_range(a, kernel_part, tol)
     bad = nodes[flagged].tolist()
     rho_vals = np.zeros((tree.n_nodes, d))
     rho_vals[nodes] = rho

@@ -68,7 +68,7 @@ def snell_envelope(claim, X, lp=None):
     V[tree.leaves] = claim.payoff.values[tree.leaves, 0]
     # every leaf sits at the horizon, so the earlier levels are non-leaf
     for level in reversed(tree.levels[:-1]):
-        cont, _ = lp.maxima(level, V)
+        cont = lp.maxima(level, V)
         if claim.kind == AMERICAN:
             pay = claim.payoff.values[level, 0]
             cont = np.where(pay > cont, pay, cont)  # max(cont, pay) per node

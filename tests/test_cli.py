@@ -192,6 +192,10 @@ ONE_CHILD_MODEL = {"odx_schema": 1, "tree": {"horizon": 2, "nodes": [
     {"id": 3, "time": 2, "parent": 1, "p": 0.4}]},
     "X": {"0": [0.0], "1": [0.0], "2": [0.1], "3": [-0.1]}}
 ONE_CHILD_ONES = {str(i): [1.0] for i in range(4)}
+# two assets whose moves at node 1 are collinear, so a put on asset 1 has
+# a price of its own
+TWO_ASSET_MODEL = {**ONE_CHILD_MODEL, "X": {
+    "0": [0.0, 0.0], "1": [0.0, 0.0], "2": [0.1, 0.2], "3": [-0.1, -0.2]}}
 ONE_CHILD_PUT = {"odx_schema": 1, "kind": "european", "formula": "put",
                  "strike": 1}
 ONE_CHILD_DEC = {"odx_schema": 1, "V0": 1,
@@ -216,9 +220,11 @@ SCALAR_FIELDS = {
     "steps": (["simulate", "doc"], SCALAR_SPEC, ("steps",), 1),
     "paths": (["simulate", "doc"], SCALAR_SPEC, ("paths",), 2),
     "strike": (["superhedge", "model", "doc"], ONE_CHILD_PUT, ("strike",), 1),
+    "asset": (["superhedge", "model2", "doc"], ONE_CHILD_PUT, ("asset",), 1),
     "V0": (["verify", "model", "ones", "doc"], ONE_CHILD_DEC, ("V0",), 1),
 }
-INT_FIELDS = ("id", "time", "parent", "horizon", "d", "m", "steps", "paths")
+INT_FIELDS = ("id", "time", "parent", "horizon", "d", "m", "steps", "paths",
+              "asset")
 # null is the root's parent and p, or a tree without a horizon field
 NULL_MEANS_ABSENT = ("parent", "p", "horizon")
 
@@ -240,8 +246,8 @@ def _scalar_cases():
 
 def _run_with_scalar(tmp_path, capsys, field, value):
     argv, doc, path, _ = SCALAR_FIELDS[field]
-    files = {"model": ONE_CHILD_MODEL, "ones": ONE_CHILD_ONES,
-             "doc": _with(doc, value, *path)}
+    files = {"model": ONE_CHILD_MODEL, "model2": TWO_ASSET_MODEL,
+             "ones": ONE_CHILD_ONES, "doc": _with(doc, value, *path)}
     code = main([_write(tmp_path, f"{arg}.json", files[arg])
                  if arg in files else arg for arg in argv])
     return code, capsys.readouterr()
@@ -252,9 +258,9 @@ def test_every_scalar_reads_by_one_rule(tmp_path, capsys, field, value,
                                         message):
     """The tree's, the diffusion spec's, the claim's and the
     decomposition's scalars are read by one rule: 2.0, "2" and True (which
-    is 1) give the output of the integer they spell; 1.7 is not an integer
-    and "abc", [1] and null are not numbers, each an input error that
-    names the field."""
+    is 1) give the output of the integer they spell, so each of 1.0, "1"
+    and True picks asset 1; 1.7 is not an integer and "abc", [1] and null
+    are not numbers, each an input error that names the field."""
     code, captured = _run_with_scalar(tmp_path, capsys, field, value)
     if message is None:
         whole = SCALAR_FIELDS[field][3]
@@ -870,6 +876,19 @@ def _out_is_file_argv(tmp_path, model):
     return ["--out", str(taken), "analyze", model]
 
 
+def _out_target_is_dir_argv(tmp_path, model):
+    (tmp_path / "out" / "structure.json").mkdir(parents=True)
+    return ["--out", str(tmp_path / "out"), "analyze", model]
+
+
+def _unreadable_json_argv(content):
+    def argv(tmp_path, model):
+        path = tmp_path / "unreadable.json"
+        path.write_bytes(content)
+        return ["analyze", str(path)]
+    return argv
+
+
 @pytest.mark.parametrize("argv, message", [
     (_superhedge_argv(_without(PUT, "strike")), "formula needs 'strike'"),
     (_superhedge_argv(_with(PUT, "abc", "strike")),
@@ -877,7 +896,7 @@ def _out_is_file_argv(tmp_path, model):
     (_superhedge_argv(_with(PUT, 3, "asset")),
      "asset must be one of 0..0, got 3"),
     (_superhedge_argv(_with(PUT, 0.5, "asset")),
-     "asset must be one of 0..0, got 0.5"),
+     "asset must be an integer, got 0.5"),
     (_bad_model_argv("tree", "nodes", 1, "time"),
      "tree: malformed nodes or horizon (time must be a number, got 'x')"),
     (_bad_model_argv("tree", "horizon"),
@@ -899,6 +918,14 @@ def _out_is_file_argv(tmp_path, model):
     (_verify_argv(_with(B1_DEC, B1_PAIRS, "C")),
      "C vectors must have length 1, got 2"),
     (_out_is_file_argv, "File exists"),
+    (_out_target_is_dir_argv, "structure.json: Is a directory"),
+    # a UnicodeDecodeError, a ValueError and a RecursionError of json.load
+    (_unreadable_json_argv(b'{"tree": "\xff\xfe"}'),
+     "unreadable.json: malformed JSON ('utf-8' codec can't decode byte 0xff"),
+    (_unreadable_json_argv(b"1" * 5000),
+     "unreadable.json: malformed JSON (Exceeds the limit (4300 digits)"),
+    (_unreadable_json_argv(b"[" * 200_000 + b"]" * 200_000),
+     "unreadable.json: malformed JSON (maximum recursion depth exceeded"),
     (lambda tmp_path, model: ["deflate", model, "--extras", "-1"],
      "--extras must be >= 0, got -1"),
     # numpy's "array is too big" and an OverflowError in the int64 offsets
@@ -912,7 +939,9 @@ def _out_is_file_argv(tmp_path, model):
         "verify-diagnostics-null", "verify-diagnostics-number",
         "verify-diagnostics-string", "verify-diagnostics-list",
         "verify-H-length-2", "verify-C-length-2", "out-is-file",
-        "extras-negative", "extras-2**62", "extras-10**20"])
+        "out-target-is-dir", "undecodable-bytes", "integer-of-5000-digits",
+        "nested-200000-deep", "extras-negative", "extras-2**62",
+        "extras-10**20"])
 def test_malformed_input_exit_1(tmp_path, b1_model, capsys, argv, message):
     assert main(argv(tmp_path, b1_model)) == 1
     captured = capsys.readouterr()

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from odx import mc
 from odx.structure import (PINV_RELTOL, Characteristics,
                            extract_characteristics, psd_pinv_apply,
                            riskless_gain, solve_structure)
-from odx.tree import AdaptedProcess, ModelError, PredictableProcess, build_tree
+from odx.tree import (AdaptedProcess, ArbitrageError, ModelError,
+                      PredictableProcess, build_tree)
 
 
 def _chars_on_one_step(a, c):
@@ -175,3 +177,48 @@ def test_pinv_of_one_matrix_is_the_same_per_row(case):
     scale = (1.0 / kept[0] if kept.size else 0.0) * np.linalg.norm(V, axis=1)
     err = np.linalg.norm(x - V @ c_plus, axis=1)
     assert np.all(err <= 1e-12 * scale)
+
+
+@st.composite
+def _sigma_drift_tol(draw):
+    """sigma (d, m), m <= d <= 3, of small integers, so c = sigma sigma^T
+    is often singular; a drift a = sigma u in the range of c, or that plus
+    a vector of the kernel of c, 1e-12 to 1 times as large, off the range;
+    each of sigma and a scaled by 1e-6 to 1e6; and a tolerance."""
+    d = draw(st.integers(1, 3))
+    m = draw(st.integers(1, d))
+    small = st.integers(-3, 3).map(float)
+    sigma = draw(arrays(np.float64, (d, m), elements=small))
+    u = draw(arrays(np.float64, (m,), elements=small))
+    rank = int(np.linalg.matrix_rank(sigma))
+    kernel = np.linalg.svd(sigma)[0][:, rank:]  # the kernel of sigma^T
+    w = draw(arrays(np.float64, (d - rank,), elements=small))
+    off = draw(st.just(0.0) | st.floats(-12.0, 0.0).map(lambda e: 10.0**e))
+    a = sigma @ u + off * (kernel @ w)
+    s_sigma, s_a = (10.0 ** draw(st.floats(-6.0, 6.0)) for _ in range(2))
+    tol = draw(st.sampled_from([1e-10, 1e-8, 1e-6]))
+    return s_sigma * sigma, s_a * a, tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sigma_drift_tol())
+def test_trees_and_paths_share_the_drift_condition(case):
+    """A tree node and the paths of a constant-drift diffusion with the
+    same sigma, a and tol: ``solve_structure`` flags the node exactly when
+    ``mc.check_structure`` raises ArbitrageError.  Drifts whose kernel part
+    lies within 0.1 % of the cut are left out: the node's stacked solve and
+    the paths' one-matrix solve may round them apart."""
+    sigma, a, tol = case
+    c = np.einsum("ik,jk->ij", sigma, sigma)  # as mc forms it
+    _, zeta = psd_pinv_apply(c, a)
+    ratio = np.max(np.abs(zeta)) / (tol * max(1.0, np.max(np.abs(a))))
+    assume(not 0.999 < ratio < 1.001)
+    flagged = solve_structure(_chars_on_one_step(a, c), tol).status
+    spec = mc.DiffusionSpec(drift=a, sigma=sigma, T=1.0, steps=1, paths=3,
+                            x0=np.zeros(a.size))
+    try:
+        mc.check_structure(spec, np.zeros((3, a.size)), 0, tol)
+        raised = False
+    except ArbitrageError:
+        raised = True
+    assert (flagged == "ARBITRAGE") == raised
