@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
 from dataclasses import replace
 
@@ -59,9 +60,12 @@ def _load_model(args):
 
 
 def _emit(args, doc, name):
+    """Print ``doc``, or under --out write it for main to print later."""
     path = _out_path(args, name)
     doc["odx_schema"] = odx_io.SCHEMA_VERSION
-    odx_io.dump_json(doc, path=path, fh=sys.stdout)
+    odx_io.dump_json(doc, path=path, fh=None if path else sys.stdout)
+    if path:
+        args.written.append(path)
 
 
 def cmd_analyze(args):
@@ -106,10 +110,7 @@ def cmd_decompose(args):
     routes = ["lp", "kw"] if args.route == "both" else [args.route]
     decs = {}
     for route in routes:
-        if route == "lp":
-            decs[route] = decompose_lp(V, X, tie_break_seed=args.seed)
-        else:
-            decs[route] = decompose_kw(V, X)
+        decs[route] = (decompose_lp if route == "lp" else decompose_kw)(V, X)
         doc = odx_io.decomposition_to_json(decs[route], cert.duality_gap)
         doc["route"] = route
         _emit(args, doc, f"decomposition_{route}.json")
@@ -207,7 +208,8 @@ def build_parser():
                                 description="Optional-decomposition toolkit: "
                                 "deflators, hedge/consumption splits, and "
                                 "superhedging on event trees.")
-    p.add_argument("--seed", type=seed, default=0)
+    p.add_argument("--seed", type=seed, default=0,
+                   help="seed of deflate's extras and simulate's paths")
     p.add_argument("--tol", type=float, default=DEFAULT_STRUCT_TOL)
     p.add_argument("--out", default=None, help="output directory")
     sub = p.add_subparsers(dest="command", required=True)
@@ -256,17 +258,24 @@ def main(argv=None):
         print(f"input error: --tol must be finite and > 0, got {args.tol!r}",
               file=sys.stderr)
         return EXIT_INPUT
+    args.written = []  # the --out documents, printed once all are written
     try:
-        return args.func(args)
-    except (ArbitrageError, SolverError) as exc:
-        status = ("ARBITRAGE" if isinstance(exc, ArbitrageError)
-                  else "SOLVER_ERROR")
-        doc = {"odx_schema": odx_io.SCHEMA_VERSION, "status": status,
-               "error": str(exc)}
-        if exc.node is not None:
-            doc["node"] = exc.node
-        odx_io.dump_json(doc, fh=sys.stdout)
-        return EXIT_FAIL
+        try:
+            code, failure = args.func(args), None
+        except (ArbitrageError, SolverError) as exc:
+            code, failure = EXIT_FAIL, exc
+        for path in args.written:
+            with open(path) as f:
+                shutil.copyfileobj(f, sys.stdout)
+        if failure is not None:
+            status = ("ARBITRAGE" if isinstance(failure, ArbitrageError)
+                      else "SOLVER_ERROR")
+            doc = {"odx_schema": odx_io.SCHEMA_VERSION, "status": status,
+                   "error": str(failure)}
+            if failure.node is not None:
+                doc["node"] = failure.node
+            odx_io.dump_json(doc, fh=sys.stdout)
+        return code
     except ModelError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

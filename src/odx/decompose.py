@@ -18,7 +18,7 @@ import numpy as np
 
 from .deflators import numeraire_portfolio
 from .structure import PINV_RELTOL, _sum_products, psd_pinv_apply
-from .tree import (AdaptedProcess, ArbitrageError, BranchGroup, ModelError,
+from .tree import (AdaptedProcess, ArbitrageError, ModelError,
                    PredictableProcess, SolverError, doob_decompose,
                    path_cumsum, spread_to_children, step_gains)
 
@@ -311,7 +311,7 @@ def _assemble(tree, V0, H_vals, dC, diagnostics):
                          C=C, diagnostics=diagnostics)
 
 
-def decompose_lp(V, X, tie_break_seed=None):
+def decompose_lp(V, X):
     """Hedge/consumption split via per-node minimum-norm superhedging.
 
     Requires (and reproduces) the universal-supermartingale property; the
@@ -321,14 +321,10 @@ def decompose_lp(V, X, tie_break_seed=None):
     """
     tree = X.tree
     v = V.values[:, 0]
-    rng = (None if tie_break_seed is None
-           else np.random.default_rng(tie_break_seed))
     H_vals = np.zeros((tree.n_nodes, X.dim))
     infeasible = np.zeros(tree.n_nodes, dtype=bool)
     dV_scale = np.ones(tree.n_nodes)
     for g in tree.branch_groups:
-        if rng is not None:
-            g = BranchGroup(g.nodes, rng.permuted(g.kids, axis=1))
         dV = g.increments(v)
         H, feasible = _min_norm_superhedges(g.increments(X.values), dV)
         H_vals[g.nodes] = H

@@ -1,12 +1,13 @@
 """Finite event trees and the process algebra living on them.
 
 A tree node carries a time index, a parent, and the transition probability
-from its parent.  Node ids are assigned breadth-first, so the children of
-any node occupy a contiguous id range; several hot loops exploit that via
-``np.add.reduceat`` style segment sums.  Per-node work runs over two
-precomputed layouts instead of one node at a time: the time levels (path
-accumulation, one step per level) and the branch groups (all non-leaf nodes
-with the same number of children, as one child-index matrix).
+from its parent.  Node ids are breadth-first, the one order a tree accepts:
+node i's parent is never below node i - 1's.  So ids are sorted by time and
+the children of any node occupy a contiguous id range; several hot loops
+exploit that via ``np.add.reduceat`` style segment sums.  Per-node work runs
+over two precomputed layouts instead of one node at a time: the time levels
+(path accumulation, one step per level) and the branch groups (all non-leaf
+nodes with the same number of children, as one child-index matrix).
 """
 from __future__ import annotations
 
@@ -118,8 +119,8 @@ class EventTree:
     @cached_property
     def levels(self):
         """Node ids per time index, root level first."""
-        order = np.argsort(self.time, kind="stable")
-        return tuple(np.split(order, np.cumsum(np.bincount(self.time))[:-1]))
+        return tuple(np.split(np.arange(self.n_nodes),
+                              np.cumsum(np.bincount(self.time))[:-1]))
 
     @cached_property
     def path_prob(self):
@@ -151,27 +152,22 @@ def _finalize_tree(time, parent, p):
     if np.count_nonzero(parent == -1) != 1:
         raise ModelError("exactly one root required")
 
-    ids = np.arange(1, n)
     par = parent[1:]
-    bad_parent = (par < 0) | (par >= ids)
+    bad_parent = (par < 0) | (par >= np.arange(1, n))
     par = np.where(bad_parent, 0, par)
-    # lowest child id per parent, over the nodes whose parent is valid
-    first = np.full(n, n, dtype=np.int64)
-    np.minimum.at(first, par[~bad_parent], ids[~bad_parent])
     failure = _first_failure([
         (bad_parent, "node {}: parent must precede it (breadth-first ids)"),
         (time[1:] != time[par] + 1, "node {}: child time must be parent time + 1"),
         (~(p[1:] > 0.0), "node {}: zero or negative branch probability "
                          "violates measure equivalence"),
-        # a later sibling must directly follow the previous one
-        ((first[par] != ids) & (parent[:-1] != par),
-         "children of a node must be contiguous in id"),
+        (par < parent[:-1], "node {}: parent id below that of the node "
+                            "before it (ids must be breadth-first)"),
     ])
     if failure is not None:
         i, msg = failure
         raise ModelError(msg.format(i + 1))
     n_children = np.bincount(par, minlength=n)
-    first_child = np.where(n_children > 0, first, -1)
+    first_child = 1 + np.cumsum(n_children) - n_children
 
     horizon = int(time.max())
     leaf = n_children == 0
@@ -197,8 +193,8 @@ def build_tree(spec):
       ``children`` (optional, same length as ``probs``) carries the
       sub-specs of the child nodes.
 
-    Nodes are numbered breadth-first, which makes all downstream output
-    deterministic.
+    Nodes are numbered breadth-first, each node's children in the order of
+    its ``probs`` row: the one node order a tree accepts.
     """
     if isinstance(spec, dict):
         nested = spec
@@ -322,7 +318,8 @@ def child_weighted_sums(tree, node_values):
     """For each non-leaf node, sum of p * value over its children.
 
     ``node_values`` is (n_nodes, m); returns (n_nonleaf, m) aligned with
-    ``tree.nonleaf_nodes``.  Children are contiguous, so this is a single
+    ``tree.nonleaf_nodes``.  Ids are breadth-first, so each node's children
+    are one segment and the segments follow in node order: a single
     reduceat sweep.
     """
     vals = np.asarray(node_values, dtype=np.float64)
@@ -333,9 +330,6 @@ def child_weighted_sums(tree, node_values):
     nonleaf = tree.nonleaf_nodes
     starts = tree.first_child[nonleaf]
     out = np.add.reduceat(weighted, starts, axis=0)
-    # reduceat merges nothing here because every child block is non-empty
-    # and blocks are contiguous, but the last segment runs to the end only
-    # if starts are strictly increasing, which BFS ordering guarantees.
     return out[:, 0] if squeeze else out
 
 

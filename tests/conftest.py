@@ -42,3 +42,54 @@ def b1_claim(b1):
     tree, X = b1
     V = AdaptedProcess(tree, np.array([0.15, 0.06, 0.24]))
     return tree, X, V
+
+
+# ---------------------------------------------------------------------------
+# Markets as nested {"probs", "dx", "children"} specs, so children can be
+# permuted and each node found again by its path
+# ---------------------------------------------------------------------------
+
+def spec_of(X):
+    """The nested spec of X's tree and increments."""
+    tree = X.tree
+
+    def node(i):
+        if tree.is_leaf(i):
+            return None
+        kids = tree.children(i)
+        return {"probs": tree.p[kids], "dx": X.values[kids] - X.values[i],
+                "children": [node(c) for c in kids]}
+
+    return node(0)
+
+
+def permuted(spec, rng):
+    """The same market with the children of every node in a random order."""
+    if spec is None:
+        return None
+    order = rng.permutation(len(spec["probs"]))
+    return {"probs": spec["probs"][order], "dx": spec["dx"][order],
+            "children": [permuted(spec["children"][i], rng) for i in order]}
+
+
+def realise(spec, d):
+    """(tree, X, paths): paths[i] is the sequence of (probability, increment)
+    steps leading to node i, which identifies a node across child
+    permutations."""
+    tree = build_tree(spec)
+    X = np.zeros((tree.n_nodes, d))
+    paths = [()]
+    queue = [(0, spec)]
+    while queue:  # the breadth-first order of build_tree
+        nxt = []
+        for node, sub in queue:
+            if sub is None:
+                continue
+            for j, child in enumerate(sub["children"]):
+                cid = len(paths)
+                X[cid] = X[node] + sub["dx"][j]
+                paths.append(paths[node] + ((sub["probs"][j],
+                                             tuple(sub["dx"][j])),))
+                nxt.append((cid, child))
+        queue = nxt
+    return tree, AdaptedProcess(tree, X), paths

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from odx.decompose import (MarketLP, check_uniqueness, decompose_kw,
-                           decompose_lp, is_supermartingale_under_all,
-                           reconstruct)
+from conftest import permuted, realise, spec_of
+from odx.decompose import (Decomposition, MarketLP, check_uniqueness,
+                           decompose_kw, decompose_lp,
+                           is_supermartingale_under_all, reconstruct)
 from odx.deflators import build_deflator_family, numeraire_portfolio
 from odx.mc import deflate_paths, martingale_test, scalar_spec, simulate
 from odx.random_models import (martingale_value_process,
@@ -24,7 +25,7 @@ from odx.random_models import (martingale_value_process,
                                strategy_wealth)
 from odx.structure import extract_characteristics, riskless_gain, solve_structure
 from odx.superhedge import AMERICAN, EUROPEAN, Claim, superhedge, vanilla_claim
-from odx.tree import AdaptedProcess, build_tree
+from odx.tree import AdaptedProcess, PredictableProcess, build_tree
 
 N_TREES = 200
 
@@ -137,14 +138,23 @@ def test_criterion_4_uniqueness():
         rep = check_uniqueness(kw, lpdec, X)
         worst_c = max(worst_c, rep["C_gap"])
         worst_int = max(worst_int, rep["integral_gap"])
-    # LP tie-break seeds on all instances (complete and incomplete alike)
+    # LP route under child order on all instances (complete and incomplete
+    # alike): each market again with every node's children permuted, its
+    # decomposition mapped back to the first market's ids
     rng = np.random.default_rng(7)
     for seed in range(10):
-        tree = random_tree(rng)
-        X = random_market(rng, tree, d=1 + seed % 2)
+        d = 1 + seed % 2
+        spec = spec_of(random_market(rng, random_tree(rng), d=d))
+        tree, X, paths = realise(spec, d)
         V = random_universal_supermartingale(rng, X)
-        d1 = decompose_lp(V, X, tie_break_seed=1)
-        d2 = decompose_lp(V, X, tie_break_seed=2)
+        tree2, X2, paths2 = realise(permuted(spec, rng), d)
+        node_of = {path: i for i, path in enumerate(paths2)}
+        to_second = np.array([node_of[path] for path in paths])
+        V2 = AdaptedProcess(tree2, V.values[np.argsort(to_second)])
+        d1, d2 = decompose_lp(V, X), decompose_lp(V2, X2)
+        d2 = Decomposition(
+            V0=d2.V0, H=PredictableProcess(tree, d2.H.values[to_second]),
+            C=AdaptedProcess(tree, d2.C.values[to_second]))
         rep = check_uniqueness(d1, d2, X)
         worst_c = max(worst_c, rep["C_gap"])
         worst_int = max(worst_int, rep["integral_gap"])

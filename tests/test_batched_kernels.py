@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import permuted, realise
 from odx import decompose, random_models
 from odx.decompose import (FEAS_TOL, SUPERMART_TOL, MarketLP,
                            _enum_cost, _group_vertices,
@@ -19,7 +20,8 @@ from odx.structure import extract_characteristics
 from odx.superhedge import (AMERICAN, EUROPEAN, Claim, snell_envelope,
                             superhedge)
 from odx.tree import (AdaptedProcess, ArbitrageError, ModelError,
-                      _finalize_tree, build_tree, path_cumprod, path_cumsum)
+                      _finalize_tree, child_weighted_sums, path_cumprod,
+                      path_cumsum)
 
 SEEDS = st.integers(0, 2**32 - 1)
 DIMS = st.integers(1, 3)
@@ -53,38 +55,6 @@ def random_spec(rng, d, depth):
         dx[rest] -= (w[rest] / w[rest].sum()) @ dx[rest]
     return {"probs": probs, "dx": dx,
             "children": [random_spec(rng, d, depth - 1) for _ in range(k)]}
-
-
-def permuted(spec, rng):
-    """The same market with the children of every node in a random order."""
-    if spec is None:
-        return None
-    order = rng.permutation(len(spec["probs"]))
-    return {"probs": spec["probs"][order], "dx": spec["dx"][order],
-            "children": [permuted(spec["children"][i], rng) for i in order]}
-
-
-def realise(spec, d):
-    """(tree, X, paths): paths[i] is the sequence of (probability, increment)
-    steps leading to node i, which identifies a node across child
-    permutations."""
-    tree = build_tree(spec)
-    X = np.zeros((tree.n_nodes, d))
-    paths = [()]
-    queue = [(0, spec)]
-    while queue:  # the breadth-first order of build_tree
-        nxt = []
-        for node, sub in queue:
-            if sub is None:
-                continue
-            for j, child in enumerate(sub["children"]):
-                cid = len(paths)
-                X[cid] = X[node] + sub["dx"][j]
-                paths.append(paths[node] + ((sub["probs"][j],
-                                             tuple(sub["dx"][j])),))
-                nxt.append((cid, child))
-        queue = nxt
-    return tree, AdaptedProcess(tree, X), paths
 
 
 def random_market(seed, d):
@@ -513,7 +483,7 @@ def reference_validation(time, parent, p):
     if np.count_nonzero(parent == -1) != 1:
         return "exactly one root required"
     n_children = np.zeros(n, dtype=np.int64)
-    first_child = np.full(n, -1, dtype=np.int64)
+    sums = np.zeros(n)
     for i in range(1, n):
         par = parent[i]
         if par < 0 or par >= i:
@@ -523,28 +493,43 @@ def reference_validation(time, parent, p):
         if not (p[i] > 0.0):
             return (f"node {i}: zero or negative branch probability "
                     "violates measure equivalence")
-        if n_children[par] == 0:
-            first_child[par] = i
-        elif first_child[par] + n_children[par] != i:
-            return "children of a node must be contiguous in id"
+        if par < parent[i - 1]:
+            return f"node {i}: parent id below that of the node before it"
         n_children[par] += 1
+        sums[par] += p[i]
     horizon = max(time)
     if any(time[i] != horizon for i in range(n) if n_children[i] == 0):
         return "all leaves must sit at the horizon"
     for i in range(n):
-        if n_children[i]:
-            lo = first_child[i]
-            s = np.sum(p[lo:lo + n_children[i]])
-            if abs(s - 1.0) > 1e-12:
-                return f"node {i}: probabilities must sum to 1"
+        if n_children[i] and abs(sums[i] - 1.0) > 1e-12:
+            return f"node {i}: probabilities must sum to 1"
     return None
 
 
-@settings(max_examples=200, deadline=None)
-@given(SEEDS, st.sampled_from(["parent", "time", "p"]))
-def test_tree_validation_matches_per_node_loop(seed, field):
+def relabelled(tree, rng):
+    """The tree's (time, parent, p) columns under a random id order in
+    which parents precede children and siblings are consecutive: the
+    breadth-first order, a depth-first one, or anything between."""
+    new = np.zeros(tree.n_nodes, dtype=np.int64)  # old id -> new id
+    frontier, n_labelled = [0], 1
+    while frontier:
+        node = frontier.pop(int(rng.integers(len(frontier))))
+        kids = tree.children(node)
+        new[kids] = np.arange(n_labelled, n_labelled + kids.size)
+        n_labelled += kids.size
+        frontier.extend(kids.tolist())
+    old = np.argsort(new)
+    parent = np.where(tree.parent[old] < 0, -1, new[tree.parent[old]])
+    return tree.time[old], parent, tree.p[old]
+
+
+def mutated_columns(seed, field):
+    """The (time, parent, p) columns of a random tree, with one entry of
+    ``field`` changed, or every id relabelled."""
     rng = np.random.default_rng(seed)
     _, _, (tree, _, _) = random_market(seed, 1)
+    if field == "ids":
+        return rng, relabelled(tree, rng)
     cols = {"time": tree.time.copy(), "parent": tree.parent.copy(),
             "p": tree.p.copy()}
     i = int(rng.integers(1, tree.n_nodes)) if tree.n_nodes > 1 else 0
@@ -553,9 +538,19 @@ def test_tree_validation_matches_per_node_loop(seed, field):
         col[i] = rng.choice([0.0, -0.5, col[i] * 1.5, col[i]])
     else:
         col[i] = rng.choice([col[i] - 1, col[i] + 1, 0, tree.n_nodes, col[i]])
-    expected = reference_validation(cols["time"], cols["parent"], cols["p"])
+    return rng, (cols["time"], cols["parent"], cols["p"])
+
+
+MUTATIONS = st.sampled_from(["parent", "time", "p", "ids"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(SEEDS, MUTATIONS)
+def test_tree_validation_matches_per_node_loop(seed, field):
+    _, cols = mutated_columns(seed, field)
+    expected = reference_validation(*cols)
     try:
-        _finalize_tree(cols["time"], cols["parent"], cols["p"])
+        _finalize_tree(*cols)
         got = None
     except ModelError as exc:
         got = str(exc)
@@ -563,3 +558,24 @@ def test_tree_validation_matches_per_node_loop(seed, field):
         assert got == expected
     else:
         assert got.startswith(expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(SEEDS, MUTATIONS)
+def test_accepted_trees_sum_children_as_a_per_node_loop(seed, field):
+    """Whatever tree _finalize_tree accepts, the one reduceat sweep of
+    child_weighted_sums adds up exactly the children that name each node
+    their parent."""
+    rng, cols = mutated_columns(seed, field)
+    try:
+        tree = _finalize_tree(*cols)
+    except ModelError:
+        return
+    vals = rng.normal(size=(tree.n_nodes, 2))
+    got = child_weighted_sums(tree, vals)
+    assert got.shape[0] == np.unique(tree.parent[1:]).size
+    for row, node in zip(got, tree.nonleaf_nodes):
+        kids = np.flatnonzero(tree.parent == node)
+        assert tree.children(node).tolist() == kids.tolist()
+        want = sum(tree.p[kid] * vals[kid] for kid in kids)
+        np.testing.assert_allclose(row, want, rtol=1e-12, atol=1e-12)

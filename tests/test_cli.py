@@ -421,6 +421,10 @@ def test_decompose_both_routes(t1_model, tmp_path, capsys):
     uniq = json.loads((out / "uniqueness.json").read_text())
     assert uniq["uniqueness"]["passed"]
     assert (out / "decomposition_lp.csv").exists()
+    # stdout holds the written documents, in the order they were emitted
+    assert capsys.readouterr().out == "".join(
+        (out / name).read_text() for name in (
+            "decomposition_lp.json", "decomposition_kw.json", "uniqueness.json"))
 
 
 def test_decompose_fail_witness(t1_model, tmp_path, capsys):
@@ -881,6 +885,28 @@ def _out_target_is_dir_argv(tmp_path, model):
     return ["--out", str(tmp_path / "out"), "analyze", model]
 
 
+def _out_file_is_dir_argv(command, name, *extra):
+    """``odx --out D command`` with the document or CSV ``name`` taken by a
+    directory in D."""
+    def argv(tmp_path, model):
+        (tmp_path / "out" / name).mkdir(parents=True)
+        args = {"decompose": [_write(tmp_path, "v.json", B1_ZERO)],
+                "superhedge": [_write(tmp_path, "claim.json", PUT)]}[command]
+        return ["--out", str(tmp_path / "out"), command, model, *args, *extra]
+    return argv
+
+
+# ids numbered depth-first: node 7, at time 2, comes after nodes 5 and 6,
+# at time 3, though every node's children are still consecutive ids
+DEPTH_FIRST_MODEL = {"odx_schema": 1, "tree": {"horizon": 3, "nodes": [
+    {"id": i, "time": t, "parent": q, "p": w}
+    for i, (q, t, w) in enumerate(zip(
+        [None, 0, 0, 1, 1, 3, 4, 2, 7], [0, 1, 1, 2, 2, 3, 3, 2, 3],
+        [None, 0.5, 0.5, 0.5, 0.5, 1.0, 1.0, 1.0, 1.0]))]},
+    "X": {str(i): [x] for i, x in enumerate(
+        [0.0, 0.1, -0.1, 0.2, 0.0, 0.3, 0.05, -0.2, -0.25])}}
+
+
 def _unreadable_json_argv(content):
     def argv(tmp_path, model):
         path = tmp_path / "unreadable.json"
@@ -919,6 +945,17 @@ def _unreadable_json_argv(content):
      "C vectors must have length 1, got 2"),
     (_out_is_file_argv, "File exists"),
     (_out_target_is_dir_argv, "structure.json: Is a directory"),
+    # every --out file is written before anything is printed
+    (_out_file_is_dir_argv("decompose", "decomposition_lp.csv"),
+     "decomposition_lp.csv: Is a directory"),
+    (_out_file_is_dir_argv("decompose", "decomposition_kw.json",
+                           "--route", "both"),
+     "decomposition_kw.json: Is a directory"),
+    (_out_file_is_dir_argv("superhedge", "hedge_schedule.csv"),
+     "hedge_schedule.csv: Is a directory"),
+    (lambda tmp_path, model: [
+        "analyze", _write(tmp_path, "depth_first.json", DEPTH_FIRST_MODEL)],
+     "input error: node 7: parent id below that of the node before it"),
     # a UnicodeDecodeError, a ValueError and a RecursionError of json.load
     (_unreadable_json_argv(b'{"tree": "\xff\xfe"}'),
      "unreadable.json: malformed JSON ('utf-8' codec can't decode byte 0xff"),
@@ -939,7 +976,9 @@ def _unreadable_json_argv(content):
         "verify-diagnostics-null", "verify-diagnostics-number",
         "verify-diagnostics-string", "verify-diagnostics-list",
         "verify-H-length-2", "verify-C-length-2", "out-is-file",
-        "out-target-is-dir", "undecodable-bytes", "integer-of-5000-digits",
+        "out-target-is-dir", "decompose-lp-csv-is-dir",
+        "decompose-kw-json-is-dir", "superhedge-csv-is-dir",
+        "depth-first-ids", "undecodable-bytes", "integer-of-5000-digits",
         "nested-200000-deep", "extras-negative", "extras-2**62",
         "extras-10**20"])
 def test_malformed_input_exit_1(tmp_path, b1_model, capsys, argv, message):

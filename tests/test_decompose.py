@@ -167,15 +167,6 @@ def test_uniqueness_tampered(b1_claim):
         check_uniqueness(d1, d2, X)
 
 
-def test_uniqueness_tiebreak_seeds(t1):
-    tree, X = t1
-    V = AdaptedProcess(tree, np.array([1.0, 1.0, 0.0, 1.0]))
-    d1 = decompose_lp(V, X, tie_break_seed=1)
-    d2 = decompose_lp(V, X, tie_break_seed=99)
-    rep = check_uniqueness(d1, d2, X)
-    assert rep["passed"], rep
-
-
 @pytest.mark.parametrize("seed", range(8))
 def test_theorem_roundtrip_both_directions(seed):
     rng = np.random.default_rng(100 + seed)
@@ -297,10 +288,9 @@ def trinomial_market():
     return X, random_universal_supermartingale(rng, X)
 
 
-@pytest.mark.parametrize("tie_break_seed", [None, 1])
-def test_ldp_solves_every_trinomial_node(trinomial_market, tie_break_seed):
+def test_ldp_solves_every_trinomial_node(trinomial_market):
     X, V = trinomial_market
-    dec = decompose_lp(V, X, tie_break_seed=tie_break_seed)
+    dec = decompose_lp(V, X)
     assert np.min(dec.C.increments()) >= 0.0
     recon = reconstruct(dec.V0, dec.H, dec.C, X)
     assert np.max(np.abs(recon.values - V.values)) <= 1e-9
