@@ -17,10 +17,11 @@ from math import comb
 import numpy as np
 
 from .deflators import numeraire_portfolio
-from .structure import PINV_RELTOL, _sum_products, psd_pinv_apply
+from .structure import (PINV_RELTOL, _sum_products, extract_characteristics,
+                        psd_pinv_apply)
 from .tree import (AdaptedProcess, ArbitrageError, ModelError,
-                   PredictableProcess, SolverError, doob_decompose,
-                   path_cumsum, spread_to_children, step_gains)
+                   PredictableProcess, SolverError, path_cumsum,
+                   spread_to_children, step_gains)
 
 SUPERMART_TOL = 1e-10
 FEAS_TOL = 1e-9
@@ -366,7 +367,8 @@ def decompose_kw(V, X):
     rho = rho_hat.values
     Vh = V_hat.values[:, 0]
     U = V.values[:, 0] / Vh
-    _, M = doob_decompose(X)
+    ch = extract_characteristics(X)
+    a = ch.a.values  # predictable step drift of X
 
     H_vals = np.zeros((tree.n_nodes, X.dim))
     theta_vals = np.zeros((tree.n_nodes, X.dim))
@@ -379,16 +381,14 @@ def decompose_kw(V, X):
         nodes = g.nodes
         p = tree.p[g.kids]
         dX = g.increments(X.values)
-        dM = g.increments(M.values)
-        dA = np.vecmat(p, dX)  # predictable step drift of X
+        dM = dX - a[nodes][:, None]
         W = (1.0 + np.matvec(dX, rho[nodes])) * g.increments(U)
-        pdM = p[:, :, None] * dM
-        cov = dM.mT @ pdM
-        theta, _ = psd_pinv_apply(cov, np.vecmat(W, pdM))
+        theta, _ = psd_pinv_apply(ch.c_stack(nodes),
+                                  np.vecmat(W, p[:, :, None] * dM))
         resid = W - np.matvec(dM, theta)
         alpha = np.vecdot(p, resid)
         dN = resid - alpha[:, None]
-        dB = np.vecdot(theta, dA) - alpha
+        dB = np.vecdot(theta, a[nodes]) - alpha
         theta_vals[nodes] = theta
         dB_steps[nodes] = dB
         n_sq[nodes] = np.vecdot(p, dN**2)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .tree import (AdaptedProcess, ModelError, PredictableProcess,
-                   _first_failure, doob_decompose, path_cumsum,
+                   _first_failure, child_weighted_sums, path_cumsum,
                    spread_to_children, step_gains)
 
 SYM_TOL = 1e-12  # symmetry and PSD tolerances of c, each times
@@ -84,16 +84,17 @@ class StructureReport:
 
 
 def extract_characteristics(X):
-    """Per-step (a, c) of a market process."""
+    """Per-step (a, c) of a market process: a is the conditional mean of
+    dX, the sum the Doob drift takes, and c = sum p dM dM^T over the
+    children, with martingale increments dM = dX - a."""
     tree = X.tree
     d = X.dim
-    _, M = doob_decompose(X)
     a_vals = np.zeros((tree.n_nodes, d))
+    a_vals[tree.nonleaf_nodes] = child_weighted_sums(tree, X.increments())
     c_vals = np.zeros((tree.n_nodes, d * d))
     for g in tree.branch_groups:
         w = tree.p[g.kids]
-        dM = g.increments(M.values)
-        a_vals[g.nodes] = np.vecmat(w, g.increments(X.values))
+        dM = g.increments(X.values) - a_vals[g.nodes][:, None]
         with np.errstate(over="ignore"):  # validate() names the node
             c = (w[:, :, None] * dM).mT @ dM
         c_vals[g.nodes] = c.reshape(-1, d * d)
@@ -120,24 +121,20 @@ def psd_pinv_apply(C, v):
     or (..., d).  Eigenvalues at or below ``PINV_RELTOL * lambda_max`` of
     their own matrix are treated as zero, so rank decisions are stable
     under uniform scaling of C.  An eigenvalue whose reciprocal overflows
-    (a subnormal one) counts as zero too.  A 1 x 1 stack takes the closed
-    form v * (1/c), which is what the eigendecomposition computes there.
+    (a subnormal one) counts as zero too.  Every shape takes one ``eigh`` of
+    the symmetric part 0.5 C + 0.5 C^T, each term halved before the sum, so
+    a finite C does not overflow there; on a 1 x 1 matrix that is w = c and
+    Q = [[1]], but for a subnormal c the halving may round its last bit.
     One (d, d) matrix against many right-hand sides is applied by
     :func:`_sum_products`, so the bits of a row do not depend on the batch
     it is solved in; a stack keeps its per-matrix products.
     """
-    d = C.shape[-1]
-    if d == 1:
-        w = C[..., 0]
-    else:
-        w, Q = np.linalg.eigh(0.5 * (C + C.mT))
+    w, Q = np.linalg.eigh(0.5 * C + 0.5 * C.mT)
     with np.errstate(divide="ignore", over="ignore"):
         inv = 1.0 / w
     # eigh sorts ascending
     keep = (w > PINV_RELTOL * np.maximum(w[..., -1:], 0.0)) & np.isfinite(inv)
     scale = np.where(keep, inv, 0.0)
-    if d == 1:
-        return scale * v, np.where(keep, 0.0, v)
     if C.ndim > 2:
         coeff = np.vecmat(v, Q)
         return (np.matvec(Q, scale * coeff),

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +69,21 @@ def test_analyze_price_units_exit_0(tmp_path, capsys):
                               [199.0, -154.0]])
     model = _write(tmp_path, "prices.json", odx_io.model_to_json(X))
     assert main(["analyze", model]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["status"] == "SOLVABLE" and err == ""
+
+
+def test_analyze_near_the_float_range_exit_0(tmp_path, capsys):
+    """Zero is inside the triangle of the increments, so the market has an
+    interior martingale measure.  At 1.2e154 the entries of c are finite but
+    near DBL_MAX: the pseudo-inverse's symmetric part overflowed, with a
+    RuntimeWarning, into a false ARBITRAGE at node 0."""
+    X = 1.2e154 * np.array([[0.0, 0.0], [1.0, 0.5], [-1.0, 0.2], [0.1, -1.0]])
+    X = AdaptedProcess(build_tree([[1 / 3, 1 / 3, 1 / 3]]), X)
+    model = _write(tmp_path, "large.json", odx_io.model_to_json(X))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["analyze", model]) == 0
     out, err = capsys.readouterr()
     assert json.loads(out)["status"] == "SOLVABLE" and err == ""
 
