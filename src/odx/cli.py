@@ -53,10 +53,10 @@ def _out_path(args, name):
 
 
 def _load_model(args):
-    """The model's tree, X and characteristics: every tree command stops
-    here, with exit 1, where a drift or covariance is not finite."""
-    tree, X = odx_io.load_model(_load_json(args.model))
-    return tree, X, extract_characteristics(X).check_finite()
+    """The model's X and characteristics: every tree command stops here,
+    with exit 1, where a drift or covariance is not finite."""
+    _, X = odx_io.load_model(_load_json(args.model))
+    return X, extract_characteristics(X).check_finite()
 
 
 def _emit(args, doc, name):
@@ -69,7 +69,7 @@ def _emit(args, doc, name):
 
 
 def cmd_analyze(args):
-    tree, X, ch = _load_model(args)
+    X, ch = _load_model(args)
     report = solve_structure(ch, tol=args.tol)
     doc = {
         "status": report.status,
@@ -88,7 +88,7 @@ def cmd_analyze(args):
 def cmd_deflate(args):
     if args.extras < 0:
         raise ModelError(f"--extras must be >= 0, got {args.extras}")
-    tree, X, _ = _load_model(args)
+    X, _ = _load_model(args)
     fam = build_deflator_family(X, n_extras=args.extras, seed=args.seed)
     doc = {
         "seed": args.seed, "rho_hat": fam.rho_hat, "V_hat": fam.V_hat,
@@ -100,8 +100,8 @@ def cmd_deflate(args):
 
 
 def cmd_decompose(args):
-    tree, X, _ = _load_model(args)
-    V = odx_io.adapted_from_json(tree, _load_json(args.value), "V")
+    X, _ = _load_model(args)
+    V = odx_io.adapted_from_json(X.tree, _load_json(args.value), "V")
     cert = is_supermartingale_under_all(V, X)
     if not cert.passed:
         _emit(args, {"verdict": "FAIL", "witness": cert.witness},
@@ -116,7 +116,7 @@ def cmd_decompose(args):
         _emit(args, doc, f"decomposition_{route}.json")
         csv_path = _out_path(args, f"decomposition_{route}.csv")
         if csv_path:
-            odx_io.write_decomposition_csv(csv_path, tree, V, decs[route])
+            odx_io.write_decomposition_csv(csv_path, V, decs[route])
     if len(decs) == 2:
         agree = check_uniqueness(decs["lp"], decs["kw"], X)
         _emit(args, {"uniqueness": agree}, "uniqueness.json")
@@ -124,7 +124,7 @@ def cmd_decompose(args):
 
 
 def cmd_superhedge(args):
-    tree, X, _ = _load_model(args)
+    X, _ = _load_model(args)
     claim = odx_io.load_claim(_load_json(args.claim), X)
     res = superhedge(claim, X)
     doc = {
@@ -137,15 +137,16 @@ def cmd_superhedge(args):
     _emit(args, doc, "superhedge.json")
     csv_path = _out_path(args, "hedge_schedule.csv")
     if csv_path:
-        odx_io.write_decomposition_csv(csv_path, tree, res.envelope,
+        odx_io.write_decomposition_csv(csv_path, res.envelope,
                                        res.decomposition)
     return EXIT_OK
 
 
 def cmd_verify(args):
-    tree, X, _ = _load_model(args)
-    V = odx_io.adapted_from_json(tree, _load_json(args.value), "V")
-    dec = odx_io.decomposition_from_json(tree, _load_json(args.decomposition))
+    X, _ = _load_model(args)
+    V = odx_io.adapted_from_json(X.tree, _load_json(args.value), "V")
+    dec = odx_io.decomposition_from_json(X.tree,
+                                         _load_json(args.decomposition))
     if dec.H.dim != X.dim:
         raise ModelError(f"decomposition: H vectors must have length "
                          f"{X.dim}, the d of X, got {dec.H.dim}")
@@ -176,8 +177,7 @@ def cmd_simulate(args):
     if spec.paths < 2:
         raise ModelError("simulate needs paths >= 2 for its standard errors")
     head = PATHS_CSV_ROWS if args.out is not None else 0
-    rec = mc.stream_deflated(spec, mc.bucket_edges(spec.steps), head=head,
-                             tol=args.tol)
+    rec = mc.stream_deflated(spec, head=head, tol=args.tol)
     y_term = rec.Y_hat[rec.alive, -1]
     rep = mc.martingale_test(rec.Y_hat[rec.alive])
     rep_yx = mc.martingale_test(rec.YX[rec.alive])

@@ -243,7 +243,7 @@ def _min_norm_solutions(A, b):
     as dependent and not counted in the rank; callers reject a rank below m."""
     Q, Y = [], []
     rank = np.zeros(A.shape[:-2], dtype=int)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for a, y in zip(np.moveaxis(A, -2, 0), np.moveaxis(b, -1, 0)):
             scale = np.sqrt(_sum_products(a, a))
             for q, yq in [*zip(Q, Y)] * 2:  # twice keeps Q orthonormal
@@ -437,12 +437,16 @@ def gains_process(H, X):
 def check_uniqueness(d1, d2, X):
     """Compare two decompositions of the same V in the theorem's sense:
     equal consumption and equal stochastic integrals (H itself may differ
-    off the support of the increments)."""
+    off the support of the increments).  Reconstructions that differ are
+    a :class:`SolverError` at the node where they differ most."""
     G1, G2 = (gains_process(d.H, X).values[:, 0] for d in (d1, d2))
     V1 = float(d1.V0) + G1 - d1.C.values[:, 0]
     V2 = float(d2.V0) + G2 - d2.C.values[:, 0]
-    if float(np.max(np.abs(V1 - V2))) > 1e-7:
-        raise ModelError("decompositions reconstruct different processes")
+    node = int(np.argmax(np.abs(V1 - V2)))
+    if abs(V1[node] - V2[node]) > 1e-7:
+        raise SolverError(f"decompositions reconstruct different processes"
+                          f" at node {node}: {float(V1[node])!r} against "
+                          f"{float(V2[node])!r}", node=node)
     c_gap = float(np.max(np.abs(d1.C.values - d2.C.values)))
     g_gap = float(np.max(np.abs(G1 - G2)))
     return {"C_gap": c_gap, "integral_gap": g_gap,

@@ -16,8 +16,8 @@ import numpy as np
 
 from .structure import psd_pinv_apply
 from .tree import (AdaptedProcess, ArbitrageError, ModelError,
-                   PredictableProcess, child_weighted_sums,
-                   doob_decompose, path_cumprod, path_cumsum)
+                   PredictableProcess, child_weighted_sums, path_cumprod,
+                   path_cumsum)
 
 NEWTON_TOL = 1e-15
 NEWTON_MAXITER = 100
@@ -52,8 +52,9 @@ def _log_optimal(p, dX):
     stack of nodes: p is (n, k), dX is (n, k, d).
 
     Every node runs its own iteration: it stops once its gradient is below
-    :data:`NEWTON_TOL` times its increment scale, when its step stalls at
-    the floating-point floor, when |rho| passes RHO_CAP, or after
+    :data:`NEWTON_TOL` times its increment scale, when its Hessian is not
+    finite (a riskless gain past 1e154 overflows it), when its step stalls
+    at the floating-point floor, when |rho| passes RHO_CAP, or after
     :data:`NEWTON_MAXITER` steps.  The step is the minimum-norm solve of
     the PSD Hessian by ``psd_pinv_apply``, so directions that the Hessian
     cannot see (dX of lower rank than d) are left alone.  Returns the
@@ -75,9 +76,13 @@ def _log_optimal(p, dX):
         best_norm[live[better]] = g_norm[better]
         go = g_norm > NEWTON_TOL * scale[live]
         live, x, pl, r, w, grad = live[go], x[go], pl[go], r[go], w[go], grad[go]
+        with np.errstate(over="ignore", invalid="ignore"):
+            hess = x.mT @ ((pl / w**2)[:, :, None] * x)
+        ok = np.isfinite(hess).all(axis=(1, 2))
+        live, x, pl, r, w, grad, hess = (
+            v[ok] for v in (live, x, pl, r, w, grad, hess))
         if live.size == 0:
             break
-        hess = x.mT @ ((pl / w**2)[:, :, None] * x)
         step, _ = psd_pinv_apply(hess, grad)
         # halve until wealth stays positive and log-wealth does not drop
         obj = np.vecdot(pl, np.log(w))
@@ -134,14 +139,14 @@ def numeraire_portfolio(X):
     return PredictableProcess(tree, rho_vals), V_hat
 
 
-def implied_measure(X, V_hat):
+def implied_measure(V_hat):
     """Branch weights of the martingale measure induced by the numeraire.
 
     Returns (n_nodes,) q with q[child] = p * Y_hat(child)/Y_hat(parent),
     renormalized within each sibling group (the renormalization removes
     the Newton residual, which is below 1e-12).
     """
-    tree = X.tree
+    tree = V_hat.tree
     vh = V_hat.values[:, 0]
     q = np.ones(tree.n_nodes)
     for g in tree.branch_groups:
@@ -166,35 +171,37 @@ class DeflatorFamily:
         return [self.Y_hat] + [Y for _, Y in self.extras]
 
 
-def orthogonal_jump_martingale(tree, M, rng, weights=None, n_samples=1):
-    """Sample jump martingales L with dL orthogonal to the increments of M.
+def orthogonal_jump_martingale(X, rng, weights=None, n_samples=1):
+    """Sample jump martingales L orthogonal to the martingale part of X.
 
-    At each non-leaf node, dL is drawn (seeded) from the affine subspace
-    {sum w dL = 0, sum w dL dM^T = 0} and scaled to sup-norm
-    1 - :data:`MARGIN`, so 1 + dL >= MARGIN > 0.  Binary nodes admit only
-    dL = 0.  ``weights`` defaults to the tree probabilities; pass the
-    implied martingale-measure weights to make Y_hat * E(L) an exact
-    deflator on drifting markets.
+    At each non-leaf node, dL is drawn by the Generator ``rng`` from the
+    affine subspace {sum w dL = 0, sum w dL dM^T = 0}, where dM = dX - a
+    and a is the conditional mean of dX, as in the characteristics, and
+    scaled to sup-norm 1 - :data:`MARGIN`, so 1 + dL >= MARGIN > 0.
+    Binary nodes admit only dL = 0.  ``weights`` defaults to the tree
+    probabilities; pass the implied martingale-measure weights to make
+    Y_hat * E(L) an exact deflator on drifting markets.
 
     Returns a list of ``n_samples`` scalar AdaptedProcess L with L(0) = 0.
     A sample count whose increments numpy cannot allocate is a
     :class:`ModelError` naming the count.
     """
+    tree = X.tree
     try:
         dL_all = np.zeros((tree.n_nodes, n_samples))
     except (ValueError, MemoryError) as exc:
         raise ModelError(
             f"cannot hold {n_samples} jump martingales: {exc}") from exc
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
     w_all = tree.p if weights is None else np.asarray(weights, dtype=np.float64)
+    a = np.zeros_like(X.values)
+    a[tree.nonleaf_nodes] = child_weighted_sums(tree, X.increments())
     # per node: the rank of the constraints and the right singular vectors,
     # whose trailing rows span {sum w dL = 0, sum w dL dM^T = 0}
     free = np.zeros(tree.n_nodes, dtype=np.int64)
     svd = []
     for g in tree.branch_groups:
         w = w_all[g.kids]
-        dM = g.increments(M.values)
+        dM = g.increments(X.values) - a[g.nodes][:, None]
         cons = np.concatenate([w[:, None, :], (w[:, :, None] * dM).mT], axis=1)
         _, sv, vh = np.linalg.svd(cons, full_matrices=True)
         r = np.sum(sv > np.max(sv, axis=1, keepdims=True) * 1e-12, axis=1)
@@ -227,13 +234,11 @@ def build_deflator_family(X, n_extras=DEFAULT_EXTRAS, seed=0):
     tree = X.tree
     rho_hat, V_hat = numeraire_portfolio(X)
     Y_hat = AdaptedProcess(tree, 1.0 / V_hat.values[:, 0])
-    q = implied_measure(X, V_hat)
-    _, M = doob_decompose(X)
+    q = implied_measure(V_hat)
     rng = np.random.default_rng(seed)
     extras = []
     if n_extras > 0:
-        Ls = orthogonal_jump_martingale(tree, M, rng, weights=q,
-                                        n_samples=n_extras)
+        Ls = orthogonal_jump_martingale(X, rng, weights=q, n_samples=n_extras)
         for L in Ls:
             E = stochastic_exponential(L, strict=True)
             Y = AdaptedProcess(tree, Y_hat.values[:, 0] * E.values[:, 0])

@@ -340,7 +340,7 @@ def dump_json(obj, path=None, fh=None):
         fh.writelines(out)
 
 
-def write_decomposition_csv(path, tree, V, dec):
+def write_decomposition_csv(path, V, dec):
     """Per-node schedule: value, hedge, consumption increment, KW drift and
     residual diagnostics where available."""
     n, d = dec.H.values.shape
@@ -348,7 +348,7 @@ def write_decomposition_csv(path, tree, V, dec):
     node_nn = dec.diagnostics.get("node_N_norm", {})
     nn = np.full(n, "", dtype=object)
     nn[list(node_nn)] = _float_reprs(list(node_nn.values()))
-    cols = [map(str, range(n)), map(str, tree.time.tolist()),
+    cols = [map(str, range(n)), map(str, V.tree.time.tolist()),
             _float_reprs(V.values[:, 0])]
     cols += [_float_reprs(dec.H.values[:, j]) for j in range(d)]
     cols.append(_float_reprs(dec.C.increments()[:, 0]))

@@ -14,7 +14,7 @@ path i sees the same draws however the steps are chunked.  A one-thread
 current one run; both the fill and numpy's loops over the paths release the
 GIL.  ``concurrent.futures`` is imported only when a run starts: it loads
 ``logging``, which no tree command needs.
-``stream_deflated`` keeps only the columns it is asked for; ``simulate``
+``stream_deflated`` keeps only the bucket-edge columns; ``simulate``
 and ``deflate_paths`` are the full-panel consumers of the same steps.
 """
 from __future__ import annotations
@@ -272,17 +272,17 @@ def deflate_paths(ens):
                         alive=alive, abort_fraction=frac)
 
 
-def stream_deflated(spec, record_steps, head=0, tol=DEFAULT_STRUCT_TOL):
+def stream_deflated(spec, head=0, tol=DEFAULT_STRUCT_TOL):
     """Simulate and deflate in one pass, keeping only some columns.
 
-    Y_hat and Y_hat * X[..., 0] are kept at the step indices
-    ``record_steps``, and X[..., 0] of the first ``head`` paths at every
-    step.  The values are those of ``deflate_paths(simulate(spec))``, but
-    memory is paths x (chunk + recorded columns), not paths x steps.
-    ``tol`` bounds the drift check of :func:`check_structure`.  Columns
-    that numpy cannot allocate are a :class:`ModelError` naming the path
-    count."""
-    column = {int(s): k for k, s in enumerate(record_steps)}
+    Y_hat and Y_hat * X[..., 0] are kept at the steps
+    ``bucket_edges(spec.steps)``, the columns ``martingale_test`` reads,
+    and X[..., 0] of the first ``head`` paths at every step.  The values
+    are those of ``deflate_paths(simulate(spec))``, but memory is paths x
+    (chunk + recorded columns), not paths x steps.  ``tol`` bounds the
+    drift check of :func:`check_structure`.  Columns that numpy cannot
+    allocate are a :class:`ModelError` naming the path count."""
+    column = {int(s): k for k, s in enumerate(bucket_edges(spec.steps))}
     P = spec.paths
     try:
         Y = np.empty((P, len(column)))

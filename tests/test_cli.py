@@ -708,6 +708,52 @@ def test_solver_failure_exit_2_with_witness(tmp_path, monkeypatch, capsys):
         f"{cond:.3g})")
 
 
+@pytest.mark.parametrize("command", [
+    ["deflate", "--extras", "2"], ["analyze"],
+    ["decompose", "V", "--route", "both"], ["superhedge", "claim"]],
+    ids=["deflate", "analyze", "decompose", "superhedge"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_moving_one_child_node_is_arbitrage(tmp_path, capsys, command, d):
+    """One child, which moves X by 1e160 in every asset: a riskless gain
+    whose Newton Hessian overflows.  deflate ended in a LinAlgError
+    traceback at d = 3 and warned at d <= 2; decompose and superhedge
+    warned from the vertex solve at every d."""
+    tree = build_tree([[1.0]])
+    X = AdaptedProcess(tree, np.vstack([np.zeros(d), np.full(d, 1e160)]))
+    files = {"V": {"0": [0.0], "1": [0.0]},
+             "claim": {"odx_schema": 1, "kind": "european",
+                       "formula": "put", "strike": 1.0}}
+    argv = [_write(tmp_path, f"{a}.json", files[a]) if a in files else a
+            for a in command]
+    argv.insert(1, _write(tmp_path, "m.json", odx_io.model_to_json(X)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    out, err = capsys.readouterr()
+    doc = json.loads(out)
+    assert doc["status"] == "ARBITRAGE"
+    assert doc.get("nodes", [doc.get("node")]) == [0]
+    assert err == ""
+
+
+def test_route_disagreement_exit_2(tmp_path, capsys):
+    """At s = 1e-12 the LP and KW routes reconstruct different processes:
+    a fault of the solves on valid input, not an input error (it exited 1
+    after printing both route documents).  The check stays at the exit
+    code and streams: a sharper LP feasibility test may turn it into a
+    FAIL witness."""
+    tree = build_tree([[0.24, 0.76]])
+    X = AdaptedProcess(tree, 1e-12 * np.array([[-7.73, -7.47, 3.56],
+                                               [7.88, 5.04, 6.61],
+                                               [12.2, 3.06, 10.24]]))
+    model = _write(tmp_path, "m.json", odx_io.model_to_json(X))
+    value = _write(tmp_path, "v.json", {"0": [0.2], "1": [0.1], "2": [-0.3]})
+    assert main(["decompose", model, value, "--route", "both"]) == 2
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert "input error" not in out
+
+
 def test_simulate_arbitrage_exit_2_with_witness(tmp_path, capsys):
     # one noise for two assets, and a drift off the range of c = sigma sigma^T
     spec = _write(tmp_path, "spec.json",

@@ -162,9 +162,10 @@ def test_uniqueness_tampered(b1_claim):
     C2 = AdaptedProcess(tree, d1.C.values[:, 0] + np.array([0.0, 0.01, 0.01]))
     from odx.decompose import Decomposition
     d2 = Decomposition(V0=d1.V0, H=d1.H, C=C2, diagnostics={})
-    with pytest.raises(Exception):
+    with pytest.raises(SolverError) as exc:
         # tampered C changes the reconstructed process
         check_uniqueness(d1, d2, X)
+    assert exc.value.node in (1, 2)  # both moved by 0.01, up to rounding
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from odx.deflators import (build_deflator_family, numeraire_portfolio,
-                           orthogonal_jump_martingale, stochastic_exponential,
-                           verify_deflator)
+from odx.deflators import (build_deflator_family, implied_measure,
+                           numeraire_portfolio, orthogonal_jump_martingale,
+                           stochastic_exponential, verify_deflator)
 from odx.random_models import (random_admissible_strategy, random_market,
                                random_tree, strategy_wealth)
 from odx.tree import (AdaptedProcess, ArbitrageError, ModelError, build_tree,
-                      doob_decompose, quadratic_covariation, path_cumprod)
+                      child_weighted_sums, doob_decompose,
+                      quadratic_covariation, path_cumprod)
 
 
 def _chain(dZ_steps):
@@ -118,21 +119,46 @@ def test_orthogonal_jump_martingale_t1(t1):
 
 
 def test_orthogonal_sampler_binary_degenerate(b1):
-    tree, X = b1
-    _, M = doob_decompose(X)
-    (L,) = orthogonal_jump_martingale(tree, M, 0)
+    _, X = b1
+    (L,) = orthogonal_jump_martingale(X, np.random.default_rng(0))
     assert np.max(np.abs(L.values)) == 0.0  # two constraints, two unknowns
 
 
 def test_orthogonal_sampler_satisfies_constraints(t1):
     tree, X = t1
-    _, M = doob_decompose(X)
-    Ls = orthogonal_jump_martingale(tree, M, 42, n_samples=5)
+    Ls = orthogonal_jump_martingale(X, np.random.default_rng(42), n_samples=5)
     for L in Ls:
         dL = L.increments()[:, 0]
         kids = tree.children(0)
         assert abs(tree.p[kids] @ dL[kids]) < 1e-12
         assert np.min(dL) >= -0.9 - 1e-12
+
+
+@pytest.mark.parametrize("seed", [61, 62, 66, 72])
+def test_sampler_centres_dX_by_its_drift(seed):
+    """The sampler forms dM = dX - a from X: on a drifting market, X and its
+    Doob martingale part M give the same L, and dL meets sum w dL = 0 and
+    sum w dL (dX - a)^T = 0 under the implied weights w."""
+    rng = np.random.default_rng(seed)
+    tree = random_tree(rng, max_periods=3, max_branches=6)
+    X = random_market(rng, tree, d=2)
+    a = child_weighted_sums(tree, X.increments())
+    assert np.max(np.abs(a)) > 1e-3  # X drifts under p
+    _, M = doob_decompose(X)
+    q = implied_measure(numeraire_portfolio(X)[1])
+    Ls, LMs = (orthogonal_jump_martingale(Z, np.random.default_rng(seed),
+                                          weights=q, n_samples=3)
+               for Z in (X, M))
+    assert max(np.max(np.abs(L.values)) for L in Ls) > 0.1
+    for L, LM in zip(Ls, LMs):
+        np.testing.assert_allclose(L.values, LM.values, rtol=0, atol=1e-13)
+        dL = L.increments()[:, 0]
+        for i, node in enumerate(tree.nonleaf_nodes):
+            kids = tree.children(node)
+            wdL = q[kids] * dL[kids]
+            dM = X.values[kids] - X.values[node] - a[i]
+            assert abs(wdL.sum()) < 1e-12
+            assert np.max(np.abs(wdL @ dM)) < 1e-12
 
 
 def test_family_deflators_pass_verification():

@@ -363,7 +363,7 @@ def test_decomposition_csv_matches_per_node_rows(t1, tmp_path):
     tree, X = t1
     V = AdaptedProcess(tree, np.array([1.0, 1.0, 0.0, 1.0]))
     for dec in (decompose_lp(V, X), decompose_kw(V, X)):
-        odx_io.write_decomposition_csv(tmp_path / "new.csv", tree, V, dec)
+        odx_io.write_decomposition_csv(tmp_path / "new.csv", V, dec)
         B = dec.diagnostics.get("B")
         node_nn = dec.diagnostics.get("node_N_norm", {})
         dC = dec.C.increments()[:, 0]

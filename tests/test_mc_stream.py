@@ -124,6 +124,20 @@ def test_stream_matches_panel_bytes(tmp_path, monkeypatch, capsys,
     assert (out / "paths.csv").read_bytes() == ref_csv.read_bytes()
 
 
+@pytest.mark.parametrize("steps", [1, 5, 16, 40])
+def test_stream_keeps_the_bucket_edge_columns(steps):
+    """stream_deflated records the columns martingale_test reads, with the
+    values of the full panel at those steps."""
+    spec = _spec(D2_LINEAR, paths=30, steps=steps, seed=2)
+    rec = mc.stream_deflated(spec)
+    edges = mc.bucket_edges(spec.steps)
+    assert rec.Y_hat.shape[1] == len(edges)
+    ens = mc.deflate_paths(mc.simulate(spec))
+    np.testing.assert_array_equal(rec.Y_hat, ens.Y_hat[:, edges])
+    YX = ens.Y_hat * ens.X[..., 0]
+    np.testing.assert_array_equal(rec.YX, YX[:, edges])
+
+
 @pytest.mark.parametrize("chunk", [1, 3, 7, 64])
 def test_chunked_normals_equal_one_draw(monkeypatch, chunk):
     """Philox is counter-based: the normals drawn chunk by chunk along the
@@ -214,7 +228,7 @@ def test_linear_drift_leaving_range_of_c_is_caught_at_its_step():
                             sigma=[[0.2], [0.1]], T=1.0, steps=8, paths=50,
                             seed=0, x0=[0.0, 0.0])
     with pytest.raises(ArbitrageError, match="at step 1, path 0: zeta = "):
-        mc.stream_deflated(spec, mc.bucket_edges(spec.steps))
+        mc.stream_deflated(spec)
 
 
 @pytest.mark.parametrize("name", SPECS)
@@ -229,7 +243,7 @@ def test_drift_is_solved_once_per_run_or_once_per_step(monkeypatch, name):
 
     monkeypatch.setattr(mc, "psd_pinv_apply", counting)
     spec = _spec(SPECS[name], paths=50, steps=9, seed=1)
-    mc.stream_deflated(spec, mc.bucket_edges(spec.steps))
+    mc.stream_deflated(spec)
     assert len(count) == (1 if spec.slope is None else spec.steps)
 
 
@@ -318,7 +332,7 @@ def _within(seconds, fn):
 
 def _full_stream():
     spec = _spec(D1, paths=200, steps=40, seed=3)
-    return mc.stream_deflated(spec, mc.bucket_edges(spec.steps), head=5)
+    return mc.stream_deflated(spec, head=5)
 
 
 def _non_finite_increment():
@@ -335,7 +349,7 @@ def _arbitrage_mid_run():
                             sigma=[[0.2], [0.1]], T=1.0, steps=40, paths=50,
                             seed=0, x0=[0.0, 0.0])
     with pytest.raises(ArbitrageError, match="at step 1, path 0") as caught:
-        mc.stream_deflated(spec, mc.bucket_edges(spec.steps))
+        mc.stream_deflated(spec)
     return caught
 
 
@@ -368,7 +382,7 @@ def test_worker_exception_is_raised_in_the_consumer(monkeypatch):
     monkeypatch.setattr(np.random, "Generator", _generator_stub(fail_at=2))
     before = threading.enumerate()
     with pytest.raises(_FillError, match="^fill 2$") as caught:
-        _within(30, lambda: mc.stream_deflated(spec, [0, 12]))
+        _within(30, lambda: mc.stream_deflated(spec))
     assert threading.enumerate() == before, caught
 
 
@@ -384,7 +398,7 @@ def test_failing_thread_start_is_raised_in_the_consumer(monkeypatch):
     monkeypatch.setattr(mc, "_leave_creator_cpu", fail)
     before = threading.enumerate()
     with pytest.raises(BrokenThreadPool) as caught:
-        _within(30, lambda: mc.stream_deflated(spec, [0, 12]))
+        _within(30, lambda: mc.stream_deflated(spec))
     assert threading.enumerate() == before, caught
 
 
