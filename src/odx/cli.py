@@ -178,18 +178,16 @@ def cmd_simulate(args):
         raise ModelError("simulate needs paths >= 2 for its standard errors")
     head = PATHS_CSV_ROWS if args.out is not None else 0
     rec = mc.stream_deflated(spec, head=head, tol=args.tol)
-    y_term = rec.Y_hat[rec.alive, -1]
-    rep = mc.martingale_test(rec.Y_hat[rec.alive])
-    rep_yx = mc.martingale_test(rec.YX[rec.alive])
+    y_term = rec.Y_terminal
     doc = {
         "seed": args.seed, "paths": spec.paths, "steps": spec.steps,
         "abort_fraction": rec.abort_fraction,
         "mean_Y_terminal": float(y_term.mean()),
         "se_Y_terminal": float(y_term.std(ddof=1) / np.sqrt(y_term.size)),
-        "martingale_test_Y": {"max_abs_t": rep["max_abs_t"],
-                              "passed": rep["passed"]},
-        "martingale_test_YX": {"max_abs_t": rep_yx["max_abs_t"],
-                               "passed": rep_yx["passed"]},
+        "martingale_test_Y": {"max_abs_t": rec.test_Y["max_abs_t"],
+                              "passed": rec.test_Y["passed"]},
+        "martingale_test_YX": {"max_abs_t": rec.test_YX["max_abs_t"],
+                               "passed": rec.test_YX["passed"]},
     }
     _emit(args, doc, "simulate.json")
     csv_path = _out_path(args, "paths.csv")

@@ -14,8 +14,9 @@ path i sees the same draws however the steps are chunked.  A one-thread
 current one run; both the fill and numpy's loops over the paths release the
 GIL.  ``concurrent.futures`` is imported only when a run starts: it loads
 ``logging``, which no tree command needs.
-``stream_deflated`` keeps only the bucket-edge columns; ``simulate``
-and ``deflate_paths`` are the full-panel consumers of the same steps.
+``stream_deflated`` takes the martingale tests as the run goes and keeps no
+panel; ``simulate`` and ``deflate_paths`` are the full-panel consumers of
+the same steps.
 """
 from __future__ import annotations
 
@@ -103,10 +104,13 @@ class PathEnsemble:
 
 @dataclass(frozen=True)
 class StreamRecord:
-    """The columns ``stream_deflated`` keeps of a deflated run."""
+    """What ``stream_deflated`` keeps of a deflated run: the
+    :func:`martingale_test` reports of Y_hat and Y_hat * X[..., 0] over the
+    paths alive at the end, and Y_hat of those paths at the last step."""
 
-    Y_hat: np.ndarray      # (paths, k) deflator at the k recorded steps
-    YX: np.ndarray         # (paths, k) Y_hat * X[..., 0] at those steps
+    test_Y: dict           # martingale_test report of Y_hat
+    test_YX: dict          # martingale_test report of Y_hat * X[..., 0]
+    Y_terminal: np.ndarray  # (alive,) Y_hat at the last step
     X_head: np.ndarray     # (head, steps+1) X[..., 0] of the first paths
     alive: np.ndarray      # paths surviving deflation
     abort_fraction: float
@@ -273,42 +277,72 @@ def deflate_paths(ens):
 
 
 def stream_deflated(spec, head=0, tol=DEFAULT_STRUCT_TOL):
-    """Simulate and deflate in one pass, keeping only some columns.
+    """Simulate and deflate, keeping the martingale tests and not the paths.
 
-    Y_hat and Y_hat * X[..., 0] are kept at the steps
-    ``bucket_edges(spec.steps)``, the columns ``martingale_test`` reads,
-    and X[..., 0] of the first ``head`` paths at every step.  The values
-    are those of ``deflate_paths(simulate(spec))``, but memory is paths x
-    (chunk + recorded columns), not paths x steps.  ``tol`` bounds the
-    drift check of :func:`check_structure`.  Columns that numpy cannot
-    allocate are a :class:`ModelError` naming the path count."""
-    column = {int(s): k for k, s in enumerate(bucket_edges(spec.steps))}
+    The reports, Y_hat at the last step and X[..., 0] of the first ``head``
+    paths are those of ``deflate_paths(simulate(spec))`` to the bit, but
+    memory is a fixed number of (paths,) arrays plus the chunk of normals.
+    The tests are over the paths alive at the end, so a run in which some
+    path aborts runs twice, with the same draws.  ``tol`` bounds the drift
+    check of :func:`check_structure`.  A path count that numpy cannot
+    allocate is a :class:`ModelError` naming it."""
     P = spec.paths
     try:
-        Y = np.empty((P, len(column)))
-        YX = np.empty((P, len(column)))
+        edge = np.empty((2, P))  # Y_hat and Y_hat * X_0 at the edge before
         X_head = np.empty((min(head, P), spec.steps + 1))
     except (ValueError, MemoryError) as exc:
         raise ModelError(
             f"cannot hold the columns of {P} paths: {exc}") from exc
+    t_Y, t_YX, alive = _deflated_pass(spec, tol, slice(None), edge, X_head)
+    frac = _abort_fraction(alive)
+    if frac:
+        t_Y, t_YX, alive = _deflated_pass(spec, tol, alive, edge, X_head)
+    return StreamRecord(test_Y=_t_report(t_Y), test_YX=_t_report(t_YX),
+                        Y_terminal=edge[0, alive], X_head=X_head,
+                        alive=alive, abort_fraction=frac)
+
+
+def _deflated_pass(spec, tol, rows, edge, X_head):
+    """One run of the steps: the t-statistic of each bucket of Y_hat and of
+    Y_hat * X_0 over the paths ``rows``, taken as the run passes the
+    bucket's end, and the paths alive at the end.  ``edge`` ends with the
+    values at the last step, and ``X_head`` with X_0 of its first paths."""
+    edges = set(bucket_edges(spec.steps).tolist())
+    t_Y, t_YX = [], []
+    head = X_head.shape[0]
     # closed here: a traceback that holds _wealth's frame, as an
     # ArbitrageError's does, keeps the states and their pool's thread running
     with closing(_euler_states(spec)) as states:
         for step, (x, v, alive) in enumerate(_wealth(spec, states, tol)):
             X_head[:, step] = x[:head, 0]
-            k = column.get(step)
-            if k is not None:
+            if step in edges:
                 with np.errstate(divide="ignore"):
-                    Y[:, k] = 1.0 / v
-                YX[:, k] = Y[:, k] * x[:, 0]
-    return StreamRecord(Y_hat=Y, YX=YX, X_head=X_head, alive=alive,
-                        abort_fraction=_abort_fraction(alive))
+                    y = 1.0 / v
+                yx = y * x[:, 0]
+                if step:
+                    t_Y.append(_bucket_t((y - edge[0])[rows]))
+                    t_YX.append(_bucket_t((yx - edge[1])[rows]))
+                edge[0], edge[1] = y, yx
+                del y, yx  # held to the next edge, they would double edge
+    return t_Y, t_YX, alive
 
 
 def bucket_edges(n_steps):
     """Step indices bounding the coarse time buckets of ``martingale_test``
     (at most :data:`N_BUCKETS`, and at most one per step)."""
     return np.linspace(0, n_steps, min(N_BUCKETS, n_steps) + 1).astype(int)
+
+
+def _bucket_t(D):
+    """t-statistic of the mean of one bucket's increments D (paths,)."""
+    sd = D.std(ddof=1)
+    return 0.0 if sd == 0.0 else float(D.mean() / (sd / np.sqrt(D.size)))
+
+
+def _t_report(t_stats):
+    t_stats = np.asarray(t_stats)
+    return {"t_stats": t_stats, "max_abs_t": float(np.max(np.abs(t_stats))),
+            "passed": bool(np.all(np.abs(t_stats) <= T_MAX))}
 
 
 def martingale_test(Z):
@@ -319,39 +353,6 @@ def martingale_test(Z):
     those columns.
     """
     Z = np.asarray(Z, dtype=np.float64)
-    P, n1 = Z.shape
-    edges = bucket_edges(n1 - 1)
-    stats = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        D = Z[:, hi] - Z[:, lo]
-        sd = D.std(ddof=1)
-        t = 0.0 if sd == 0.0 else float(D.mean() / (sd / np.sqrt(P)))
-        stats.append(t)
-    stats = np.asarray(stats)
-    return {"t_stats": stats, "max_abs_t": float(np.max(np.abs(stats))),
-            "passed": bool(np.all(np.abs(stats) <= T_MAX))}
-
-
-def kw_regress(U, dM):
-    """Cross-sectional least-squares surrogate of the conditional
-    projection: per step, regress dU on dM across paths (one global bin).
-
-    U is (paths, steps+1); dM is (paths, steps, d).  All steps solve in one
-    stacked ``psd_pinv_apply`` call on their (d, d) sample covariances.
-    Returns theta (steps, d), the cumulative drift B (steps+1,) with
-    dB = -(mean residual), and the root-mean-square of the residual after
-    drift removal (the statistical size of the orthogonal part)."""
-    U = np.asarray(U, dtype=np.float64)
-    P = U.shape[0]
-    x = np.asarray(dM, dtype=np.float64).transpose(1, 0, 2)  # (steps, paths, d)
-    y = np.diff(U, axis=1).T                                  # (steps, paths)
-    xc = x - x.mean(axis=1, keepdims=True)
-    cov = xc.mT @ xc / P
-    cross = np.vecmat(y - y.mean(axis=1, keepdims=True), xc) / P
-    theta, _ = psd_pinv_apply(cov, cross)
-    resid = y - np.matvec(x, theta)
-    dB = -resid.mean(axis=1)
-    centered = resid + dB[:, None]
-    B = np.concatenate([[0.0], np.cumsum(dB)])
-    n_norm = float(np.sqrt(np.mean(np.vecdot(centered, centered)) / P))
-    return theta, B, n_norm
+    edges = bucket_edges(Z.shape[1] - 1)
+    return _t_report([_bucket_t(Z[:, hi] - Z[:, lo])
+                      for lo, hi in zip(edges[:-1], edges[1:])])

@@ -898,6 +898,20 @@ def test_simulate_too_many_paths_exit_1(tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
+def test_simulate_too_many_steps_exit_1(tmp_path, capsys):
+    """10^20 steps are past numpy's dimension limit: the allocation of X of
+    the first paths at every step rejects them, with or without --out,
+    before bucket_edges meets a count it cannot convert."""
+    path = _write(tmp_path, "spec.json", SIM_SPEC)
+    for out in ([], ["--out", str(tmp_path / "out")]):
+        assert main([*out, "simulate", path, "--paths", "10",
+                     "--steps", str(10**20)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: ")
+        assert captured.err.count("\n") == 1
+
+
 def test_simulate_one_path_exit_1(tmp_path, capsys):
     # one path has no standard error: the t-statistics would be NaN
     path = _write(tmp_path, "spec.json", SIM_SPEC)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from odx.mc import (DiffusionSpec, check_structure, deflate_paths,
-                    kw_regress, martingale_test, scalar_spec, simulate)
+                    martingale_test, scalar_spec, simulate)
 from odx.tree import ModelError
+from support import kw_regress
 
 
 def test_simulation_deterministic_per_seed():

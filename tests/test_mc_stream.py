@@ -1,8 +1,8 @@
 """The streaming Monte Carlo kernel against the full-panel reference.
 
 ``odx simulate`` runs ``mc.stream_deflated``; its outputs must be those of
-``deflate_paths(simulate(spec))`` to the byte, and its memory must not
-grow with the number of steps.
+``deflate_paths(simulate(spec))`` to the byte, and its memory must be a
+fixed number of (paths,) arrays, whatever the number of steps.
 """
 import ctypes
 import io
@@ -51,6 +51,12 @@ D3_M2_LINEAR = {"odx_schema": 1, "d": 3, "m": 2, "T": 1.0,
                                     [0.1, -0.1]]}}
 SPECS = {"d1": D1, "d2-linear": D2_LINEAR, "d2-m1": D2_M1,
          "d3-m2-linear": D3_M2_LINEAR}
+# rho = 17: at 20,000 paths x 256 steps and seed 1, one path's wealth would
+# go negative (abort fraction 5e-5); at the few paths and steps of the SPECS
+# tests it aborts past ABORT_FRACTION_LIMIT
+ABORTING = {"odx_schema": 1, "d": 1, "m": 1, "T": 1.0,
+            "drift": {"form": "const", "value": [0.68]},
+            "sigma": {"form": "const", "value": [[0.2]]}}
 
 
 def _write(tmp_path, name, obj):
@@ -65,6 +71,19 @@ def _spec(obj, paths, steps, seed):
                             sigma=obj["sigma"]["value"], T=obj["T"],
                             steps=steps, paths=paths, seed=seed,
                             x0=obj.get("x0", [0.0] * obj["d"]))
+
+
+def _count_passes(monkeypatch):
+    """A list that grows by one each time a run of the steps starts."""
+    passes = []
+    euler_states = mc._euler_states
+
+    def counting(spec):
+        passes.append(spec)
+        return euler_states(spec)
+
+    monkeypatch.setattr(mc, "_euler_states", counting)
+    return passes
 
 
 def _reference_outputs(obj, paths, steps, seed, csv_path):
@@ -116,26 +135,59 @@ def test_stream_matches_panel_bytes(tmp_path, monkeypatch, capsys,
     spec_path = _write(tmp_path, "spec.json", obj)
     ref_csv = tmp_path / "ref.csv"
     ref_json = _reference_outputs(obj, paths, steps, 5, ref_csv)
+    assert json.loads(ref_json)["abort_fraction"] == 0.0
+    passes = _count_passes(monkeypatch)
     out = tmp_path / "out"
     assert main(["--seed", "5", "--out", str(out), "simulate", spec_path,
                  "--paths", str(paths), "--steps", str(steps)]) == 0
     assert capsys.readouterr().out == ref_json
     assert (out / "simulate.json").read_text() == ref_json
     assert (out / "paths.csv").read_bytes() == ref_csv.read_bytes()
+    assert len(passes) == 1  # no path aborted: one run of the steps
+
+
+def test_aborting_run_matches_panel_bytes(tmp_path, monkeypatch, capsys):
+    """The statistics are over the paths alive at the end, so a run in
+    which a path aborts takes a second pass; its outputs, with and without
+    --out, are still those of the full panel."""
+    spec_path = _write(tmp_path, "abort.json", ABORTING)
+    ref_csv = tmp_path / "ref.csv"
+    ref_json = _reference_outputs(ABORTING, 20_000, 256, 1, ref_csv)
+    assert json.loads(ref_json)["abort_fraction"] == pytest.approx(5e-5)
+    argv = ["simulate", spec_path, "--paths", "20000", "--steps", "256"]
+    passes = _count_passes(monkeypatch)
+    assert main(["--seed", "1", *argv]) == 0
+    assert capsys.readouterr().out == ref_json
+    assert len(passes) == 2
+    out = tmp_path / "out"
+    assert main(["--seed", "1", "--out", str(out), *argv]) == 0
+    assert capsys.readouterr().out == ref_json
+    assert (out / "simulate.json").read_text() == ref_json
+    assert (out / "paths.csv").read_bytes() == ref_csv.read_bytes()
+    assert len(passes) == 4
+
+
+def _same_report(got, want):
+    assert got["t_stats"].tobytes() == want["t_stats"].tobytes()
+    assert (got["max_abs_t"], got["passed"]) == (want["max_abs_t"],
+                                                 want["passed"])
 
 
 @pytest.mark.parametrize("steps", [1, 5, 16, 40])
 def test_stream_keeps_the_bucket_edge_columns(steps):
-    """stream_deflated records the columns martingale_test reads, with the
-    values of the full panel at those steps."""
-    spec = _spec(D2_LINEAR, paths=30, steps=steps, seed=2)
-    rec = mc.stream_deflated(spec)
-    edges = mc.bucket_edges(spec.steps)
-    assert rec.Y_hat.shape[1] == len(edges)
-    ens = mc.deflate_paths(mc.simulate(spec))
-    np.testing.assert_array_equal(rec.Y_hat, ens.Y_hat[:, edges])
-    YX = ens.Y_hat * ens.X[..., 0]
-    np.testing.assert_array_equal(rec.YX, YX[:, edges])
+    """What stream_deflated keeps of the bucket-edge columns, the two
+    martingale_test reports and Y_hat at the last step over the alive
+    paths, is that of the full panel to the bit."""
+    for name, obj in SPECS.items():
+        spec = _spec(obj, paths=30, steps=steps, seed=2)
+        rec = mc.stream_deflated(spec)
+        ens = mc.deflate_paths(mc.simulate(spec))
+        assert rec.alive.tobytes() == ens.alive.tobytes(), name
+        _same_report(rec.test_Y, mc.martingale_test(ens.Y_hat[ens.alive]))
+        YX = ens.Y_hat * ens.X[..., 0]
+        _same_report(rec.test_YX, mc.martingale_test(YX[ens.alive]))
+        assert (rec.Y_terminal.tobytes()
+                == ens.Y_hat[ens.alive, -1].tobytes()), name
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 7, 64])
@@ -261,13 +313,27 @@ def _traced_peak(spec_path, paths, steps, capsys):
 
 def test_stream_memory_does_not_grow_with_steps(tmp_path, capsys):
     """A full (paths, steps) panel grows 8x from 64 to 512 steps; the
-    streaming run holds a chunk of normals and the bucket-edge columns."""
+    streaming run holds a chunk of normals and a few (paths,) arrays."""
     paths = 10_000
     assert mc.NORMAL_CHUNK_BYTES // (8 * paths) < 64  # chunks < 64 steps
     spec_path = _write(tmp_path, "spec.json", D1)
     short = _traced_peak(spec_path, paths, 64, capsys)
     long = _traced_peak(spec_path, paths, 512, capsys)
     assert long < 2 * short, (short, long)
+
+
+@pytest.mark.parametrize("steps", [16, 256])
+def test_stream_holds_a_fixed_number_of_path_arrays(tmp_path, monkeypatch,
+                                                    capsys, steps):
+    """With one step of normals per chunk, a run holds a few (paths,)
+    arrays of the step and the values at one bucket edge; a column per
+    edge of Y_hat and Y_hat * X_0 would take 34 more."""
+    paths = 20_000
+    monkeypatch.setattr(mc, "NORMAL_CHUNK_BYTES", ONE_STEP_CHUNKS)
+    spec_path = _write(tmp_path, "spec.json", D1)
+    _traced_peak(spec_path, paths, steps, capsys)  # numpy's first-use state
+    arrays = _traced_peak(spec_path, paths, steps, capsys) / (8 * paths)
+    assert arrays < 20, arrays
 
 
 def test_non_finite_increment_is_model_error():
