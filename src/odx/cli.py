@@ -53,10 +53,11 @@ def _out_path(args, name):
 
 
 def _load_model(args):
-    """The model's X and characteristics: every tree command stops here,
-    with exit 1, where a drift or covariance is not finite."""
+    """The model's X, with its characteristics formed: every tree command
+    stops here, with exit 1, where a drift or covariance is not finite."""
     _, X = odx_io.load_model(_load_json(args.model))
-    return X, extract_characteristics(X).check_finite()
+    extract_characteristics(X).check_finite()
+    return X
 
 
 def _emit(args, doc, name):
@@ -69,8 +70,8 @@ def _emit(args, doc, name):
 
 
 def cmd_analyze(args):
-    X, ch = _load_model(args)
-    report = solve_structure(ch, tol=args.tol)
+    X = _load_model(args)
+    report = solve_structure(extract_characteristics(X), tol=args.tol)
     doc = {
         "status": report.status,
         "mass_max": float(np.max(report.mass.values)),
@@ -88,7 +89,7 @@ def cmd_analyze(args):
 def cmd_deflate(args):
     if args.extras < 0:
         raise ModelError(f"--extras must be >= 0, got {args.extras}")
-    X, _ = _load_model(args)
+    X = _load_model(args)
     fam = build_deflator_family(X, n_extras=args.extras, seed=args.seed)
     doc = {
         "seed": args.seed, "rho_hat": fam.rho_hat, "V_hat": fam.V_hat,
@@ -100,7 +101,7 @@ def cmd_deflate(args):
 
 
 def cmd_decompose(args):
-    X, _ = _load_model(args)
+    X = _load_model(args)
     V = odx_io.adapted_from_json(X.tree, _load_json(args.value), "V")
     cert = is_supermartingale_under_all(V, X)
     if not cert.passed:
@@ -124,7 +125,7 @@ def cmd_decompose(args):
 
 
 def cmd_superhedge(args):
-    X, _ = _load_model(args)
+    X = _load_model(args)
     claim = odx_io.load_claim(_load_json(args.claim), X)
     res = superhedge(claim, X)
     doc = {
@@ -143,7 +144,7 @@ def cmd_superhedge(args):
 
 
 def cmd_verify(args):
-    X, _ = _load_model(args)
+    X = _load_model(args)
     V = odx_io.adapted_from_json(X.tree, _load_json(args.value), "V")
     dec = odx_io.decomposition_from_json(X.tree,
                                          _load_json(args.decomposition))

@@ -128,7 +128,8 @@ class MarketLP:
     and ``node_max`` looks a node's rows up by their span.  Nodes past the
     budget fall back to a simplex solve.  An empty polytope at some node
     signals arbitrage.  Callers take node maxima through ``maxima``, and a
-    FAIL witness its attaining vertex through ``node_max``.
+    FAIL witness its attaining vertex through ``node_max``.  Every stage
+    takes the market's one instance, ``X.once(MarketLP)``.
     """
 
     def __init__(self, X):
@@ -137,11 +138,11 @@ class MarketLP:
         self._stacks = []  # one (n_block * m_max, k) vertex stack per block
         # node -> (stack, first row, end row); stack -1 for the simplex
         self._span = np.full((self.tree.n_nodes, 3), -1)
-        for g in self.tree.branch_groups:
+        for g, dX in zip(self.tree.branch_groups,
+                         extract_characteristics(X).dX):
             cost = _enum_cost(g.k, X.dim)
             if cost > VERTEX_ENUM_BUDGET:
                 continue
-            dX = g.increments(X.values)
             for b in _blocks(g.nodes.size, cost):
                 verts, counts = _group_vertices(dX[b])
                 lo = np.arange(counts.size) * verts.shape[1]
@@ -200,7 +201,7 @@ class SupermartingaleCertificate:
         return self.verdict == "PASS"
 
 
-def is_supermartingale_under_all(V, X, lp=None):
+def is_supermartingale_under_all(V, X):
     """Test whether V is a supermartingale under every martingale measure.
 
     Per non-leaf node the closed-polytope LP max of the child values is
@@ -208,13 +209,14 @@ def is_supermartingale_under_all(V, X, lp=None):
     SUPERMART_TOL * max(1, |V(node)|, max |V(children)|), so the verdict
     does not depend on the units of V.  FAIL carries the failing node of
     largest excess (the first on ties) and the maximizing vertex measure.
-    The duality gap comes from the same node maxima.
+    The duality gap comes from the same node maxima, of X's one
+    :class:`MarketLP`.
     """
     if V.dim != 1:
         raise ModelError("V must be scalar")
     if not np.all(np.isfinite(V.values)):
         raise ModelError("V must be finite (locally bounded below)")
-    lp = lp if lp is not None else MarketLP(X)
+    lp = X.once(MarketLP)
     nodes = X.tree.nonleaf_nodes
     v = V.values[:, 0]
     best = lp.maxima(nodes, v)
@@ -325,9 +327,9 @@ def decompose_lp(V, X):
     H_vals = np.zeros((tree.n_nodes, X.dim))
     infeasible = np.zeros(tree.n_nodes, dtype=bool)
     dV_scale = np.ones(tree.n_nodes)
-    for g in tree.branch_groups:
+    for g, dX in zip(tree.branch_groups, extract_characteristics(X).dX):
         dV = g.increments(v)
-        H, feasible = _min_norm_superhedges(g.increments(X.values), dV)
+        H, feasible = _min_norm_superhedges(dX, dV)
         H_vals[g.nodes] = H
         infeasible[g.nodes] = ~feasible
         dV_scale[g.kids] = np.maximum(1.0, np.abs(dV).max(axis=1))[:, None]
@@ -339,7 +341,7 @@ def decompose_lp(V, X):
         if not infeasible[node]:
             raise SolverError(f"negative consumption at node {node}",
                               node=node)
-        lp = MarketLP(X)
+        lp = X.once(MarketLP)
         (best,) = lp.maxima([node], v)
         raise SolverError(
             f"least-distance hedge infeasible at node {node}, where the "
@@ -377,11 +379,8 @@ def decompose_kw(V, X):
     n_sq = np.zeros(tree.n_nodes)      # conditional second moment of dN
     defer = np.zeros(tree.n_nodes, dtype=bool)
     infeasible = np.zeros(tree.n_nodes, dtype=bool)
-    for g in tree.branch_groups:
-        nodes = g.nodes
-        p = tree.p[g.kids]
-        dX = g.increments(X.values)
-        dM = dX - a[nodes][:, None]
+    for g, dX, dM in zip(tree.branch_groups, ch.dX, ch.dM):
+        nodes, p = g.nodes, g.p
         W = (1.0 + np.matvec(dX, rho[nodes])) * g.increments(U)
         theta, _ = psd_pinv_apply(ch.c_stack(nodes),
                                   np.vecmat(W, p[:, :, None] * dM))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .structure import psd_pinv_apply
+from .structure import extract_characteristics, psd_pinv_apply
 from .tree import (AdaptedProcess, ArbitrageError, ModelError,
                    PredictableProcess, child_weighted_sums, path_cumprod,
                    path_cumsum)
@@ -119,9 +119,8 @@ def numeraire_portfolio(X):
     rho_vals = np.zeros((tree.n_nodes, d))
     factors = np.ones(tree.n_nodes)
     unbounded = np.zeros(tree.n_nodes, dtype=bool)
-    for g in tree.branch_groups:
-        dX = g.increments(X.values)
-        rho, grad = _log_optimal(tree.p[g.kids], dX)
+    for g, dX in zip(tree.branch_groups, extract_characteristics(X).dX):
+        rho, grad = _log_optimal(g.p, dX)
         scale = np.maximum(1.0, np.max(np.abs(dX), axis=(1, 2)))
         unbounded[g.nodes] = ((np.max(np.abs(grad), axis=1)
                                > NUMERAIRE_TOL * scale)
@@ -150,7 +149,7 @@ def implied_measure(V_hat):
     vh = V_hat.values[:, 0]
     q = np.ones(tree.n_nodes)
     for g in tree.branch_groups:
-        raw = tree.p[g.kids] * vh[g.nodes][:, None] / vh[g.kids]
+        raw = g.p * vh[g.nodes][:, None] / vh[g.kids]
         q[g.kids] = raw / raw.sum(axis=1, keepdims=True)
     return q
 
@@ -176,8 +175,8 @@ def orthogonal_jump_martingale(X, rng, weights=None, n_samples=1):
 
     At each non-leaf node, dL is drawn by the Generator ``rng`` from the
     affine subspace {sum w dL = 0, sum w dL dM^T = 0}, where dM = dX - a
-    and a is the conditional mean of dX, as in the characteristics, and
-    scaled to sup-norm 1 - :data:`MARGIN`, so 1 + dL >= MARGIN > 0.
+    is the martingale increment of X's characteristics, and scaled to
+    sup-norm 1 - :data:`MARGIN`, so 1 + dL >= MARGIN > 0.
     Binary nodes admit only dL = 0.  ``weights`` defaults to the tree
     probabilities; pass the implied martingale-measure weights to make
     Y_hat * E(L) an exact deflator on drifting markets.
@@ -193,15 +192,12 @@ def orthogonal_jump_martingale(X, rng, weights=None, n_samples=1):
         raise ModelError(
             f"cannot hold {n_samples} jump martingales: {exc}") from exc
     w_all = tree.p if weights is None else np.asarray(weights, dtype=np.float64)
-    a = np.zeros_like(X.values)
-    a[tree.nonleaf_nodes] = child_weighted_sums(tree, X.increments())
     # per node: the rank of the constraints and the right singular vectors,
     # whose trailing rows span {sum w dL = 0, sum w dL dM^T = 0}
     free = np.zeros(tree.n_nodes, dtype=np.int64)
     svd = []
-    for g in tree.branch_groups:
+    for g, dM in zip(tree.branch_groups, extract_characteristics(X).dM):
         w = w_all[g.kids]
-        dM = g.increments(X.values) - a[g.nodes][:, None]
         cons = np.concatenate([w[:, None, :], (w[:, :, None] * dM).mT], axis=1)
         _, sv, vh = np.linalg.svd(cons, full_matrices=True)
         r = np.sum(sv > np.max(sv, axis=1, keepdims=True) * 1e-12, axis=1)

@@ -89,13 +89,13 @@ def random_hedge_consumption(rng, X):
             AdaptedProcess(tree, path_cumsum(tree, dC)))
 
 
-def random_universal_supermartingale(rng, X, lp=None):
+def random_universal_supermartingale(rng, X):
     """Backward construction by vertex-measure mixing: at each node the
     value is the best vertex expectation of the child values plus a
     nonnegative slack, hence a supermartingale under every measure in the
     polytope."""
     tree = X.tree
-    lp = lp if lp is not None else MarketLP(X)
+    lp = X.once(MarketLP)
     V = np.zeros(tree.n_nodes)
     V[tree.leaves] = rng.normal(0.0, 1.0, size=tree.leaves.size)
     for level in reversed(tree.levels[:-1]):
@@ -127,12 +127,11 @@ def random_complete_binary_model(rng):
     return tree, AdaptedProcess(tree, vals)
 
 
-def martingale_value_process(rng, X, lp=None):
+def martingale_value_process(rng, X):
     """Value process of a random terminal payoff under per-node maximizing
     vertex measures with zero slack (on complete trees: the unique
     replication value, so both decomposition routes coincide with C = 0)."""
     tree = X.tree
     payoff = np.zeros(tree.n_nodes)
     payoff[tree.leaves] = rng.normal(0.0, 1.0, size=tree.leaves.size)
-    return snell_envelope(Claim(EUROPEAN, AdaptedProcess(tree, payoff)), X,
-                          lp=lp)
+    return snell_envelope(Claim(EUROPEAN, AdaptedProcess(tree, payoff)), X)

@@ -11,11 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .tree import (AdaptedProcess, ModelError, PredictableProcess,
-                   _first_failure, child_weighted_sums, path_cumsum,
-                   spread_to_children, step_gains)
+                   child_weighted_sums, path_cumsum, spread_to_children)
 
-SYM_TOL = 1e-12  # symmetry and PSD tolerances of c, each times
-EIG_TOL = 1e-10  # max(1, max |c|) of its node
 # the one rank rule of psd_pinv_apply: relative eigenvalue cutoff
 PINV_RELTOL = 1e-13
 DEFAULT_STRUCT_TOL = 1e-8
@@ -24,10 +21,17 @@ MASS_THRESHOLD = 1e6
 
 @dataclass(frozen=True)
 class Characteristics:
-    """Drift a and covariance c (flattened d x d) per step."""
+    """Drift a and covariance c (flattened d x d) per step, with the
+    per-branch-group stacks they are formed from, one per group of
+    ``tree.branch_groups`` and in its order: the (n_k, k, d) child
+    increments dX and the martingale increments dM = dX - a.  c is formed
+    as sum p dM dM^T, symmetric and PSD by construction; a Characteristics
+    built from (a, c) alone has no stacks."""
 
     a: PredictableProcess
     c: PredictableProcess  # (n_nodes, d*d) row-major
+    dX: tuple = ()
+    dM: tuple = ()
 
     @property
     def d(self):
@@ -53,21 +57,6 @@ class Characteristics:
                              "covariance not finite")
         return self
 
-    def validate(self):
-        nodes = self.a.tree.nonleaf_nodes
-        C = self.check_finite().c_stack(nodes)
-        C = C / np.maximum(1.0, np.max(np.abs(C), axis=(1, 2)))[:, None, None]
-        failure = _first_failure([
-            (np.max(np.abs(C - C.mT), axis=(1, 2)) > SYM_TOL,
-             "covariance not symmetric"),
-            (np.min(np.linalg.eigvalsh(0.5 * (C + C.mT)), axis=1) < -EIG_TOL,
-             "covariance not PSD"),
-        ])
-        if failure is not None:
-            i, msg = failure
-            raise ModelError(f"node {nodes[i]}: {msg}")
-        return self
-
 
 @dataclass(frozen=True)
 class StructureReport:
@@ -84,22 +73,31 @@ class StructureReport:
 
 
 def extract_characteristics(X):
-    """Per-step (a, c) of a market process: a is the conditional mean of
-    dX, the sum the Doob drift takes, and c = sum p dM dM^T over the
-    children, with martingale increments dM = dX - a."""
+    """The market's step data, formed once per X and kept on it: the
+    :class:`Characteristics` with a the conditional mean of dX, the sum the
+    Doob drift takes, c = sum p dM dM^T over the children, and the per-group
+    stacks dX and dM = dX - a that every stage reads."""
+    return X.once(_characteristics)
+
+
+def _characteristics(X):
     tree = X.tree
     d = X.dim
     a_vals = np.zeros((tree.n_nodes, d))
     a_vals[tree.nonleaf_nodes] = child_weighted_sums(tree, X.increments())
     c_vals = np.zeros((tree.n_nodes, d * d))
+    dXs, dMs = [], []
     for g in tree.branch_groups:
-        w = tree.p[g.kids]
-        dM = g.increments(X.values) - a_vals[g.nodes][:, None]
-        with np.errstate(over="ignore"):  # validate() names the node
-            c = (w[:, :, None] * dM).mT @ dM
+        dX = g.increments(X.values)
+        dM = dX - a_vals[g.nodes][:, None]
+        with np.errstate(over="ignore"):  # check_finite() names the node
+            c = (g.p[:, :, None] * dM).mT @ dM
         c_vals[g.nodes] = c.reshape(-1, d * d)
+        dXs.append(dX)
+        dMs.append(dM)
     return Characteristics(a=PredictableProcess(tree, a_vals),
-                           c=PredictableProcess(tree, c_vals))
+                           c=PredictableProcess(tree, c_vals),
+                           dX=tuple(dXs), dM=tuple(dMs))
 
 
 def _sum_products(a, b):
@@ -166,7 +164,7 @@ def solve_structure(ch, tol=DEFAULT_STRUCT_TOL):
     other steps) has c zeta = 0 and <zeta, a> = |zeta|^2 > 0, i.e. a
     conditionally riskless strictly positive gain.
     """
-    ch.validate()
+    ch.check_finite()
     tree = ch.a.tree
     d = ch.d
     nodes = tree.nonleaf_nodes
@@ -195,11 +193,3 @@ def solve_structure(ch, tol=DEFAULT_STRUCT_TOL):
                            rho=PredictableProcess(tree, rho_vals),
                            zeta=None, mass=mass, mass_flag=mass_flag)
 
-
-def riskless_gain(X, zeta):
-    """One-step gains <zeta, dX> of an arbitrage certificate, per node.
-
-    Returns (n_nodes,) gains; at a flagged node the gains across children
-    have zero conditional variance and strictly positive conditional mean.
-    """
-    return step_gains(X, zeta.values)

@@ -56,14 +56,15 @@ def vanilla_claim(X, formula, strike, kind=EUROPEAN, asset=0):
     return Claim(kind=kind, payoff=AdaptedProcess(X.tree, pay))
 
 
-def snell_envelope(claim, X, lp=None):
+def snell_envelope(claim, X):
     """Smallest universal supermartingale dominating the claim.
 
     American: dominates the payoff at every node.  European: dominates at
-    the leaves only; interior values are the pure polytope suprema.
+    the leaves only; interior values are the pure polytope suprema, of
+    X's one :class:`MarketLP`.
     """
     tree = X.tree
-    lp = lp if lp is not None else MarketLP(X)
+    lp = X.once(MarketLP)
     V = np.zeros(tree.n_nodes)
     V[tree.leaves] = claim.payoff.values[tree.leaves, 0]
     # every leaf sits at the horizon, so the earlier levels are non-leaf
@@ -111,9 +112,8 @@ class SuperhedgeResult:
 
 def superhedge(claim, X):
     """Superhedging price, hedge/consumption schedule, and portfolio view."""
-    lp = MarketLP(X)
-    env = snell_envelope(claim, X, lp=lp)
-    gap = is_supermartingale_under_all(env, X, lp=lp).duality_gap
+    env = snell_envelope(claim, X)
+    gap = is_supermartingale_under_all(env, X).duality_gap
     dec = decompose_lp(env, X)
     view = portfolio_view(X)
     return SuperhedgeResult(price=float(env.values[0, 0]), envelope=env,

@@ -11,7 +11,7 @@ nodes with the same number of children, as one child-index matrix).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -59,11 +59,13 @@ class BranchGroup:
     """The non-leaf nodes with the same number k of children.
 
     ``nodes`` is (n_k,) ascending; ``kids`` is the (n_k, k) matrix of their
-    child ids in sibling order.
+    child ids in sibling order, and ``p`` the (n_k, k) matrix of their
+    branch probabilities.
     """
 
     nodes: np.ndarray
     kids: np.ndarray
+    p: np.ndarray
 
     @property
     def k(self):
@@ -134,8 +136,8 @@ class EventTree:
         groups = []
         for k in np.flatnonzero(np.bincount(ks)):
             nodes = nonleaf[ks == k]
-            groups.append(BranchGroup(
-                nodes, self.first_child[nodes][:, None] + np.arange(k)))
+            kids = self.first_child[nodes][:, None] + np.arange(k)
+            groups.append(BranchGroup(nodes, kids, self.p[kids]))
         return tuple(groups)
 
 
@@ -249,14 +251,25 @@ def _panel(tree, values, name):
 
 @dataclass(frozen=True)
 class AdaptedProcess:
-    """Node-indexed real-vector panel: one value per node."""
+    """Node-indexed real-vector panel: one value per node.  The panel is a
+    read-only view, so what :meth:`once` builds from it cannot go stale."""
 
     tree: EventTree
     values: np.ndarray  # (n_nodes, dim)
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _panel(self.tree, self.values,
-                                                  "AdaptedProcess"))
+        values = _panel(self.tree, self.values, "AdaptedProcess").view()
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+
+    def once(self, build):
+        """``build(self)``, formed on the first call and kept, for data
+        that is a function of this panel alone."""
+        if build not in self._memo:
+            self._memo[build] = build(self)
+        return self._memo[build]
 
     @property
     def dim(self):

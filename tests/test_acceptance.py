@@ -12,9 +12,9 @@ import pytest
 from scipy.optimize import linprog
 
 from conftest import permuted, realise, spec_of
-from odx.decompose import (Decomposition, MarketLP, check_uniqueness,
-                           decompose_kw, decompose_lp,
-                           is_supermartingale_under_all, reconstruct)
+from odx.decompose import (Decomposition, check_uniqueness, decompose_kw,
+                           decompose_lp, is_supermartingale_under_all,
+                           reconstruct)
 from odx.deflators import build_deflator_family, numeraire_portfolio
 from odx.mc import deflate_paths, martingale_test, scalar_spec, simulate
 from odx.random_models import (martingale_value_process,
@@ -23,9 +23,9 @@ from odx.random_models import (martingale_value_process,
                                random_hedge_consumption, random_market,
                                random_tree, random_universal_supermartingale,
                                strategy_wealth)
-from odx.structure import extract_characteristics, riskless_gain, solve_structure
+from odx.structure import extract_characteristics, solve_structure
 from odx.superhedge import AMERICAN, EUROPEAN, Claim, superhedge, vanilla_claim
-from odx.tree import AdaptedProcess, PredictableProcess, build_tree
+from odx.tree import AdaptedProcess, PredictableProcess, build_tree, step_gains
 
 N_TREES = 200
 
@@ -85,13 +85,12 @@ def test_criterion_2_theorem_equivalence(seeded_markets):
     worst_dc, worst_recon = 0.0, 0.0
     for seed, (tree, X) in enumerate(seeded_markets):
         rng = np.random.default_rng(10_000 + seed)
-        lp = MarketLP(X)
         for _ in range(20):
             V0, H, C = random_hedge_consumption(rng, X)
             V = reconstruct(V0, H, C, X)
-            assert is_supermartingale_under_all(V, X, lp=lp).passed
+            assert is_supermartingale_under_all(V, X).passed
         for _ in range(20):
-            V = random_universal_supermartingale(rng, X, lp=lp)
+            V = random_universal_supermartingale(rng, X)
             dec = decompose_lp(V, X)
             worst_dc = min(worst_dc, float(np.min(dec.C.increments())))
             back = reconstruct(dec.V0, dec.H, dec.C, X)
@@ -197,7 +196,7 @@ def test_criterion_6_arbitrage_certificate():
     pairing = float(zeta @ ch.a.values[0])
     # simulate the strategy: sample branches by the tree probabilities and
     # collect the one-step gains; riskless means zero spread, all positive
-    g = riskless_gain(X, rep.zeta)
+    g = step_gains(X, rep.zeta.values)
     rng = np.random.default_rng(0)
     kids = tree.children(0)
     draws = rng.choice(kids, size=10_000, p=tree.p[kids])

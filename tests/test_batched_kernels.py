@@ -341,18 +341,18 @@ def test_node_maxima_layer_matches_per_node_loops(seed, d, american):
     lp = MarketLP(X)
     payoff = AdaptedProcess(tree, rng.normal(size=tree.n_nodes))
     claim = Claim(AMERICAN if american else EUROPEAN, payoff)
-    env = snell_envelope(claim, X, lp=lp).values[:, 0]
+    env = snell_envelope(claim, X).values[:, 0]
     assert env.tobytes() == reference_snell(claim, X, lp).tobytes()
     # lowered at some nodes, the envelope fails the test there
     low = env - 0.1 * (rng.random(tree.n_nodes) < 0.3)
-    cert = is_supermartingale_under_all(AdaptedProcess(tree, low), X, lp=lp)
+    cert = is_supermartingale_under_all(AdaptedProcess(tree, low), X)
     assert repr(cert.witness) == repr(reference_witness(low, X, lp))
     gap = reference_gap(env, X, lp)
-    cert = is_supermartingale_under_all(AdaptedProcess(tree, env), X, lp=lp)
+    cert = is_supermartingale_under_all(AdaptedProcess(tree, env), X)
     assert repr(cert.duality_gap) == repr(gap)
     assert superhedge(claim, X).duality_gap == gap
     seeded = np.random.default_rng(seed)
-    V = random_universal_supermartingale(seeded, X, lp=lp).values[:, 0]
+    V = random_universal_supermartingale(seeded, X).values[:, 0]
     ref = reference_supermartingale(np.random.default_rng(seed), X, lp)
     assert V.tobytes() == ref.tobytes()
 

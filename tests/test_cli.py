@@ -9,14 +9,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from odx import decompose
+from odx import decompose, deflators, structure
 from odx import io as odx_io
+from odx import tree as tree_module
 from odx.cli import main
 from odx.decompose import MarketLP, is_supermartingale_under_all
 from odx.random_models import (random_market, random_tree,
                                random_universal_supermartingale)
 from odx.superhedge import AMERICAN, superhedge, vanilla_claim
-from odx.tree import AdaptedProcess, build_tree
+from odx.tree import AdaptedProcess, BranchGroup, build_tree
 
 
 def _write(tmp_path, name, obj):
@@ -639,6 +640,69 @@ def test_decompose_takes_the_polytope_maxima_of_V_once(tmp_path, capsys,
             doc = json.loads((out / f"decomposition_{route}.json").read_text())
             assert doc["diagnostics"]["duality_gap"] == gap
     assert wide > 0
+    capsys.readouterr()
+
+
+def test_each_command_forms_the_step_data_once(tmp_path, capsys,
+                                               monkeypatch):
+    """On a market of several branch groups, every tree command builds the
+    characteristics once, forms X's increments once per group and its
+    drift a, the child sums of X's increments, once, and builds at most one
+    ``MarketLP``."""
+    model, value, _, _ = _random_model(tmp_path, 0, 2, 2, 4)
+    claim = _write(tmp_path, "claim.json", {"odx_schema": 1,
+                                            "kind": "european",
+                                            "formula": "put", "strike": 1.0})
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "decompose", model, value]) == 0
+    decomposition = str(out / "decomposition_lp.json")
+    capsys.readouterr()
+
+    markets, counts = [], {}
+
+    def counting(name, fn, when):
+        def call(*args, **kwargs):
+            if when(*args):
+                key = name(*args) if callable(name) else name
+                counts[key] = counts.get(key, 0) + 1
+            return fn(*args, **kwargs)
+        return call
+
+    def load_model(doc, load=odx_io.load_model):
+        tree, X = load(doc)
+        markets.append(X)
+        return tree, X
+
+    def of_X(tree, values):
+        X = markets[-1]
+        return tree is X.tree and np.array_equal(values, X.increments())
+
+    monkeypatch.setattr(odx_io, "load_model", load_model)
+    monkeypatch.setattr(structure.Characteristics, "__init__", counting(
+        "characteristics", structure.Characteristics.__init__,
+        lambda *args: True))
+    monkeypatch.setattr(BranchGroup, "increments", counting(
+        lambda g, values: ("dX", g.k), BranchGroup.increments,
+        lambda g, values: values is markets[-1].values))
+    monkeypatch.setattr(MarketLP, "__init__", counting(
+        "MarketLP", MarketLP.__init__, lambda *args: True))
+    sums = tree_module.child_weighted_sums
+    for module in (tree_module, structure, deflators, decompose):
+        if getattr(module, "child_weighted_sums", None) is sums:
+            monkeypatch.setattr(module, "child_weighted_sums",
+                                counting("a", sums, of_X))
+    for argv in (["analyze", model], ["deflate", model, "--extras", "2"],
+                 ["decompose", model, value, "--route", "both"],
+                 ["superhedge", model, claim],
+                 ["verify", model, value, decomposition]):
+        markets.clear()
+        counts.clear()
+        assert main(argv) == 0, argv
+        groups = markets[0].tree.branch_groups
+        assert len(groups) >= 2
+        assert counts.pop("MarketLP", 0) <= 1, argv
+        assert counts == {"characteristics": 1, "a": 1,
+                          **{("dX", g.k): 1 for g in groups}}, argv
     capsys.readouterr()
 
 

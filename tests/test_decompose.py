@@ -173,13 +173,12 @@ def test_theorem_roundtrip_both_directions(seed):
     rng = np.random.default_rng(100 + seed)
     tree = random_tree(rng)
     X = random_market(rng, tree, d=1 + seed % 2)
-    lp = MarketLP(X)
     # (2) => (1): any hedge/consumption wealth is a universal supermartingale
     V0, H, C = random_hedge_consumption(rng, X)
     V = reconstruct(V0, H, C, X)
-    assert is_supermartingale_under_all(V, X, lp=lp).passed
+    assert is_supermartingale_under_all(V, X).passed
     # (1) => (2): every universal supermartingale decomposes
-    V = random_universal_supermartingale(rng, X, lp=lp)
+    V = random_universal_supermartingale(rng, X)
     dec = decompose_lp(V, X)
     assert np.min(dec.C.increments()) >= -1e-10
     recon = reconstruct(dec.V0, dec.H, dec.C, X)
@@ -190,10 +189,9 @@ def test_deflated_supermartingale_property():
     rng = np.random.default_rng(55)
     tree = random_tree(rng)
     X = random_market(rng, tree, d=1)
-    lp = MarketLP(X)
     fam = build_deflator_family(X, n_extras=4, seed=3)
-    V = random_universal_supermartingale(rng, X, lp=lp)
-    assert is_supermartingale_under_all(V, X, lp=lp).passed
+    V = random_universal_supermartingale(rng, X)
+    assert is_supermartingale_under_all(V, X).passed
     # a universal supermartingale deflated by any family member is a
     # supermartingale under the tree probabilities
     for Y in fam.all_deflators():
@@ -261,8 +259,7 @@ def test_kw_complete_nodes_checks():
     rng = np.random.default_rng(77)
     for _ in range(5):
         tree, X = random_complete_binary_model(rng)
-        lp = MarketLP(X)
-        V = random_universal_supermartingale(rng, X, lp=lp)
+        V = random_universal_supermartingale(rng, X)
         kw = decompose_kw(V, X)
         assert kw.diagnostics["N_norm"] <= 1e-10
         assert kw.diagnostics["min_dB"] >= -1e-10
@@ -270,7 +267,7 @@ def test_kw_complete_nodes_checks():
         # with strictly positive consumption the split of the slack across
         # siblings is not pinned down; the decomposition is unique exactly
         # on replication values, where C vanishes and both routes coincide
-        V = martingale_value_process(rng, X, lp=lp)
+        V = martingale_value_process(rng, X)
         kw = decompose_kw(V, X)
         lpdec = decompose_lp(V, X)
         assert np.max(np.abs(kw.C.values)) <= 1e-9
@@ -486,8 +483,7 @@ def test_fuzz_grid_decomposes(d, vol, monkeypatch):
             tree = random_tree(rng, max_periods=max_periods,
                                max_branches=max_branches)
             X = random_market(rng, tree, d=d, vol=vol)
-            lp = MarketLP(X)
-            V = random_universal_supermartingale(rng, X, lp=lp)
+            V = random_universal_supermartingale(rng, X)
             dec = decompose_lp(V, X)
             assert np.min(dec.C.increments()) >= -1e-10
     assert highs_calls > 0

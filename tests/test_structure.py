@@ -6,11 +6,12 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from odx import mc
+from odx.random_models import random_market, random_tree
 from odx.structure import (PINV_RELTOL, Characteristics,
                            extract_characteristics, psd_pinv_apply,
-                           riskless_gain, solve_structure)
+                           solve_structure)
 from odx.tree import (AdaptedProcess, ArbitrageError, ModelError,
-                      PredictableProcess, build_tree)
+                      PredictableProcess, build_tree, step_gains)
 
 
 def _chars_on_one_step(a, c):
@@ -77,7 +78,7 @@ def test_arbitrage_gain_is_riskless(a1):
     _, X = a1
     rep = solve_structure(extract_characteristics(X))
     assert rep.status == "ARBITRAGE"
-    g = riskless_gain(X, rep.zeta)
+    g = step_gains(X, rep.zeta.values)
     kids = X.tree.children(0)
     assert np.ptp(g[kids]) == 0.0       # zero conditional variance
     assert np.min(g[kids]) > 0.0        # strictly positive gain
@@ -138,13 +139,48 @@ def test_pinv_of_1x1_is_the_closed_form(c):
         assert (g + 0.0).tobytes() == (w + 0.0).tobytes()
 
 
-@pytest.mark.parametrize("c, message", [
-    ([[1.0, 0.5], [0.0, 1.0]], "covariance not symmetric"),
-    ([[1.0, 2.0], [2.0, 1.0]], "covariance not PSD"),
-], ids=["asymmetric", "negative-eigenvalue"])
-def test_validate_names_the_node(c, message):
-    with pytest.raises(ModelError, match=f"^node 0: {message}$"):
-        _chars_on_one_step([0.0, 0.0], c).validate()
+@st.composite
+def _degenerate_markets(draw):
+    """A random market of d = 1..3 assets on a tree of up to 4 children
+    per node, with its last asset a combination of the others (a redundant
+    asset) or its values rounded to 0.05 (tied increments), scaled by 10^u
+    for u in [-150, 150]."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 3))
+    tree = random_tree(rng, max_periods=2, max_branches=4)
+    X = random_market(rng, tree, d=d).values.copy()
+    if d > 1 and draw(st.booleans()):
+        X[:, -1] = X[:, :-1] @ rng.normal(size=d - 1)
+    else:
+        X = np.round(X / 0.05) * 0.05
+    return AdaptedProcess(tree, 10.0 ** draw(st.floats(-150.0, 150.0)) * X)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_degenerate_markets())
+def test_covariance_is_symmetric_and_psd_by_construction(X):
+    """c = sum p dM dM^T is formed in one place and checked for finiteness
+    only: every c that ``check_finite`` accepts is symmetric and PSD to the
+    tolerances of the symmetry and eigenvalue checks it replaces, 1e-12 and
+    1e-10 of max(1, max |c|) of its node."""
+    ch = extract_characteristics(X)
+    try:
+        ch.check_finite()
+    except ModelError:
+        assume(False)
+    C = ch.c_stack(X.tree.nonleaf_nodes)
+    C = C / np.maximum(1.0, np.max(np.abs(C), axis=(1, 2)))[:, None, None]
+    assert np.max(np.abs(C - C.mT)) <= 1e-12
+    assert np.min(np.linalg.eigvalsh(0.5 * (C + C.mT))) >= -1e-10
+
+
+def test_characteristics_are_formed_once_per_market(b1):
+    """The step data is kept on X, whose panel is read-only, so it cannot
+    go stale."""
+    _, X = b1
+    assert extract_characteristics(X) is extract_characteristics(X)
+    with pytest.raises(ValueError, match="read-only"):
+        X.values[1] = 0.2
 
 
 def test_range_membership_when_solvable():
@@ -158,12 +194,6 @@ def test_range_membership_when_solvable():
         assert rep.solvable
         rho = rep.rho.values[0]
         assert np.max(np.abs(c @ rho - a)) <= 1e-7 * max(1, np.abs(a).max())
-
-
-def test_non_psd_rejected():
-    ch = _chars_on_one_step([0.0], [[-1.0]])
-    with pytest.raises(ModelError, match="PSD"):
-        solve_structure(ch)
 
 
 def test_mass_finite_on_trees(b1):
