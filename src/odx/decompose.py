@@ -17,8 +17,8 @@ from math import comb
 import numpy as np
 
 from .deflators import numeraire_portfolio
-from .structure import (PINV_RELTOL, _sum_products, extract_characteristics,
-                        psd_pinv_apply)
+from .structure import (_min_norm_solutions, _sum_products,
+                        extract_characteristics, least_squares)
 from .tree import (AdaptedProcess, ArbitrageError, ModelError,
                    PredictableProcess, SolverError, path_cumsum,
                    spread_to_children, step_gains)
@@ -85,7 +85,7 @@ def _group_vertices(dX):
     for m in range(1, min(k, d + 1) + 1):
         S = np.array(list(combinations(range(k), m)))
         A = cols[:, S].mT  # (n, s, d + 1, m)
-        q, rank = _min_norm_solutions(A, np.broadcast_to(e0, A.shape[:-1]))
+        q, rank, _ = _min_norm_solutions(A, np.broadcast_to(e0, A.shape[:-1]))
         resid = np.abs(_sum_products(A, q[..., None, :]) - e0).max(axis=-1)
         good = ((rank == m) & (np.min(q, axis=-1) >= -1e-11)
                 & (resid <= FEAS_TOL))
@@ -236,30 +236,6 @@ def is_supermartingale_under_all(V, X):
     return SupermartingaleCertificate("PASS", None, gap)
 
 
-def _min_norm_solutions(A, b):
-    """(x, rank): minimum-norm x with A x = b by Gram-Schmidt on the rows,
-    for a stack of (m, d) systems A and (m,) right-hand sides b, each dot
-    and norm a ``_sum_products``, so a system's bits are its own whatever
-    its stack.  The one small dense solver, of the vertices and the hedges.
-    A row whose residual is at most ``PINV_RELTOL`` of its norm is skipped
-    as dependent and not counted in the rank; callers reject a rank below m."""
-    Q, Y = [], []
-    rank = np.zeros(A.shape[:-2], dtype=int)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for a, y in zip(np.moveaxis(A, -2, 0), np.moveaxis(b, -1, 0)):
-            scale = np.sqrt(_sum_products(a, a))
-            for q, yq in [*zip(Q, Y)] * 2:  # twice keeps Q orthonormal
-                c = _sum_products(a, q)
-                a = a - c[..., None] * q
-                y = y - c * yq
-            r = np.sqrt(_sum_products(a, a))
-            keep = r > PINV_RELTOL * scale
-            Q.append(np.where(keep[..., None], a / r[..., None], 0.0))
-            Y.append(np.where(keep, y / r, 0.0))
-            rank += keep
-    return sum(q * y[..., None] for q, y in zip(Q, Y)), rank
-
-
 def _min_norm_superhedges(dX, dV):
     """Minimum-norm H with <H, dX_c> >= dV_c for every child c, node by node.
 
@@ -285,7 +261,7 @@ def _min_norm_superhedges(dX, dV):
     best = np.where(np.all(dV <= tol[:, None], axis=1), 0.0, np.inf)
     for m in range(1, min(k, d) + 1):
         S = np.array(list(combinations(range(k), m)))
-        cand, rank = _min_norm_solutions(dX[:, S], dV[:, S])  # (n, s, d)
+        cand, rank, _ = _min_norm_solutions(dX[:, S], dV[:, S])  # (n, s, d)
         slack = _sum_products(cand[:, :, None], dX[:, None]) - dV[:, None]
         feasible = (rank == m) & np.all(slack >= -tol[:, None, None], axis=2)
         norm = np.where(feasible, _sum_products(cand, cand), np.inf)
@@ -379,11 +355,11 @@ def decompose_kw(V, X):
     n_sq = np.zeros(tree.n_nodes)      # conditional second moment of dN
     defer = np.zeros(tree.n_nodes, dtype=bool)
     infeasible = np.zeros(tree.n_nodes, dtype=bool)
-    for g, dX, dM in zip(tree.branch_groups, ch.dX, ch.dM):
+    for g, dX, dM, B in zip(tree.branch_groups, ch.dX, ch.dM, ch.B):
         nodes, p = g.nodes, g.p
         W = (1.0 + np.matvec(dX, rho[nodes])) * g.increments(U)
-        theta, _ = psd_pinv_apply(ch.c_stack(nodes),
-                                  np.vecmat(W, p[:, :, None] * dM))
+        # the p-weighted regression of W on dM, by least squares on B
+        theta, _ = least_squares(B, np.sqrt(p) * W)
         resid = W - np.matvec(dM, theta)
         alpha = np.vecdot(p, resid)
         dN = resid - alpha[:, None]

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .structure import extract_characteristics, psd_pinv_apply
+from .structure import PINV_RELTOL, extract_characteristics
 from .tree import (AdaptedProcess, ArbitrageError, ModelError,
                    PredictableProcess, child_weighted_sums, path_cumprod,
                    path_cumsum)
@@ -47,6 +47,19 @@ def stochastic_exponential(Z, strict=False):
     return AdaptedProcess(Z.tree, vals)
 
 
+def _psd_pinv_apply(C, v):
+    """The Newton step: minimum-norm x with C x = v for a stack of PSD
+    (d, d) C, by one ``eigh`` of 0.5 C + 0.5 C^T (halved before the sum, so
+    a finite C does not overflow).  An eigenvalue at most ``PINV_RELTOL`` of
+    its matrix's largest, or with an infinite reciprocal, counts as zero."""
+    w, Q = np.linalg.eigh(0.5 * C + 0.5 * C.mT)
+    with np.errstate(divide="ignore", over="ignore"):
+        inv = 1.0 / w
+    # eigh sorts ascending
+    keep = (w > PINV_RELTOL * np.maximum(w[..., -1:], 0.0)) & np.isfinite(inv)
+    return np.matvec(Q, np.where(keep, inv, 0.0) * np.vecmat(v, Q))
+
+
 def _log_optimal(p, dX):
     """Damped Newton solve of sum_c p_c dX_c / (1 + <rho, dX_c>) = 0 at a
     stack of nodes: p is (n, k), dX is (n, k, d).
@@ -56,8 +69,8 @@ def _log_optimal(p, dX):
     finite (a riskless gain past 1e154 overflows it), when its step stalls
     at the floating-point floor, when |rho| passes RHO_CAP, or after
     :data:`NEWTON_MAXITER` steps.  The step is the minimum-norm solve of
-    the PSD Hessian by ``psd_pinv_apply``, so directions that the Hessian
-    cannot see (dX of lower rank than d) are left alone.  Returns the
+    the PSD Hessian by :func:`_psd_pinv_apply`, so directions that the
+    Hessian cannot see (dX of lower rank than d) are left alone.  Returns the
     iterate of smallest gradient of each node and the gradient there.
     """
     n, _, d = dX.shape
@@ -83,7 +96,7 @@ def _log_optimal(p, dX):
             v[ok] for v in (live, x, pl, r, w, grad, hess))
         if live.size == 0:
             break
-        step, _ = psd_pinv_apply(hess, grad)
+        step = _psd_pinv_apply(hess, grad)
         # halve until wealth stays positive and log-wealth does not drop
         obj = np.vecdot(pl, np.log(w))
         todo = np.arange(live.size)
@@ -96,9 +109,9 @@ def _log_optimal(p, dX):
             if todo.size == 0:
                 break
             step[todo] *= 0.5
-        # stalled at the floating-point floor
+        # stalled at the floating-point floor of rho, whatever its units
         moving = (np.max(np.abs(step), axis=1)
-                  > 1e-16 * np.maximum(1.0, np.max(np.abs(r), axis=1)))
+                  > 1e-16 * np.max(np.abs(r), axis=1))
         r = r + step
         rho[live] = r
         live = live[moving & (np.max(np.abs(r), axis=1) <= RHO_CAP)]

@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .structure import DEFAULT_STRUCT_TOL, off_range, psd_pinv_apply
+from .structure import (DEFAULT_STRUCT_TOL, _sum_products, off_range,
+                        solve_factor)
 from .tree import ArbitrageError, ModelError
 
 DEFAULT_PATHS = 100_000
@@ -229,23 +230,28 @@ def simulate(spec):
 
 def check_structure(spec, x, step, tol=DEFAULT_STRUCT_TOL):
     """Pointwise rho = c^+ a(x), (paths, d), at the states x (paths, d) of
-    one step.  c = sigma sigma^T is one (d, d) matrix, so one
-    ``psd_pinv_apply`` solve serves all paths; it applies c's eigenbasis by
-    plain sums, so a path's rho does not depend on the paths solved with
-    it.  The solve also gives the part zeta of a(x) in the kernel of c.  A
-    path that :func:`~odx.structure.off_range` flags is an
+    one step, with c = sigma sigma^T.  One :func:`~odx.structure.solve_factor`
+    on the factor sigma^T, of the d unit drifts, gives the maps a -> c^+ a
+    and a -> zeta, the part of a in the kernel of c; each path applies them
+    by plain sums, so its rho and zeta do not depend on the paths solved
+    with it.  A path that :func:`~odx.structure.off_range` flags is an
     :class:`ArbitrageError` naming the step, the first such path, its zeta
     and <zeta, a> > 0.  A drift that is not finite (it overflows at large
     x), or a rho (a large drift over a small eigenvalue of c), is a
     :class:`ModelError` naming the step and the first such path, raised
     without a floating-point warning."""
-    c = np.einsum("ik,jk->ij", spec.sigma, spec.sigma)
+    d = spec.d
+    rho_map, zeta_map, _ = solve_factor(
+        np.broadcast_to(spec.sigma.T, (d, spec.m, d)), np.eye(d))
     with np.errstate(over="ignore", invalid="ignore"):
         a = spec.drift_at(x)
         if not np.isfinite(a).all():
             path = int(np.argwhere(~np.isfinite(a))[0, 0])
             raise ModelError(f"non-finite drift at step {step}, path {path}")
-        rho, zeta = psd_pinv_apply(c, a)
+        # row i of each map is the image of the unit drift e_i; the sums
+        # run along the paths, (d, paths), and are read back transposed
+        rho = _sum_products(rho_map.T[:, None], a[None]).T
+        zeta = _sum_products(zeta_map.T[:, None], a[None]).T
         bad = off_range(a, zeta, tol)
         if bad.size:
             path = int(bad[0])

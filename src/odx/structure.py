@@ -1,8 +1,10 @@
-"""Per-step characteristics (a, c) and the structural drift condition.
+"""Per-step characteristics and the structural drift condition.
 
-``solve_structure`` either produces a predictable ``rho`` with ``a = c rho``
-(minimum-norm, via a PSD pseudoinverse) or an arbitrage certificate
-``zeta`` living in the kernel of ``c`` with a strictly positive drift gain.
+A step's covariance c enters only through a factor B = sqrt(p) dM, or
+sigma^T on a diffusion, with c = B^T B.  ``solve_structure`` either produces
+a predictable ``rho`` with ``a = c rho`` (minimum-norm, by least squares on
+B) or an arbitrage certificate ``zeta`` in the kernel of ``c`` with a
+strictly positive drift gain.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ import numpy as np
 from .tree import (AdaptedProcess, ModelError, PredictableProcess,
                    child_weighted_sums, path_cumsum, spread_to_children)
 
-# the one rank rule of psd_pinv_apply: relative eigenvalue cutoff
+# the one rank rule of _min_norm_solutions, relative to a squared row norm
 PINV_RELTOL = 1e-13
 DEFAULT_STRUCT_TOL = 1e-8
 MASS_THRESHOLD = 1e6
@@ -21,40 +23,31 @@ MASS_THRESHOLD = 1e6
 
 @dataclass(frozen=True)
 class Characteristics:
-    """Drift a and covariance c (flattened d x d) per step, with the
-    per-branch-group stacks they are formed from, one per group of
-    ``tree.branch_groups`` and in its order: the (n_k, k, d) child
-    increments dX and the martingale increments dM = dX - a.  c is formed
-    as sum p dM dM^T, symmetric and PSD by construction; a Characteristics
-    built from (a, c) alone has no stacks."""
+    """Drift a per step, with per-branch-group stacks in the order of
+    ``tree.branch_groups``: the (n_k, k, d) child increments dX, the
+    martingale increments dM = dX - a and the factor B = sqrt(p) dM of the
+    covariance c = B^T B, which is never formed.  A Characteristics built
+    from a and B alone has no dX or dM."""
 
     a: PredictableProcess
-    c: PredictableProcess  # (n_nodes, d*d) row-major
+    B: tuple = ()
     dX: tuple = ()
     dM: tuple = ()
 
-    @property
-    def d(self):
-        return self.a.dim
-
-    def c_matrix(self, node):
-        d = self.d
-        return self.c.values[node].reshape(d, d)
-
-    def c_stack(self, nodes):
-        """(len(nodes), d, d) covariance matrices at the given nodes."""
-        d = self.d
-        return self.c.values[nodes].reshape(-1, d, d)
-
     def check_finite(self):
-        """Raise at the first non-leaf node whose a or c is not finite: c
-        overflows once |dX| passes about 1e154."""
-        nodes = self.a.tree.nonleaf_nodes
-        finite = (np.isfinite(self.a.values[nodes]).all(axis=1)
-                  & np.isfinite(self.c.values[nodes]).all(axis=1))
-        if not finite.all():
-            raise ModelError(f"node {nodes[finite.argmin()]}: drift or "
-                             "covariance not finite")
+        """Raise at the first non-leaf node whose a or c is not finite,
+        judged from c's diagonal sum p dM_i^2, which is finite exactly when
+        c is: it overflows once |dX| passes about 1e154."""
+        tree = self.a.tree
+        finite = np.isfinite(self.a.values).all(axis=1)
+        with np.errstate(over="ignore"):
+            for g, B in zip(tree.branch_groups, self.B):
+                diag = _sum_products(B.mT, B.mT)
+                finite[g.nodes] &= np.isfinite(diag).all(axis=1)
+        nodes = tree.nonleaf_nodes
+        bad = nodes[~finite[nodes]]
+        if bad.size:
+            raise ModelError(f"node {bad[0]}: drift or covariance not finite")
         return self
 
 
@@ -75,29 +68,20 @@ class StructureReport:
 def extract_characteristics(X):
     """The market's step data, formed once per X and kept on it: the
     :class:`Characteristics` with a the conditional mean of dX, the sum the
-    Doob drift takes, c = sum p dM dM^T over the children, and the per-group
-    stacks dX and dM = dX - a that every stage reads."""
+    Doob drift takes, and the per-group stacks dX, dM = dX - a and
+    B = sqrt(p) dM that every stage reads."""
     return X.once(_characteristics)
 
 
 def _characteristics(X):
     tree = X.tree
-    d = X.dim
-    a_vals = np.zeros((tree.n_nodes, d))
-    a_vals[tree.nonleaf_nodes] = child_weighted_sums(tree, X.increments())
-    c_vals = np.zeros((tree.n_nodes, d * d))
-    dXs, dMs = [], []
-    for g in tree.branch_groups:
-        dX = g.increments(X.values)
-        dM = dX - a_vals[g.nodes][:, None]
-        with np.errstate(over="ignore"):  # check_finite() names the node
-            c = (g.p[:, :, None] * dM).mT @ dM
-        c_vals[g.nodes] = c.reshape(-1, d * d)
-        dXs.append(dX)
-        dMs.append(dM)
-    return Characteristics(a=PredictableProcess(tree, a_vals),
-                           c=PredictableProcess(tree, c_vals),
-                           dX=tuple(dXs), dM=tuple(dMs))
+    a = np.zeros((tree.n_nodes, X.dim))
+    a[tree.nonleaf_nodes] = child_weighted_sums(tree, X.increments())
+    groups = tree.branch_groups
+    dX = tuple(g.increments(X.values) for g in groups)
+    dM = tuple(x - a[g.nodes][:, None] for g, x in zip(groups, dX))
+    B = tuple(np.sqrt(g.p)[:, :, None] * m for g, m in zip(groups, dM))
+    return Characteristics(a=PredictableProcess(tree, a), B=B, dX=dX, dM=dM)
 
 
 def _sum_products(a, b):
@@ -109,39 +93,58 @@ def _sum_products(a, b):
     return s
 
 
-def psd_pinv_apply(C, v):
-    """Minimum-norm solution of C x = v for symmetric PSD C, plus the
-    residual projection of v onto the kernel of C.
+def _min_norm_solutions(A, b=None, v=None):
+    """(x, rank, v_off) by Gram-Schmidt on the rows of a stack A of (m, n)
+    systems: the minimum-norm x with A x = b (b zero if None), the number
+    of rows kept, and the part of v (..., n) orthogonal to them (None
+    without v).  The one small dense solver, of the drift condition, the KW
+    projection, the vertices and the hedges.  Its one rank rule: a row
+    counts where its residual r after the rows before it has r^2 >
+    ``PINV_RELTOL`` times its squared norm and 1/r^2 is finite, which on a
+    factor B of c = B^T B is c's eigenvalue cut.  A row that does not count
+    is skipped, its equation dropped; callers that need every equation
+    reject a rank below m.  Each dot and norm is a ``_sum_products``, so a
+    system's bits are its own whatever its stack."""
+    Q, Y = [], []
+    rank = np.zeros(A.shape[:-2], dtype=int)
+    if b is None:
+        b = np.zeros(A.shape[:-1])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for a, y in zip(np.moveaxis(A, -2, 0), np.moveaxis(b, -1, 0)):
+            norm2 = _sum_products(a, a)
+            for q, yq in [*zip(Q, Y)] * 2:  # twice keeps Q orthonormal
+                c = _sum_products(a, q)
+                a = a - c[..., None] * q
+                y = y - c * yq
+            r2 = _sum_products(a, a)
+            keep = (r2 > PINV_RELTOL * norm2) & np.isfinite(1.0 / r2)
+            r = np.sqrt(r2)
+            Q.append(np.where(keep[..., None], a / r[..., None], 0.0))
+            Y.append(np.where(keep, y / r, 0.0))
+            rank += keep
+        if v is not None:
+            for q in Q * 2:
+                v = v - _sum_products(v, q)[..., None] * q
+    return sum(q * y[..., None] for q, y in zip(Q, Y)), rank, v
 
-    This is the package's one pseudo-inverse: the drift condition, the
-    numeraire's Newton step and the KW projections all solve through it.
-    C may be one (d, d) matrix or a (..., d, d) stack, with v of shape (d,)
-    or (..., d).  Eigenvalues at or below ``PINV_RELTOL * lambda_max`` of
-    their own matrix are treated as zero, so rank decisions are stable
-    under uniform scaling of C.  An eigenvalue whose reciprocal overflows
-    (a subnormal one) counts as zero too.  Every shape takes one ``eigh`` of
-    the symmetric part 0.5 C + 0.5 C^T, each term halved before the sum, so
-    a finite C does not overflow there; on a 1 x 1 matrix that is w = c and
-    Q = [[1]], but for a subnormal c the halving may round its last bit.
-    One (d, d) matrix against many right-hand sides is applied by
-    :func:`_sum_products`, so the bits of a row do not depend on the batch
-    it is solved in; a stack keeps its per-matrix products.
-    """
-    w, Q = np.linalg.eigh(0.5 * C + 0.5 * C.mT)
-    with np.errstate(divide="ignore", over="ignore"):
-        inv = 1.0 / w
-    # eigh sorts ascending
-    keep = (w > PINV_RELTOL * np.maximum(w[..., -1:], 0.0)) & np.isfinite(inv)
-    scale = np.where(keep, inv, 0.0)
-    if C.ndim > 2:
-        coeff = np.vecmat(v, Q)
-        return (np.matvec(Q, scale * coeff),
-                np.matvec(Q, np.where(keep, 0.0, coeff)))
-    # v Q, then (.) Q^T, a column at a time; the columns of v Q are stored
-    # contiguous, which the second products read fastest
-    coeff = np.moveaxis(np.stack([_sum_products(v, q) for q in Q.T]), 0, -1)
-    return tuple(np.stack([_sum_products(u, q) for q in Q], axis=-1)
-                 for u in (scale * coeff, np.where(keep, 0.0, coeff)))
+
+def least_squares(A, y):
+    """(A^+ y, y_off) for a stack A of (m, n) systems, y_off the part of y
+    off the range of A: one Gram-Schmidt pass on the columns of A projects
+    y, one on its rows solves A x = y - y_off with minimum norm."""
+    _, _, y_off = _min_norm_solutions(A.mT, v=y)
+    return _min_norm_solutions(A, y - y_off)[0], y_off
+
+
+def solve_factor(B, a):
+    """(rho, zeta, theta) of a = c rho, c = B^T B, for a stack of (k, d)
+    factors B: zeta is the part of a off the range of c, the market price
+    of risk theta solves B^T theta = a - zeta and rho solves B rho = theta,
+    both with minimum norm, so rho = c^+ a and rho^T c rho = |theta|^2.
+    The solves work at the condition of B, not of c."""
+    theta, zeta = least_squares(B.mT, a)
+    rho, _, _ = _min_norm_solutions(B, theta)
+    return rho, zeta, theta
 
 
 def off_range(a, zeta, tol):
@@ -159,37 +162,34 @@ def off_range(a, zeta, tol):
 def solve_structure(ch, tol=DEFAULT_STRUCT_TOL):
     """Solve a = c rho per step, or certify failure.
 
-    ``psd_pinv_apply`` gives rho and the part zeta of a in the kernel of c.
-    A step fails where :func:`off_range` flags it; its zeta (zero on all
-    other steps) has c zeta = 0 and <zeta, a> = |zeta|^2 > 0, i.e. a
-    conditionally riskless strictly positive gain.
+    :func:`solve_factor` gives rho and the part zeta of a in the kernel of
+    c at each node, on its factor B.  A step fails where :func:`off_range`
+    flags it; its zeta (zero on all other steps) has c zeta = 0 and
+    <zeta, a> = |zeta|^2 > 0, i.e. a conditionally riskless strictly
+    positive gain.
     """
     ch.check_finite()
     tree = ch.a.tree
-    d = ch.d
-    nodes = tree.nonleaf_nodes
-    C = ch.c_stack(nodes)
-    a = ch.a.values[nodes]
-    rho, kernel_part = psd_pinv_apply(C, a)
-    C_rho = np.matvec(C, rho)
-    flagged = off_range(a, kernel_part, tol)
-    bad = nodes[flagged].tolist()
-    rho_vals = np.zeros((tree.n_nodes, d))
-    rho_vals[nodes] = rho
-    zeta_vals = np.zeros((tree.n_nodes, d))
-    zeta_vals[nodes[flagged]] = kernel_part[flagged]
+    a = ch.a.values
+    rho = np.zeros_like(a)
+    zeta = np.zeros_like(a)
     step_mass = np.zeros(tree.n_nodes)
-    step_mass[nodes] = np.vecdot(rho, C_rho)
+    for g, B in zip(tree.branch_groups, ch.B):
+        rho[g.nodes], zeta[g.nodes], theta = solve_factor(B, a[g.nodes])
+        step_mass[g.nodes] = _sum_products(theta, theta)
+    nodes = tree.nonleaf_nodes
+    bad = nodes[off_range(a[nodes], zeta[nodes], tol)]
     # the step mass sits on the children so it accumulates along paths
     mass = AdaptedProcess(tree, path_cumsum(tree,
                                             spread_to_children(tree, step_mass)))
     mass_flag = bool(np.max(mass.values) > MASS_THRESHOLD)
-    if bad:
+    if bad.size:
+        zeta_vals = np.zeros_like(a)
+        zeta_vals[bad] = zeta[bad]
         return StructureReport(status="ARBITRAGE", rho=None,
                                zeta=PredictableProcess(tree, zeta_vals),
                                mass=mass, mass_flag=mass_flag,
-                               bad_nodes=tuple(bad))
+                               bad_nodes=tuple(bad.tolist()))
     return StructureReport(status="SOLVABLE",
-                           rho=PredictableProcess(tree, rho_vals),
+                           rho=PredictableProcess(tree, rho),
                            zeta=None, mass=mass, mass_flag=mass_flag)
-

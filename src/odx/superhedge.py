@@ -38,14 +38,16 @@ class Claim:
 
 
 def asset_prices(X):
-    """Strictly positive prices S_i = E(X_i) implied by the return process."""
-    cols = [stochastic_exponential(X.component(i)).values[:, 0]
-            for i in range(X.dim)]
+    """Prices S_i = E(X_i - X_i(0)): the exponential reads the increments
+    of X alone."""
+    cols = [stochastic_exponential(AdaptedProcess(X.tree, z)).values[:, 0]
+            for z in (X.values - X.values[0]).T]
     return AdaptedProcess(X.tree, np.column_stack(cols))
 
 
 def vanilla_claim(X, formula, strike, kind=EUROPEAN, asset=0):
-    """Built-in put/call claims on the price S_asset = E(X_asset)."""
+    """Built-in put/call claims on the price S_asset of
+    :func:`asset_prices`."""
     S = asset_prices(X).values[:, asset]
     if formula == "put":
         pay = np.maximum(strike - S, 0.0)
@@ -80,7 +82,7 @@ def snell_envelope(claim, X):
 @dataclass(frozen=True)
 class PortfolioView:
     """Share/currency bookkeeping of the numeraire portfolio against the
-    implied asset prices S_i = E(X_i)."""
+    implied asset prices S_i = E(X_i - X_i(0))."""
 
     S: AdaptedProcess
     shares: PredictableProcess    # (V_hat / S_i) rho_i

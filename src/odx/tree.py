@@ -281,9 +281,6 @@ class AdaptedProcess:
         out[0] = 0.0
         return out
 
-    def component(self, i):
-        return AdaptedProcess(self.tree, self.values[:, i].copy())
-
 
 @dataclass(frozen=True)
 class PredictableProcess:

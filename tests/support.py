@@ -1,11 +1,22 @@
 """Library code that only the tests call, kept out of the installed package.
 
 ``kw_regress`` is a cross-sectional surrogate of the Kunita-Watanabe
-projection on Monte Carlo paths; no command runs it.
+projection on Monte Carlo paths; no command runs it.  ``covariances`` forms
+the c = B^T B that the package keeps as its factor B.
 """
 import numpy as np
 
-from odx.structure import psd_pinv_apply
+from odx.deflators import _psd_pinv_apply
+
+
+def covariances(ch):
+    """(n_nodes, d, d) covariances c = B^T B of the factors of the
+    Characteristics ``ch``, zero at the leaves."""
+    tree = ch.a.tree
+    c = np.zeros((tree.n_nodes, ch.a.dim, ch.a.dim))
+    for g, B in zip(tree.branch_groups, ch.B):
+        c[g.nodes] = B.mT @ B
+    return c
 
 
 def kw_regress(U, dM):
@@ -13,7 +24,7 @@ def kw_regress(U, dM):
     projection: per step, regress dU on dM across paths (one global bin).
 
     U is (paths, steps+1); dM is (paths, steps, d).  All steps solve in one
-    stacked ``psd_pinv_apply`` call on their (d, d) sample covariances.
+    stacked ``_psd_pinv_apply`` call on their (d, d) sample covariances.
     Returns theta (steps, d), the cumulative drift B (steps+1,) with
     dB = -(mean residual), and the root-mean-square of the residual after
     drift removal (the statistical size of the orthogonal part)."""
@@ -24,7 +35,7 @@ def kw_regress(U, dM):
     xc = x - x.mean(axis=1, keepdims=True)
     cov = xc.mT @ xc / P
     cross = np.vecmat(y - y.mean(axis=1, keepdims=True), xc) / P
-    theta, _ = psd_pinv_apply(cov, cross)
+    theta = _psd_pinv_apply(cov, cross)
     resid = y - np.matvec(x, theta)
     dB = -resid.mean(axis=1)
     centered = resid + dB[:, None]

@@ -192,7 +192,8 @@ def test_criterion_6_arbitrage_certificate():
     rep = solve_structure(ch)
     assert rep.status == "ARBITRAGE"
     zeta = rep.zeta.values[0]
-    c_zeta = float(np.max(np.abs(ch.c_matrix(0) @ zeta)))
+    B = ch.B[0][0]  # the factor of node 0: c = B^T B
+    c_zeta = float(np.max(np.abs((B.T @ B) @ zeta)))
     pairing = float(zeta @ ch.a.values[0])
     # simulate the strategy: sample branches by the tree probabilities and
     # collect the one-step gains; riskless means zero spread, all positive

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import permuted, realise
+from support import covariances
 from odx import decompose, random_models
 from odx.decompose import (FEAS_TOL, SUPERMART_TOL, MarketLP,
                            _enum_cost, _group_vertices,
@@ -272,6 +273,7 @@ def test_numeraire_matches_per_node_newton(seed, d):
 def test_characteristics_match_per_node_moments(seed, d):
     _, _, (tree, X, _) = random_market(seed, d)
     ch = extract_characteristics(X)
+    c = covariances(ch)
     for node in tree.nonleaf_nodes:
         kids = tree.children(node)
         p = tree.p[kids]
@@ -279,7 +281,7 @@ def test_characteristics_match_per_node_moments(seed, d):
         a = p @ dX
         dM = dX - a
         np.testing.assert_allclose(ch.a.values[node], a, rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(ch.c_matrix(node), (p[:, None] * dM).T @ dM,
+        np.testing.assert_allclose(c[node], (p[:, None] * dM).T @ dM,
                                    rtol=1e-12, atol=1e-15)
 
 
@@ -451,6 +453,21 @@ def test_path_prob_matches_level_loop(seed):
 @given(SEEDS, DIMS)
 @example(seed=536870913, d=2)  # vertex enumeration in child order rounded apart
 def test_child_order_leaves_numeraire_and_node_max_unchanged(seed, d):
+    _check_child_order(seed, d)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "plain Newton stalls at gradient 4.3e-9 in child order (0, 2, 1) at "
+    "node 0, whose dX has singular values 0.105 and 2.1e-6: V_hat moves "
+    "by 2.9e-12 relative"))
+def test_child_order_flake_seed_267620():
+    """The example of the property above that fails: the Newton iteration
+    on the ill-conditioned node stops at another iterate in another child
+    order.  The whitened Newton of ROADMAP item 5 is the planned fix."""
+    _check_child_order(267620, 2)
+
+
+def _check_child_order(seed, d):
     rng, spec, (tree, X, paths) = random_market(seed, d)
     tree2, X2, paths2 = realise(permuted(spec, rng), d)
     match = {path: i for i, path in enumerate(paths)}

@@ -14,8 +14,8 @@ from odx import io as odx_io
 from odx import tree as tree_module
 from odx.cli import main
 from odx.decompose import MarketLP, is_supermartingale_under_all
-from odx.random_models import (random_market, random_tree,
-                               random_universal_supermartingale)
+from odx.random_models import (random_complete_binary_model, random_market,
+                               random_tree, random_universal_supermartingale)
 from odx.superhedge import AMERICAN, superhedge, vanilla_claim
 from odx.tree import AdaptedProcess, BranchGroup, build_tree
 
@@ -314,10 +314,11 @@ def test_help_exit_0(capsys):
     assert capsys.readouterr().out.startswith("usage: odx ")
 
 
-def _fresh_python(code):
-    """Run ``code`` in a fresh interpreter that imports odx from source."""
+def _fresh_python(code, **env_vars):
+    """Run ``code`` in a fresh interpreter that imports odx from source,
+    with the environment variables ``env_vars`` added."""
     src = str(Path(odx_io.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=src, **env_vars)
     return subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env)
 
@@ -740,6 +741,77 @@ def test_byte_identical_reruns(b1_model, capsys):
     main(["--seed", "9", "deflate", b1_model])
     second = capsys.readouterr().out
     assert first == second
+
+
+def _dynamic_arch_openblas():
+    """Whether numpy's BLAS is an OpenBLAS built with DYNAMIC_ARCH, whose
+    kernels ``OPENBLAS_CORETYPE`` chooses when it loads."""
+    config = np.show_config(mode="dicts")
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    return "DYNAMIC_ARCH" in str(blas.get("openblas configuration", ""))
+
+
+@pytest.mark.skipif(not _dynamic_arch_openblas(),
+                    reason="numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS")
+def test_analyze_bytes_do_not_depend_on_the_blas_kernels(tmp_path):
+    """``analyze`` solves on the factor B by Gram-Schmidt in plain sums, with
+    no BLAS or LAPACK call, so a process on OpenBLAS's Prescott kernels
+    prints the bytes of one on the host's own: on a seeded d = 1 binary
+    tree and a seeded d = 3 tree of up to six children per node."""
+    models = []
+    for seed, d, periods, branches in [(1, 1, 7, 2), (3, 3, 3, 6)]:
+        rng = np.random.default_rng(seed)
+        tree = random_tree(rng, max_periods=periods, max_branches=branches)
+        while tree.horizon < periods:
+            tree = random_tree(rng, max_periods=periods, max_branches=branches)
+        X = random_market(rng, tree, d=d)
+        models.append(_write(tmp_path, f"m{seed}.json",
+                             odx_io.model_to_json(X)))
+    code = ("import sys; from odx.cli import main; "
+            f"sys.exit(sum(main(['analyze', m]) for m in {models!r}))")
+    native = _fresh_python(code)
+    prescott = _fresh_python(code, OPENBLAS_CORETYPE="Prescott")
+    assert native.returncode == prescott.returncode == 0, native.stderr
+    assert native.stdout.count('"SOLVABLE"') == 2
+    assert prescott.stdout == native.stdout
+
+
+@pytest.mark.parametrize("s", [1e10, 1e12, 1e15, 1e50, 1e100, 1e150])
+def test_deflate_in_large_units_exit_0(tmp_path, capsys, s):
+    """The three-child d = 2 market with an interior martingale measure,
+    written in units s: Newton's stall test is relative to rho, which
+    scales as 1/s, so no false ``log-utility unbounded`` stops it early, and
+    rho * s is the s = 1 solution to rounding."""
+    tree = build_tree([[1 / 3, 1 / 3, 1 / 3]])
+    base = np.array([[0.0, 0.0], [1.0, 0.5], [-1.0, 0.2], [0.1, -1.0]])
+    rhos = []
+    for scale in (1.0, s):
+        model = _write(tmp_path, "m.json", odx_io.model_to_json(
+            AdaptedProcess(tree, scale * base)))
+        assert main(["deflate", model, "--extras", "0"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        rhos.append(scale * np.array(json.loads(out)["rho_hat"]["0"]))
+    np.testing.assert_allclose(rhos[1], rhos[0], rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("shift", [0.25, -3.0])
+def test_superhedge_with_X0_not_zero(tmp_path, capsys, shift):
+    """The asset prices are S = E(X - X(0)), which depends on the increments
+    of X alone, so a seeded binomial model shifted by a constant prices an
+    American put as the unshifted one does."""
+    tree, X = random_complete_binary_model(np.random.default_rng(1))
+    claim = _write(tmp_path, "put.json", {"kind": "american",
+                                          "formula": "put", "strike": 1.05})
+    prices = []
+    for x in (X.values, X.values + shift):
+        model = _write(tmp_path, "m.json",
+                       odx_io.model_to_json(AdaptedProcess(tree, x)))
+        assert main(["superhedge", model, claim]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        prices.append(json.loads(out)["price"])
+    assert prices[1] == pytest.approx(prices[0], rel=1e-15, abs=0.0)
 
 
 def test_nonpositive_tol(b1_model):

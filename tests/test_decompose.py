@@ -21,6 +21,7 @@ from odx.structure import (PINV_RELTOL, extract_characteristics,
                            solve_structure)
 from odx.tree import (AdaptedProcess, ArbitrageError, PredictableProcess,
                       SolverError, build_tree, child_weighted_sums)
+from support import covariances
 
 
 def test_polytope_vertices_t1(t1):
@@ -379,7 +380,7 @@ def test_analyze_verdict_and_rho_follow_the_units_of_X(seed, d, e):
     """X -> sX with s log-uniform in [1e-6, 1e6]: ``analyze`` stays
     SOLVABLE and rho becomes rho / s.  rho at a node is determined to about
     eps * kappa, where kappa is the largest eigenvalue of c over the least
-    one ``psd_pinv_apply`` keeps."""
+    one the factor solve keeps."""
     s = 10.0 ** e
     X, _, Xs, _ = _market_in_units(seed, d, s)
     ch = extract_characteristics(X)
@@ -387,7 +388,7 @@ def test_analyze_verdict_and_rho_follow_the_units_of_X(seed, d, e):
     assert rep.solvable, rep.bad_nodes
     nodes = X.tree.nonleaf_nodes
     rho = solve_structure(ch).rho.values[nodes]
-    lam = np.linalg.eigvalsh(ch.c_stack(nodes))
+    lam = np.linalg.eigvalsh(covariances(ch)[nodes])
     kappa = lam[:, -1] / np.min(
         np.where(lam > PINV_RELTOL * lam[:, -1:], lam, np.inf), axis=1)
     err = np.max(np.abs(s * rep.rho.values[nodes] - rho), axis=1)

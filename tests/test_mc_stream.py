@@ -23,7 +23,7 @@ from hypothesis.extra.numpy import arrays
 from odx import io as odx_io
 from odx import mc
 from odx.cli import main
-from odx.structure import psd_pinv_apply
+from odx.structure import _sum_products, solve_factor
 from odx.tree import ArbitrageError, ModelError
 
 D1 = {"odx_schema": 1, "d": 1, "m": 1, "T": 1.0,
@@ -203,9 +203,12 @@ def test_chunked_normals_equal_one_draw(monkeypatch, chunk):
 
 
 def _per_path_rho(spec, x):
-    """rho = c^+ a(x) with one psd_pinv_apply call per path."""
-    c = np.einsum("ik,jk->ij", spec.sigma, spec.sigma)
-    return np.array([psd_pinv_apply(c, a)[0] for a in spec.drift_at(x)])
+    """rho = c^+ a(x), the map a -> c^+ a of one solve on the factor
+    sigma^T applied to one path at a time."""
+    d = spec.d
+    rho_map, _, _ = solve_factor(
+        np.broadcast_to(spec.sigma.T, (d, spec.m, d)), np.eye(d))
+    return np.array([_sum_products(a, rho_map.T) for a in spec.drift_at(x)])
 
 
 @st.composite
@@ -289,11 +292,11 @@ def test_drift_is_solved_once_per_run_or_once_per_step(monkeypatch, name):
     of the steps 0..n-1."""
     count = []
 
-    def counting(C, v):
+    def counting(B, a):
         count.append(1)
-        return psd_pinv_apply(C, v)
+        return solve_factor(B, a)
 
-    monkeypatch.setattr(mc, "psd_pinv_apply", counting)
+    monkeypatch.setattr(mc, "solve_factor", counting)
     spec = _spec(SPECS[name], paths=50, steps=9, seed=1)
     mc.stream_deflated(spec)
     assert len(count) == (1 if spec.slope is None else spec.steps)

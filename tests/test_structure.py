@@ -6,39 +6,40 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from odx import mc
+from odx.deflators import _psd_pinv_apply
 from odx.random_models import random_market, random_tree
 from odx.structure import (PINV_RELTOL, Characteristics,
-                           extract_characteristics, psd_pinv_apply,
+                           extract_characteristics, solve_factor,
                            solve_structure)
 from odx.tree import (AdaptedProcess, ArbitrageError, ModelError,
                       PredictableProcess, build_tree, step_gains)
+from support import covariances
 
 
-def _chars_on_one_step(a, c):
-    """Single-step Characteristics carrying the given (a, c)."""
+def _chars_on_one_step(a, B):
+    """Single-step Characteristics carrying the drift a and the factor B,
+    (m, d), of the covariance c = B^T B."""
     a = np.atleast_1d(np.asarray(a, float))
     d = a.shape[0]
     tree = build_tree([[0.5, 0.5]])
     a_vals = np.zeros((3, d))
     a_vals[0] = a
-    c_vals = np.zeros((3, d * d))
-    c_vals[0] = np.asarray(c, float).ravel()
     return Characteristics(a=PredictableProcess(tree, a_vals),
-                           c=PredictableProcess(tree, c_vals))
+                           B=(np.asarray(B, float).reshape(1, -1, d),))
 
 
 def test_extract_b1(b1):
     _, X = b1
     ch = extract_characteristics(X)
     np.testing.assert_allclose(ch.a.values[0], [0.02])
-    np.testing.assert_allclose(ch.c.values[0], [0.0096])
+    np.testing.assert_allclose(covariances(ch)[0].ravel(), [0.0096])
 
 
 def test_extract_t1(t1):
     _, X = t1
     ch = extract_characteristics(X)
     np.testing.assert_allclose(ch.a.values[0], [0.0], atol=1e-15)
-    np.testing.assert_allclose(ch.c.values[0], [0.02 / 3])
+    np.testing.assert_allclose(covariances(ch)[0].ravel(), [0.02 / 3])
 
 
 def test_extract_deterministic():
@@ -46,7 +47,7 @@ def test_extract_deterministic():
     X = AdaptedProcess(tree, np.array([0.0, 0.3, 0.3]))
     ch = extract_characteristics(X)
     np.testing.assert_allclose(ch.a.values[0], [0.3])
-    np.testing.assert_allclose(ch.c.values[0], [0.0], atol=1e-15)
+    np.testing.assert_allclose(covariances(ch)[0].ravel(), [0.0], atol=1e-15)
 
 
 def test_solve_identity():
@@ -57,7 +58,8 @@ def test_solve_identity():
 
 
 def test_solve_rank_one_min_norm():
-    ch = _chars_on_one_step([1.0, 1.0], [[1.0, 1.0], [1.0, 1.0]])
+    # c = [[1, 1], [1, 1]]
+    ch = _chars_on_one_step([1.0, 1.0], [[1.0, 1.0]])
     rep = solve_structure(ch)
     assert rep.solvable
     np.testing.assert_allclose(rep.rho.values[0], [0.5, 0.5], atol=1e-12)
@@ -69,7 +71,7 @@ def test_solve_kernel_arbitrage():
     assert rep.status == "ARBITRAGE"
     zeta = rep.zeta.values[0]
     np.testing.assert_allclose(zeta, [0.0, 1.0])
-    C = ch.c_matrix(0)
+    C = covariances(ch)[0]
     assert np.max(np.abs(C @ zeta)) == 0.0
     assert zeta @ ch.a.values[0] == 1.0
 
@@ -87,17 +89,18 @@ def test_arbitrage_gain_is_riskless(a1):
 def test_scaling_invariance():
     rng = np.random.default_rng(3)
     B = rng.normal(size=(2, 2))
-    c = B @ B.T
+    c = B @ B.T  # of the factor B^T
     a = c @ rng.normal(size=2)
-    rho, _ = psd_pinv_apply(c, a)
+    rho, _, _ = solve_factor(B.T, a)
     for lam in (1e-4, 7.0, 1e5):
-        rho_s, _ = psd_pinv_apply(lam * c, lam * a)
+        rho_s, _, _ = solve_factor(np.sqrt(lam) * B.T, lam * a)
         np.testing.assert_allclose(rho_s, rho, rtol=1e-8)
 
 
 def test_pinv_subnormal_eigenvalue_counts_as_zero():
-    c = np.array([[5.3e-309, 0.0], [0.0, 0.0]])
-    x, kernel_part = psd_pinv_apply(c, np.zeros(2))
+    # the factor of c = diag(5.3e-309, 0)
+    B = np.diag([np.sqrt(5.3e-309), 0.0])
+    x, kernel_part, _ = solve_factor(B, np.zeros(2))
     np.testing.assert_array_equal(x, [0.0, 0.0])
     np.testing.assert_array_equal(kernel_part, [0.0, 0.0])
 
@@ -113,30 +116,26 @@ def test_pinv_near_the_float_range(stack):
         B, u = B[None], u[None]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        x_s, _ = psd_pinv_apply(s * B, s * u)
-    x, _ = psd_pinv_apply(B, u)
+        x_s = _psd_pinv_apply(s * B, s * u)
+    x = _psd_pinv_apply(B, u)
     np.testing.assert_allclose(x_s, x, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("c", [0.0, 5e-324, 1e-300, 0.04, 1.5e308, np.inf])
 def test_pinv_of_1x1_is_the_closed_form(c):
-    """A 1 x 1 C takes the one eigh path, and gives the closed form
-    v * (1/c) where c is kept and v as the kernel part, bit for bit.  A
-    stack's vecmat/matvec products add from +0.0, so they return -0.0 as
-    +0.0; adding 0.0 to both sides compares them up to that sign."""
+    """A stack of 1 x 1 Newton matrices C gives the closed form v * (1/c)
+    where c is kept and 0 where it is not, bit for bit.  The vecmat/matvec
+    products add from +0.0, so they return -0.0 as +0.0; adding 0.0 to
+    both sides compares them up to that sign."""
     rng = np.random.default_rng(7)
     v = rng.choice([-1.0, 1.0], 300) * 10.0 ** rng.uniform(-300, 0, 300)
     v = np.concatenate([v, [0.0, -0.0, 1.0, -1.0, 0.04, 1e-300]])[:, None]
     with np.errstate(divide="ignore", over="ignore"):
         inv = 1.0 / np.float64(c)
     keep = c > PINV_RELTOL * c and np.isfinite(inv)
-    want = (v * (inv if keep else 0.0), np.zeros_like(v) if keep else v)
-    got = psd_pinv_apply(np.array([[c]]), v)
-    for g, w in zip(got, want):
-        assert g.tobytes() == w.tobytes()
-    got = psd_pinv_apply(np.full((v.shape[0], 1, 1), c), v)
-    for g, w in zip(got, want):
-        assert (g + 0.0).tobytes() == (w + 0.0).tobytes()
+    want = v * (inv if keep else 0.0)
+    got = _psd_pinv_apply(np.full((v.shape[0], 1, 1), c), v)
+    assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
 
 
 @st.composite
@@ -159,16 +158,16 @@ def _degenerate_markets(draw):
 @settings(max_examples=300, deadline=None)
 @given(_degenerate_markets())
 def test_covariance_is_symmetric_and_psd_by_construction(X):
-    """c = sum p dM dM^T is formed in one place and checked for finiteness
-    only: every c that ``check_finite`` accepts is symmetric and PSD to the
-    tolerances of the symmetry and eigenvalue checks it replaces, 1e-12 and
-    1e-10 of max(1, max |c|) of its node."""
+    """c = B^T B of the factor B = sqrt(p) dM, which ``check_finite``
+    judges by its diagonal only: every c of a market it accepts is
+    symmetric and PSD to the tolerances of the symmetry and eigenvalue
+    checks it replaces, 1e-12 and 1e-10 of max(1, max |c|) of its node."""
     ch = extract_characteristics(X)
     try:
         ch.check_finite()
     except ModelError:
         assume(False)
-    C = ch.c_stack(X.tree.nonleaf_nodes)
+    C = covariances(ch)[X.tree.nonleaf_nodes]
     C = C / np.maximum(1.0, np.max(np.abs(C), axis=(1, 2)))[:, None, None]
     assert np.max(np.abs(C - C.mT)) <= 1e-12
     assert np.min(np.linalg.eigvalsh(0.5 * (C + C.mT))) >= -1e-10
@@ -189,7 +188,7 @@ def test_range_membership_when_solvable():
         B = rng.normal(size=(2, 1))
         c = B @ B.T  # rank 1
         a = c @ rng.normal(size=2)
-        ch = _chars_on_one_step(a, c)
+        ch = _chars_on_one_step(a, B.T)
         rep = solve_structure(ch)
         assert rep.solvable
         rho = rep.rho.values[0]
@@ -206,7 +205,7 @@ def test_mass_finite_on_trees(b1):
 
 @st.composite
 def _shared_matrix_and_rows(draw):
-    """One PSD c = B B^T of quarters (exact, so exactly symmetric), often
+    """One (d, m) B of quarters, so that c = B B^T is exact and often
     rank-deficient, with rows V (P, d) and a slice [i, j) of them."""
     d = draw(st.integers(1, 6))
     m = draw(st.integers(1, 6))
@@ -225,21 +224,28 @@ def _shared_matrix_and_rows(draw):
                                 allow_subnormal=False))))
     i = draw(st.integers(0, P - 1))
     j = draw(st.integers(i + 1, P))
-    return B @ B.T, V, i, j
+    return B, V, i, j
 
 
 @settings(max_examples=200, deadline=None)
 @given(_shared_matrix_and_rows())
 def test_pinv_of_one_matrix_is_the_same_per_row(case):
-    """One (d, d) c against many rows: a row's bits do not depend on the
-    rows solved with it, x is c^+ v and the kernel part is in ker c."""
-    c, V, i, j = case
-    x, kernel_part = psd_pinv_apply(c, V)
+    """One factor B^T of c = B B^T against many rows: a row's bits do not
+    depend on the rows solved with it, x is c^+ v and the kernel part is in
+    ker c."""
+    B, V, i, j = case
+    c = B @ B.T
+
+    def solve(rows):
+        return solve_factor(np.broadcast_to(B.T, rows.shape[:-1] + B.T.shape),
+                            rows)
+
+    x, kernel_part, _ = solve(V)
     for k in range(V.shape[0]):
-        row = psd_pinv_apply(c, V[k])
+        row = solve(V[k])
         assert row[0].tobytes() == x[k].tobytes()
         assert row[1].tobytes() == kernel_part[k].tobytes()
-    part = psd_pinv_apply(c, V[i:j])
+    part = solve(V[i:j])
     assert part[0].tobytes() == x[i:j].tobytes()
     assert part[1].tobytes() == kernel_part[i:j].tobytes()
 
@@ -284,14 +290,13 @@ def test_trees_and_paths_share_the_drift_condition(case):
     """A tree node and the paths of a constant-drift diffusion with the
     same sigma, a and tol: ``solve_structure`` flags the node exactly when
     ``mc.check_structure`` raises ArbitrageError.  Drifts whose kernel part
-    lies within 0.1 % of the cut are left out: the node's stacked solve and
-    the paths' one-matrix solve may round them apart."""
+    lies within 0.1 % of the cut are left out: the node's solve and the
+    paths' maps of the unit drifts may round them apart."""
     sigma, a, tol = case
-    c = np.einsum("ik,jk->ij", sigma, sigma)  # as mc forms it
-    _, zeta = psd_pinv_apply(c, a)
+    _, zeta, _ = solve_factor(sigma.T, a)
     ratio = np.max(np.abs(zeta)) / (tol * max(1.0, np.max(np.abs(a))))
     assume(not 0.999 < ratio < 1.001)
-    flagged = solve_structure(_chars_on_one_step(a, c), tol).status
+    flagged = solve_structure(_chars_on_one_step(a, sigma.T), tol).status
     spec = mc.DiffusionSpec(drift=a, sigma=sigma, T=1.0, steps=1, paths=3,
                             x0=np.zeros(a.size))
     try:
