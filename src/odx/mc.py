@@ -24,6 +24,7 @@ import ctypes
 import os
 from contextlib import closing
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -78,6 +79,14 @@ class DiffusionSpec:
     @property
     def m(self):
         return self.sigma.shape[1]
+
+    @cached_property
+    def drift_maps(self):
+        """(rho_map, zeta_map), (d, d): row i is c^+ e_i and the part of e_i
+        in the kernel of c = sigma sigma^T, of one solve on sigma^T, formed
+        once and kept."""
+        B = np.broadcast_to(self.sigma.T, (self.d, self.m, self.d))
+        return solve_factor(B, np.eye(self.d))[:2]
 
     def drift_at(self, x):
         """a(x), (paths, d), at the states x (paths, d)."""
@@ -192,7 +201,7 @@ def _wealth(spec, states, tol=DEFAULT_STRUCT_TOL):
     or negative is aborted: its growth is taken as 1 and it leaves
     ``alive``, which is updated in place.  rho is that of
     :func:`check_structure`: of a constant drift once, before any path
-    moves, and of a linear one once at each step 0..n-1."""
+    moves, and of a linear one at each step 0..n-1."""
     states = iter(states)
     x = next(states)
     rho = check_structure(spec, x, 0, tol)
@@ -230,19 +239,14 @@ def simulate(spec):
 
 def check_structure(spec, x, step, tol=DEFAULT_STRUCT_TOL):
     """Pointwise rho = c^+ a(x), (paths, d), at the states x (paths, d) of
-    one step, with c = sigma sigma^T.  One :func:`~odx.structure.solve_factor`
-    on the factor sigma^T, of the d unit drifts, gives the maps a -> c^+ a
-    and a -> zeta, the part of a in the kernel of c; each path applies them
-    by plain sums, so its rho and zeta do not depend on the paths solved
-    with it.  A path that :func:`~odx.structure.off_range` flags is an
-    :class:`ArbitrageError` naming the step, the first such path, its zeta
-    and <zeta, a> > 0.  A drift that is not finite (it overflows at large
-    x), or a rho (a large drift over a small eigenvalue of c), is a
-    :class:`ModelError` naming the step and the first such path, raised
-    without a floating-point warning."""
-    d = spec.d
-    rho_map, zeta_map, _ = solve_factor(
-        np.broadcast_to(spec.sigma.T, (d, spec.m, d)), np.eye(d))
+    one step: each path applies the spec's ``drift_maps`` by plain sums, so
+    its rho and zeta do not depend on the paths solved with it.  A path that
+    :func:`~odx.structure.off_range` flags is an :class:`ArbitrageError`
+    naming the step, the first such path, its zeta and <zeta, a> > 0.  A
+    drift that is not finite (it overflows at large x), or a rho (a large
+    drift over a small eigenvalue of c), is a :class:`ModelError` naming the
+    step and the first such path, raised without a floating-point warning."""
+    rho_map, zeta_map = spec.drift_maps
     with np.errstate(over="ignore", invalid="ignore"):
         a = spec.drift_at(x)
         if not np.isfinite(a).all():

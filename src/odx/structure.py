@@ -15,7 +15,7 @@ import numpy as np
 from .tree import (AdaptedProcess, ModelError, PredictableProcess,
                    child_weighted_sums, path_cumsum, spread_to_children)
 
-# the one rank rule of _min_norm_solutions, relative to a squared row norm
+# the rank cut of _min_norm_solutions, see there
 PINV_RELTOL = 1e-13
 DEFAULT_STRUCT_TOL = 1e-8
 MASS_THRESHOLD = 1e6
@@ -93,17 +93,17 @@ def _sum_products(a, b):
     return s
 
 
-def _min_norm_solutions(A, b=None, v=None):
+def _min_norm_solutions(A, b=None, v=None, factor=False):
     """(x, rank, v_off) by Gram-Schmidt on the rows of a stack A of (m, n)
     systems: the minimum-norm x with A x = b (b zero if None), the number
     of rows kept, and the part of v (..., n) orthogonal to them (None
-    without v).  The one small dense solver, of the drift condition, the KW
-    projection, the vertices and the hedges.  Its one rank rule: a row
-    counts where its residual r after the rows before it has r^2 >
-    ``PINV_RELTOL`` times its squared norm and 1/r^2 is finite, which on a
-    factor B of c = B^T B is c's eigenvalue cut.  A row that does not count
-    is skipped, its equation dropped; callers that need every equation
-    reject a rank below m.  Each dot and norm is a ``_sum_products``, so a
+    without v), for the vertices, the hedges, the drift condition and the
+    KW projection.  A row counts where its residual r after the rows before
+    it has r > ``PINV_RELTOL`` times its norm; else it is skipped, its
+    equation dropped, and callers that need every equation reject a rank
+    below m.  On a factor (``factor=True``: A is B or B^T, c = B^T B) the
+    cut is c's eigenvalue cut, r^2 > ``PINV_RELTOL`` times the squared norm
+    with 1/r^2 finite.  Each dot and norm is a ``_sum_products``, so a
     system's bits are its own whatever its stack."""
     Q, Y = [], []
     rank = np.zeros(A.shape[:-2], dtype=int)
@@ -117,8 +117,9 @@ def _min_norm_solutions(A, b=None, v=None):
                 a = a - c[..., None] * q
                 y = y - c * yq
             r2 = _sum_products(a, a)
-            keep = (r2 > PINV_RELTOL * norm2) & np.isfinite(1.0 / r2)
             r = np.sqrt(r2)
+            keep = ((r2 > PINV_RELTOL * norm2) & np.isfinite(1.0 / r2)
+                    if factor else r > PINV_RELTOL * np.sqrt(norm2))
             Q.append(np.where(keep[..., None], a / r[..., None], 0.0))
             Y.append(np.where(keep, y / r, 0.0))
             rank += keep
@@ -129,11 +130,11 @@ def _min_norm_solutions(A, b=None, v=None):
 
 
 def least_squares(A, y):
-    """(A^+ y, y_off) for a stack A of (m, n) systems, y_off the part of y
+    """(A^+ y, y_off) for a stack A of (m, n) factors, y_off the part of y
     off the range of A: one Gram-Schmidt pass on the columns of A projects
     y, one on its rows solves A x = y - y_off with minimum norm."""
-    _, _, y_off = _min_norm_solutions(A.mT, v=y)
-    return _min_norm_solutions(A, y - y_off)[0], y_off
+    _, _, y_off = _min_norm_solutions(A.mT, v=y, factor=True)
+    return _min_norm_solutions(A, y - y_off, factor=True)[0], y_off
 
 
 def solve_factor(B, a):
@@ -143,7 +144,7 @@ def solve_factor(B, a):
     both with minimum norm, so rho = c^+ a and rho^T c rho = |theta|^2.
     The solves work at the condition of B, not of c."""
     theta, zeta = least_squares(B.mT, a)
-    rho, _, _ = _min_norm_solutions(B, theta)
+    rho, _, _ = _min_norm_solutions(B, theta, factor=True)
     return rho, zeta, theta
 
 

@@ -19,6 +19,7 @@ from odx.random_models import (martingale_value_process,
                                random_tree, random_universal_supermartingale)
 from odx.structure import (PINV_RELTOL, extract_characteristics,
                            solve_structure)
+from odx.superhedge import superhedge, vanilla_claim
 from odx.tree import (AdaptedProcess, ArbitrageError, PredictableProcess,
                       SolverError, build_tree, child_weighted_sums)
 from support import covariances
@@ -306,6 +307,46 @@ def test_low_volatility_hedges(seed):
     assert np.min(dec.C.increments()) >= -1e-10
     recon = reconstruct(dec.V0, dec.H, dec.C, X)
     assert np.max(np.abs(recon.values - V.values)) <= 1e-9
+
+
+NEAR_REDUNDANT_EPS = 1e-7
+
+
+def test_near_redundant_assets_keep_their_vertex():
+    """X = (Y0, Y0 + eps Y1) with eps = 1e-7 and one martingale measure,
+    q = (1/2, 1/4, 1/4): its support's last row is off the others by a
+    residual ratio of 2 eps^2 / 3, under the eigenvalue cut of the drift
+    solve but over the cut of an exact equation, so the vertex is kept and
+    decompose and superhedge solve."""
+    eps = NEAR_REDUNDANT_EPS
+    tree = build_tree([[0.5, 0.25, 0.25]])
+    X = AdaptedProcess(tree, np.array([[0.0, 0.0], [-1.0, -1.0],
+                                       [1.0, 1.0 + eps], [1.0, 1.0 - eps]]))
+    value, q = MarketLP(X).node_max(0, np.array([1.0, 0.0, 0.0]))
+    np.testing.assert_allclose(q, [0.5, 0.25, 0.25], atol=1e-12)
+    assert abs(value - 0.5) <= 1e-12
+    V = AdaptedProcess(tree, np.array([1.0, 2.0, 0.0, 0.0]))
+    dec = decompose_lp(V, X)
+    recon = reconstruct(dec.V0, dec.H, dec.C, X)
+    assert np.max(np.abs(recon.values - V.values)) <= 1e-9
+    # S_0 = 1 + dX_0 = (0, 2, 2) pays (0, 1, 1) on a call struck at 1
+    res = superhedge(vanilla_claim(X, "call", 1.0), X)
+    assert abs(res.price - 0.5) <= 1e-12
+    assert res.duality_gap <= 1e-9
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_near_redundant_markets_keep_every_vertex(seed):
+    """On X = (Y0, Y0 + 1e-7 Y1) for random arbitrage-free Y, every node's
+    polytope has a vertex: a universal supermartingale is built on it and
+    passes the polytope test."""
+    rng = np.random.default_rng(seed)
+    tree = random_tree(rng, max_periods=3, max_branches=5)
+    Y = random_market(rng, tree, d=2).values
+    X = AdaptedProcess(tree, np.column_stack(
+        [Y[:, 0], Y[:, 0] + NEAR_REDUNDANT_EPS * Y[:, 1]]))
+    V = random_universal_supermartingale(rng, X)
+    assert is_supermartingale_under_all(V, X).passed
 
 
 def assert_min_norm_superhedge(H, dX, dV):

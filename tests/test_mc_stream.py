@@ -203,12 +203,15 @@ def test_chunked_normals_equal_one_draw(monkeypatch, chunk):
 
 
 def _per_path_rho(spec, x):
-    """rho = c^+ a(x), the map a -> c^+ a of one solve on the factor
-    sigma^T applied to one path at a time."""
-    d = spec.d
-    rho_map, _, _ = solve_factor(
-        np.broadcast_to(spec.sigma.T, (d, spec.m, d)), np.eye(d))
-    return np.array([_sum_products(a, rho_map.T) for a in spec.drift_at(x)])
+    """rho = c^+ a(x) one path at a time, twice: the spec's map a -> c^+ a
+    applied to the path's drift alone, and a solve on the factor sigma^T
+    of the path's own drift."""
+    rho_map, _ = spec.drift_maps
+    B = spec.sigma.T[None]
+    drifts = spec.drift_at(x)
+    mapped = np.array([_sum_products(a, rho_map.T) for a in drifts])
+    solved = np.array([solve_factor(B, a[None])[0][0] for a in drifts])
+    return mapped, solved
 
 
 @st.composite
@@ -245,8 +248,8 @@ def test_batched_rho_equals_per_path_loop(coeffs):
     with np.errstate(all="ignore"):  # a subnormal c gives inf/NaN on both
         # the drifts are arbitrary, so the arbitrage check is off
         batched = mc.check_structure(spec, x, 0, tol=np.inf)
-        looped = _per_path_rho(spec, x)
-    assert batched.tobytes() == looped.tobytes()
+        mapped, _ = _per_path_rho(spec, x)
+    assert batched.tobytes() == mapped.tobytes()
 
 
 @st.composite
@@ -273,7 +276,12 @@ def test_drift_in_range_of_c_passes_the_check(coeffs):
     spec = mc.DiffusionSpec(drift=drift, slope=slope, sigma=sig, T=1.0,
                             steps=1, paths=1, x0=np.zeros(sig.shape[0]))
     rho = mc.check_structure(spec, x, 0)
-    assert rho.tobytes() == _per_path_rho(spec, x).tobytes()
+    mapped, solved = _per_path_rho(spec, x)
+    assert rho.tobytes() == mapped.tobytes()
+    # the maps compose to c^+ a(x): within rounding of the largest |rho|
+    # of the path, solved on the path's own drift
+    scale = np.max(np.abs(solved), axis=1, keepdims=True)
+    assert np.all(np.abs(rho - solved) <= 1e-12 * scale)
 
 
 def test_linear_drift_leaving_range_of_c_is_caught_at_its_step():
@@ -288,8 +296,8 @@ def test_linear_drift_leaving_range_of_c_is_caught_at_its_step():
 
 @pytest.mark.parametrize("name", SPECS)
 def test_drift_is_solved_once_per_run_or_once_per_step(monkeypatch, name):
-    """A constant drift is solved once per run, a linear one once at each
-    of the steps 0..n-1."""
+    """The maps a -> c^+ a and a -> zeta are solved once per run, for a
+    constant drift and a linear one alike."""
     count = []
 
     def counting(B, a):
@@ -299,7 +307,7 @@ def test_drift_is_solved_once_per_run_or_once_per_step(monkeypatch, name):
     monkeypatch.setattr(mc, "solve_factor", counting)
     spec = _spec(SPECS[name], paths=50, steps=9, seed=1)
     mc.stream_deflated(spec)
-    assert len(count) == (1 if spec.slope is None else spec.steps)
+    assert len(count) == 1
 
 
 def _traced_peak(spec_path, paths, steps, capsys):
