@@ -198,7 +198,8 @@ def cmd_simulate(args):
 
 
 def seed(text):
-    """The --seed integer as a 64-bit Philox key, modulo 2**64."""
+    """The --seed integer modulo 2**64: the SFC64 seed of ``simulate`` and
+    the ``default_rng`` seed of ``deflate``."""
     return int(text) & (2**64 - 1)
 
 

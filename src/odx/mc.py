@@ -7,13 +7,13 @@ equation, and martingale properties are asserted statistically.
 
 Everything runs on one streaming step kernel: the Euler step and the
 deflation step are each written once and advance all paths together, one
-step at a time.  Normals are drawn from counter-based Philox in chunks of
-steps, so a run holds paths x chunk normals rather than paths x steps, and
-path i sees the same draws however the steps are chunked.  A one-thread
-``concurrent.futures`` pool draws the next chunk while the steps of the
-current one run; both the fill and numpy's loops over the paths release the
-GIL.  ``concurrent.futures`` is imported only when a run starts: it loads
-``logging``, which no tree command needs.
+step at a time.  Normals are drawn from one sequential SFC64 Generator in
+consecutive chunks of steps, so a run holds paths x chunk normals rather
+than paths x steps, and path i sees the same draws however the steps are
+chunked.  A one-thread ``concurrent.futures`` pool draws the next chunk
+while the steps of the current one run; both the fill and numpy's loops
+over the paths release the GIL.  ``concurrent.futures`` is imported only
+when a run starts: it loads ``logging``, which no tree command needs.
 ``stream_deflated`` takes the martingale tests as the run goes and keeps no
 panel; ``simulate`` and ``deflate_paths`` are the full-panel consumers of
 the same steps.
@@ -89,10 +89,14 @@ class DiffusionSpec:
         return solve_factor(B, np.eye(self.d))[:2]
 
     def drift_at(self, x):
-        """a(x), (paths, d), at the states x (paths, d)."""
+        """a(x), (paths, d), at the states x (paths, d), by plain sums along
+        the paths, so its bits do not depend on the BLAS kernels.  A drift
+        that overflows is inf or nan, without a floating-point warning."""
         if self.slope is None:
             return np.broadcast_to(self.drift, x.shape)
-        return self.drift + x @ self.slope.T
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (self.drift[:, None]
+                    + _sum_products(self.slope[:, None], x[None])).T
 
 
 def scalar_spec(a, sigma, T=1.0, steps=DEFAULT_STEPS, paths=DEFAULT_PATHS,
@@ -142,7 +146,7 @@ def _leave_creator_cpu():
 
 def _normals(spec):
     """The (paths, m) standard normals of each step, in step order: one
-    Philox Generator's draws, chunk after chunk, as if drawn at once.
+    SFC64 Generator's draws, chunk after chunk, as if drawn at once.
 
     A one-thread pool fills each chunk of half ``NORMAL_CHUNK_BYTES``.  The
     consumer allocates it, a fresh array it may keep, when it takes the one
@@ -154,7 +158,7 @@ def _normals(spec):
     # command needs
     from concurrent.futures import ThreadPoolExecutor
     n, P, m = spec.steps, spec.paths, spec.m
-    rng = np.random.Generator(np.random.Philox(key=spec.seed))
+    rng = np.random.Generator(np.random.SFC64(spec.seed))
     chunk = max(1, NORMAL_CHUNK_BYTES // (16 * P * m))
     with ThreadPoolExecutor(1, "odx.mc normals", _leave_creator_cpu) as pool:
         ahead = pool.submit(rng.standard_normal,
@@ -168,21 +172,23 @@ def _normals(spec):
 
 
 def _euler_states(spec):
-    """X at steps 0..n of the Euler scheme dX = a dt + sigma sqrt(dt) xi,
-    one (paths, d) array per step."""
+    """(X, a(X)) at steps 0..n of the Euler scheme dX = a dt + sigma sqrt(dt)
+    xi, two (paths, d) arrays per step.  The drift a is formed once per
+    step, for the step and for :func:`check_structure`; at step n, where no
+    step follows, it is None."""
     dt = spec.T / spec.steps
     sqdt = np.sqrt(dt)
     x = np.empty((spec.paths, spec.d))
     x[:] = spec.x0
-    yield x
+    a = spec.drift_at(x)
+    yield x, a
     step = 0
     # no enumerate: its cached tuple would keep xi's chunk alive while
     # _normals allocates the next one
     for xi in _normals(spec):
         # overflow shows as a non-finite increment, reported below
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            dX = (spec.drift_at(x) * dt
-                  + np.einsum("ij,...j->...i", spec.sigma, xi) * sqdt)
+            dX = a * dt + np.einsum("ij,...j->...i", spec.sigma, xi) * sqdt
         del xi
         if not np.all(np.isfinite(dX)):
             bad = np.argwhere(~np.isfinite(dX))[0]
@@ -190,11 +196,13 @@ def _euler_states(spec):
                 f"non-finite increment at step {step}, path {int(bad[0])}")
         x = x + dX
         step += 1
-        yield x
+        a = spec.drift_at(x) if step < spec.steps else None
+        yield x, a
 
 
 def _wealth(spec, states, tol=DEFAULT_STRUCT_TOL):
-    """(x, V_hat, alive) at steps 0..n along the states X_0..X_n.
+    """(x, V_hat, alive) at steps 0..n along the states (X_k, a(X_k)) of
+    :func:`_euler_states`, or (X_k, None) to have the drift formed here.
 
     V_hat is the numeraire wealth, the discrete product of its integral
     equation with growth 1 + <rho, dX>.  A path whose growth would be zero
@@ -203,19 +211,19 @@ def _wealth(spec, states, tol=DEFAULT_STRUCT_TOL):
     :func:`check_structure`: of a constant drift once, before any path
     moves, and of a linear one at each step 0..n-1."""
     states = iter(states)
-    x = next(states)
-    rho = check_structure(spec, x, 0, tol)
+    x, a = next(states)
+    rho = check_structure(spec, x, 0, tol, a)
     V = np.ones(x.shape[0])
     alive = np.ones(x.shape[0], dtype=bool)
     yield x, V, alive
-    for step, x_next in enumerate(states):
+    for step, (x_next, a_next) in enumerate(states):
         if step and spec.slope is not None:
-            rho = check_structure(spec, x, step, tol)
+            rho = check_structure(spec, x, step, tol, a)
         growth = 1.0 + np.einsum("pd,pd->p", rho, x_next - x)
         dead = growth <= 0.0
         alive &= ~dead
         V = V * np.where(dead, 1.0, growth)
-        x = x_next
+        x, a = x_next, a_next
         yield x, V, alive
 
 
@@ -228,27 +236,29 @@ def _abort_fraction(alive):
 
 def simulate(spec):
     """The Euler panel X (paths, steps+1, d) of the streaming kernel, with
-    counter-based, seeded draws: path i is the same whatever the chunking
-    of the normals.  Memory is paths x steps; ``stream_deflated`` avoids
-    the panel."""
+    seeded draws from one sequential Generator: path i is the same whatever
+    the chunking of the normals.  Memory is paths x steps;
+    ``stream_deflated`` avoids the panel."""
     X = np.empty((spec.paths, spec.steps + 1, spec.d))
-    for step, x in enumerate(_euler_states(spec)):
+    for step, (x, _) in enumerate(_euler_states(spec)):
         X[:, step, :] = x
     return PathEnsemble(spec=spec, X=X)
 
 
-def check_structure(spec, x, step, tol=DEFAULT_STRUCT_TOL):
+def check_structure(spec, x, step, tol=DEFAULT_STRUCT_TOL, a=None):
     """Pointwise rho = c^+ a(x), (paths, d), at the states x (paths, d) of
-    one step: each path applies the spec's ``drift_maps`` by plain sums, so
-    its rho and zeta do not depend on the paths solved with it.  A path that
+    one step, with ``a`` the drift there if the caller formed it: each path
+    applies the spec's ``drift_maps`` by plain sums, so its rho and zeta do
+    not depend on the paths solved with it.  A path that
     :func:`~odx.structure.off_range` flags is an :class:`ArbitrageError`
     naming the step, the first such path, its zeta and <zeta, a> > 0.  A
     drift that is not finite (it overflows at large x), or a rho (a large
     drift over a small eigenvalue of c), is a :class:`ModelError` naming the
     step and the first such path, raised without a floating-point warning."""
     rho_map, zeta_map = spec.drift_maps
-    with np.errstate(over="ignore", invalid="ignore"):
+    if a is None:
         a = spec.drift_at(x)
+    with np.errstate(over="ignore", invalid="ignore"):
         if not np.isfinite(a).all():
             path = int(np.argwhere(~np.isfinite(a))[0, 0])
             raise ModelError(f"non-finite drift at step {step}, path {path}")
@@ -276,7 +286,7 @@ def deflate_paths(ens):
     expected O(dt) fraction)."""
     P, n1, _ = ens.X.shape
     V = np.ones((P, n1))
-    states = ens.X.transpose(1, 0, 2)
+    states = ((x, None) for x in ens.X.transpose(1, 0, 2))
     for step, (_, v, alive) in enumerate(_wealth(ens.spec, states)):
         V[:, step] = v
     frac = _abort_fraction(alive)

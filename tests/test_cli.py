@@ -708,7 +708,7 @@ def test_each_command_forms_the_step_data_once(tmp_path, capsys,
 
 
 def test_simulate_abort_limit_exit_1(tmp_path, capsys):
-    """With drift 1 and sigma 1 over one step, 2.45 % of the paths take the
+    """With drift 1 and sigma 1 over one step, 2.20 % of the paths take the
     numeraire's wealth to zero or below, past the abort limit."""
     spec = _write(tmp_path, "spec.json",
                   {"odx_schema": 1, "d": 1, "m": 1, "T": 1.0,
@@ -719,7 +719,7 @@ def test_simulate_abort_limit_exit_1(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == ("input error: excessive deflation abort "
-                            "fraction 0.0245\n")
+                            "fraction 0.0220\n")
 
 
 def test_simulate_small(tmp_path, capsys):
@@ -773,6 +773,28 @@ def test_analyze_bytes_do_not_depend_on_the_blas_kernels(tmp_path):
     prescott = _fresh_python(code, OPENBLAS_CORETYPE="Prescott")
     assert native.returncode == prescott.returncode == 0, native.stderr
     assert native.stdout.count('"SOLVABLE"') == 2
+    assert prescott.stdout == native.stdout
+
+
+@pytest.mark.skipif(not _dynamic_arch_openblas(),
+                    reason="numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS")
+def test_simulate_bytes_do_not_depend_on_the_blas_kernels(tmp_path):
+    """``simulate`` forms a linear drift by plain sums along the paths, with
+    no BLAS call, so on a seeded d = 2 linear-drift spec a process on
+    OpenBLAS's Prescott kernels prints the bytes of one on the host's own."""
+    spec = _write(tmp_path, "spec.json",
+                  {"odx_schema": 1, "d": 2, "m": 2, "T": 1.0,
+                   "drift": {"form": "linear", "value": [0.04, 0.02],
+                             "slope": [[-0.2, 0.05], [0.1, -0.3]]},
+                   "sigma": {"form": "const",
+                             "value": [[0.2, 0.05], [0.03, 0.15]]}})
+    code = ("import sys; from odx.cli import main; sys.exit(main(['--seed', "
+            f"'0', 'simulate', {spec!r}, '--paths', '2000', '--steps', "
+            "'32']))")
+    native = _fresh_python(code)
+    prescott = _fresh_python(code, OPENBLAS_CORETYPE="Prescott")
+    assert native.returncode == prescott.returncode == 0, native.stderr
+    assert '"mean_Y_terminal"' in native.stdout
     assert prescott.stdout == native.stdout
 
 

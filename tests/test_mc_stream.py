@@ -192,12 +192,13 @@ def test_stream_keeps_the_bucket_edge_columns(steps):
 
 @pytest.mark.parametrize("chunk", [1, 3, 7, 64])
 def test_chunked_normals_equal_one_draw(monkeypatch, chunk):
-    """Philox is counter-based: the normals drawn chunk by chunk along the
-    step axis are the (steps, paths, m) panel drawn at once."""
+    """The chunks are consecutive fills of one sequential generator: the
+    normals drawn chunk by chunk along the step axis are the (steps,
+    paths, m) panel drawn at once."""
     spec = _spec(D2_LINEAR, 30, 20, seed=9)
     monkeypatch.setattr(mc, "NORMAL_CHUNK_BYTES", 8 * 30 * 2 * chunk)
     drawn = np.stack(list(mc._normals(spec)))
-    panel = np.random.Generator(np.random.Philox(key=9)).standard_normal(
+    panel = np.random.Generator(np.random.SFC64(9)).standard_normal(
         (20, 30, 2))
     assert np.array_equal(drawn, panel)
 
@@ -509,7 +510,7 @@ def test_normals_are_one_draw_whichever_side_is_slow(monkeypatch, slow):
         if slow == "consumer":
             time.sleep(0.005)
         drawn.append(xi)
-    panel = np.random.Generator(np.random.Philox(key=9)).standard_normal(
+    panel = np.random.Generator(np.random.SFC64(9)).standard_normal(
         (20, 30, 2))
     assert np.stack(drawn).tobytes() == panel.tobytes()
 
@@ -536,7 +537,7 @@ def test_normals_under_a_short_switch_interval(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(runner.is_alive() for runner in runners)
     for spec in specs:
-        panel = np.random.Generator(np.random.Philox(key=spec.seed))
+        panel = np.random.Generator(np.random.SFC64(spec.seed))
         assert drawn[spec.seed].tobytes() == panel.standard_normal(
             (24, 40, 2)).tobytes()
 
