@@ -17,8 +17,8 @@ from math import comb
 import numpy as np
 
 from .deflators import numeraire_portfolio
-from .structure import (_min_norm_solutions, _sum_products,
-                        extract_characteristics, least_squares)
+from .structure import (_factor, _min_norm_solutions, _substitute,
+                        _sum_products, extract_characteristics)
 from .tree import (AdaptedProcess, ArbitrageError, ModelError,
                    PredictableProcess, SolverError, path_cumsum,
                    spread_to_children, step_gains)
@@ -358,8 +358,10 @@ def decompose_kw(V, X):
     for g, dX, dM, B in zip(tree.branch_groups, ch.dX, ch.dM, ch.B):
         nodes, p = g.nodes, g.p
         W = (1.0 + np.matvec(dX, rho[nodes])) * g.increments(U)
-        # the p-weighted regression of W on dM, by least squares on B
-        theta, _ = least_squares(B, np.sqrt(p) * W)
+        # the p-weighted regression of W on dM: B^+ sqrt(p) W, B = Q^T T P
+        Q, T, P = _factor(B)
+        z = _substitute(T, [_sum_products(q, np.sqrt(p) * W) for q in Q])
+        theta = sum(r * zj[:, None] for r, zj in zip(P, z))
         resid = W - np.matvec(dM, theta)
         alpha = np.vecdot(p, resid)
         dN = resid - alpha[:, None]

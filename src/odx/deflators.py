@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .structure import PINV_RELTOL, extract_characteristics
+from .structure import (PINV_RELTOL, _min_norm_solutions,
+                        extract_characteristics)
 from .tree import (AdaptedProcess, ArbitrageError, ModelError,
                    PredictableProcess, child_weighted_sums, path_cumprod,
                    path_cumsum)
@@ -186,9 +187,11 @@ class DeflatorFamily:
 def orthogonal_jump_martingale(X, rng, weights=None, n_samples=1):
     """Sample jump martingales L orthogonal to the martingale part of X.
 
-    At each non-leaf node, dL is drawn by the Generator ``rng`` from the
-    affine subspace {sum w dL = 0, sum w dL dM^T = 0}, where dM = dX - a
-    is the martingale increment of X's characteristics, and scaled to
+    At each non-leaf node, dL takes its children's rows of one
+    (n_nodes, n_samples) standard normal draw of the Generator ``rng`` (so
+    a seed gives the same deflators in any group layout), projects them off
+    the rows of {sum w dL = 0, sum w dL dM^T = 0}, dM = dX - a the
+    martingale increment of X's characteristics, and scales them to
     sup-norm 1 - :data:`MARGIN`, so 1 + dL >= MARGIN > 0.
     Binary nodes admit only dL = 0.  ``weights`` defaults to the tree
     probabilities; pass the implied martingale-measure weights to make
@@ -200,40 +203,20 @@ def orthogonal_jump_martingale(X, rng, weights=None, n_samples=1):
     """
     tree = X.tree
     try:
-        dL_all = np.zeros((tree.n_nodes, n_samples))
+        dL_all = rng.standard_normal((tree.n_nodes, n_samples))
     except (ValueError, MemoryError) as exc:
         raise ModelError(
             f"cannot hold {n_samples} jump martingales: {exc}") from exc
+    dL_all[0] = 0.0  # the root's; each child's row is replaced by its dL
     w_all = tree.p if weights is None else np.asarray(weights, dtype=np.float64)
-    # per node: the rank of the constraints and the right singular vectors,
-    # whose trailing rows span {sum w dL = 0, sum w dL dM^T = 0}
-    free = np.zeros(tree.n_nodes, dtype=np.int64)
-    svd = []
     for g, dM in zip(tree.branch_groups, extract_characteristics(X).dM):
         w = w_all[g.kids]
         cons = np.concatenate([w[:, None, :], (w[:, :, None] * dM).mT], axis=1)
-        _, sv, vh = np.linalg.svd(cons, full_matrices=True)
-        r = np.sum(sv > np.max(sv, axis=1, keepdims=True) * 1e-12, axis=1)
-        free[g.nodes] = g.k - r
-        svd.append((g, r, vh))
-    # the normals are drawn node by node in id order, one (free, n_samples)
-    # block per node, so a seed gives the same deflators in any layout
-    offset = np.concatenate([[0], np.cumsum(free * n_samples)])
-    normals = rng.standard_normal(offset[-1])
-    for g, r, vh in svd:
-        for rk in np.flatnonzero(np.bincount(r)):
-            dim = g.k - rk
-            if dim == 0:
-                continue
-            sel = r == rk
-            nodes = g.nodes[sel]
-            coeff = normals[offset[nodes][:, None]
-                            + np.arange(dim * n_samples)]
-            dL = vh[sel, rk:, :].mT @ coeff.reshape(-1, dim, n_samples)
-            sup = np.max(np.abs(dL), axis=1, keepdims=True)
-            nz = sup > 1e-14
-            dL_all[g.kids[sel]] = np.where(
-                nz, dL * ((1.0 - MARGIN) / np.where(nz, sup, 1.0)), 0.0)
+        _, _, dL = _min_norm_solutions(cons[:, None], v=dL_all[g.kids].mT)
+        sup = np.max(np.abs(dL), axis=-1, keepdims=True)
+        nz = sup > 1e-14
+        dL_all[g.kids] = np.where(
+            nz, dL * ((1.0 - MARGIN) / np.where(nz, sup, 1.0)), 0.0).mT
     L = path_cumsum(tree, dL_all)
     return [AdaptedProcess(tree, L[:, s].copy()) for s in range(n_samples)]
 

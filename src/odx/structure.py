@@ -2,7 +2,7 @@
 
 A step's covariance c enters only through a factor B = sqrt(p) dM, or
 sigma^T on a diffusion, with c = B^T B.  ``solve_structure`` either produces
-a predictable ``rho`` with ``a = c rho`` (minimum-norm, by least squares on
+a predictable ``rho`` with ``a = c rho`` (minimum-norm, by Gram-Schmidt on
 B) or an arbitrage certificate ``zeta`` in the kernel of ``c`` with a
 strictly positive drift gain.
 """
@@ -15,7 +15,7 @@ import numpy as np
 from .tree import (AdaptedProcess, ModelError, PredictableProcess,
                    child_weighted_sums, path_cumsum, spread_to_children)
 
-# the rank cut of _min_norm_solutions, see there
+# the rank cut of _min_norm_solutions (rows) and of _factor (columns)
 PINV_RELTOL = 1e-13
 DEFAULT_STRUCT_TOL = 1e-8
 MASS_THRESHOLD = 1e6
@@ -93,48 +93,84 @@ def _sum_products(a, b):
     return s
 
 
-def _min_norm_solutions(A, b=None, v=None, factor=False):
-    """(x, rank, v_off) by Gram-Schmidt on the rows of a stack A of (m, n)
-    systems: the minimum-norm x with A x = b (b zero if None), the number
-    of rows kept, and the part of v (..., n) orthogonal to them (None
-    without v), for the vertices, the hedges, the drift condition and the
-    KW projection.  A row counts where its residual r after the rows before
-    it has r > ``PINV_RELTOL`` times its norm; else it is skipped, its
-    equation dropped, and callers that need every equation reject a rank
-    below m.  On a factor (``factor=True``: A is B or B^T, c = B^T B) the
-    cut is c's eigenvalue cut, r^2 > ``PINV_RELTOL`` times the squared norm
-    with 1/r^2 finite.  Each dot and norm is a ``_sum_products``, so a
-    system's bits are its own whatever its stack."""
-    Q, Y = [], []
-    rank = np.zeros(A.shape[:-2], dtype=int)
-    if b is None:
-        b = np.zeros(A.shape[:-1])
+def _gram_schmidt(rows, keep):
+    """(Q, L) of Gram-Schmidt on a sequence of rows (..., n), each taken
+    twice off the rows before it: row j = sum_{i <= j} L[j][i] Q[i], the
+    Q[i] orthonormal or zero.  Row j is kept, as Q[j] = r / |r| with
+    L[j][j] = |r| for its residual r, where ``keep(|r|^2, |row|^2)``;
+    else Q[j] and L[j][j] are 0.  Each dot and norm is a ``_sum_products``,
+    so a system's bits are its own whatever its stack."""
+    Q, L = [], []
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for a, y in zip(np.moveaxis(A, -2, 0), np.moveaxis(b, -1, 0)):
-            norm2 = _sum_products(a, a)
-            for q, yq in [*zip(Q, Y)] * 2:  # twice keeps Q orthonormal
-                c = _sum_products(a, q)
-                a = a - c[..., None] * q
-                y = y - c * yq
-            r2 = _sum_products(a, a)
-            r = np.sqrt(r2)
-            keep = ((r2 > PINV_RELTOL * norm2) & np.isfinite(1.0 / r2)
-                    if factor else r > PINV_RELTOL * np.sqrt(norm2))
-            Q.append(np.where(keep[..., None], a / r[..., None], 0.0))
-            Y.append(np.where(keep, y / r, 0.0))
-            rank += keep
-        if v is not None:
-            for q in Q * 2:
-                v = v - _sum_products(v, q)[..., None] * q
-    return sum(q * y[..., None] for q, y in zip(Q, Y)), rank, v
+        for v in rows:
+            norm2 = _sum_products(v, v)
+            v, coeffs = _project_off(v, Q)
+            r2 = _sum_products(v, v)
+            kept = keep(r2, norm2)
+            r = np.where(kept, np.sqrt(r2), 0.0)
+            Q.append(np.where(kept[..., None], v / r[..., None], 0.0))
+            L.append(coeffs + [r])
+    return Q, L
 
 
-def least_squares(A, y):
-    """(A^+ y, y_off) for a stack A of (m, n) factors, y_off the part of y
-    off the range of A: one Gram-Schmidt pass on the columns of A projects
-    y, one on its rows solves A x = y - y_off with minimum norm."""
-    _, _, y_off = _min_norm_solutions(A.mT, v=y, factor=True)
-    return _min_norm_solutions(A, y - y_off, factor=True)[0], y_off
+def _project_off(v, Q):
+    """(v minus its projections on a sequence Q of orthonormal or zero rows
+    (..., n), taken twice, and the list of their coefficients)."""
+    coeffs = [0.0] * len(Q)
+    for i, q in [*enumerate(Q)] * 2:  # twice keeps Q orthonormal
+        c = _sum_products(v, q)
+        v = v - c[..., None] * q
+        coeffs[i] = coeffs[i] + c
+    return v, coeffs
+
+
+def _substitute(L, b, upper=False):
+    """y with L y = b, or L^T y = b if ``upper``, for the triangular L of
+    :func:`_gram_schmidt` and a sequence b of m right-hand sides: y_j is 0
+    where L[j][j] is 0, the equation of a row that was not kept."""
+    m = len(L)
+    y = [None] * m
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in (range(m)[::-1] if upper else range(m)):
+            s = b[j]
+            for i in (range(j + 1, m) if upper else range(j)):
+                s = s - (L[i][j] if upper else L[j][i]) * y[i]
+            y[j] = np.where(L[j][j] != 0.0, s / L[j][j], 0.0)
+    return y
+
+
+def _min_norm_solutions(A, b=None, v=None):
+    """(x, rank, v_off) for a stack A of (m, n) systems: the minimum-norm x
+    with A x = b (b zero if None), the number of rows kept, and the part of
+    v (..., n) orthogonal to them (None without v), for the vertices, the
+    hedges and the extra deflators.  A row counts where its Gram-Schmidt
+    residual r after the rows before it has r > ``PINV_RELTOL`` times its
+    norm; else it is skipped, its equation dropped, and callers that need
+    every equation reject a rank below m."""
+    Q, L = _gram_schmidt(np.moveaxis(A, -2, 0), lambda r2, norm2:
+                         np.sqrt(r2) > PINV_RELTOL * np.sqrt(norm2))
+    b = np.zeros(A.shape[:-1]) if b is None else b
+    y = _substitute(L, np.moveaxis(b, -1, 0))
+    rank = sum(row[-1] != 0.0 for row in L)
+    if v is not None:
+        v = _project_off(v, Q)[0]
+    return sum(q * yj[..., None] for q, yj in zip(Q, y)), rank, v
+
+
+def _factor(B):
+    """(Q, T, P) with B = Q^T T P for a stack of (k, d) factors B, as d
+    rows of :func:`_gram_schmidt` each.  Its pass on the columns of B gives
+    B = Q^T L^T and is the one place B's rank is decided: a column counts
+    where its residual r has r^2 > ``PINV_RELTOL`` times its squared norm,
+    c's eigenvalue cut, with 1/r^2 finite.  A pass without a cut on the
+    rows of L^T, zero where a column was dropped, gives L^T = T P."""
+    Q, L = _gram_schmidt(np.moveaxis(B, -1, 0), lambda r2, norm2:
+                         (r2 > PINV_RELTOL * norm2) & np.isfinite(1.0 / r2))
+    zero = np.zeros_like(L[0][0])
+    R = [np.stack([row[j] if j < len(row) else zero for row in L], axis=-1)
+         for j in range(len(L))]
+    P, T = _gram_schmidt(R, lambda r2, norm2: r2 > 0.0)
+    return Q, T, P
 
 
 def solve_factor(B, a):
@@ -142,10 +178,13 @@ def solve_factor(B, a):
     factors B: zeta is the part of a off the range of c, the market price
     of risk theta solves B^T theta = a - zeta and rho solves B rho = theta,
     both with minimum norm, so rho = c^+ a and rho^T c rho = |theta|^2.
-    The solves work at the condition of B, not of c."""
-    theta, zeta = least_squares(B.mT, a)
-    rho, _, _ = _min_norm_solutions(B, theta, factor=True)
-    return rho, zeta, theta
+    theta and rho are substitutions on the T of :func:`_factor`, so the
+    solve works at the condition of B, not of c, and decides B's rank once."""
+    Q, T, P = _factor(B)
+    zeta, u = _project_off(a, P)
+    s = _substitute(T, u, upper=True)
+    rho = sum(p * t[..., None] for p, t in zip(P, _substitute(T, s)))
+    return rho, zeta, sum(q * sj[..., None] for q, sj in zip(Q, s))
 
 
 def off_range(a, zeta, tol):

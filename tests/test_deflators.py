@@ -134,14 +134,20 @@ def test_orthogonal_sampler_satisfies_constraints(t1):
         assert np.min(dL) >= -0.9 - 1e-12
 
 
-@pytest.mark.parametrize("seed", [61, 62, 66, 72])
-def test_sampler_centres_dX_by_its_drift(seed):
+@pytest.mark.parametrize("seed, units", [
+    pytest.param(seed, units,
+                 id=f"{seed}" + (f"-{units:g}" if units < 1 else ""))
+    for units in (1.0, 1e-10, 1e-13) for seed in (61, 62, 66, 72)])
+def test_sampler_centres_dX_by_its_drift(seed, units):
     """The sampler forms dM = dX - a from X: on a drifting market, X and its
     Doob martingale part M give the same L, and dL meets sum w dL = 0 and
-    sum w dL (dX - a)^T = 0 under the implied weights w."""
+    sum w dL (dX - a)^T = 0 under the implied weights w, also with asset 0
+    in small units, where each asset's row is judged against its own norm:
+    |sum w dL dM_i| <= 1e-9 max |dM_i| at every node."""
     rng = np.random.default_rng(seed)
     tree = random_tree(rng, max_periods=3, max_branches=6)
     X = random_market(rng, tree, d=2)
+    X = AdaptedProcess(tree, X.values * [units, 1.0])
     a = child_weighted_sums(tree, X.increments())
     assert np.max(np.abs(a)) > 1e-3  # X drifts under p
     _, M = doob_decompose(X)
@@ -159,6 +165,8 @@ def test_sampler_centres_dX_by_its_drift(seed):
             dM = X.values[kids] - X.values[node] - a[i]
             assert abs(wdL.sum()) < 1e-12
             assert np.max(np.abs(wdL @ dM)) < 1e-12
+            assert np.all(np.abs(wdL @ dM)
+                          <= 1e-9 * np.max(np.abs(dM), axis=0))
 
 
 def test_family_deflators_pass_verification():

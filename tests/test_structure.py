@@ -97,6 +97,41 @@ def test_scaling_invariance():
         np.testing.assert_allclose(rho_s, rho, rtol=1e-8)
 
 
+@pytest.mark.parametrize("units", [1e-6, 1e-7, 1e-8])
+def test_small_units_of_one_asset_keep_the_market_solvable(units):
+    """Arbitrage-free d = 2 markets with asset 0 in small units: B's rank
+    is decided once, per column, so no solve drops the small asset and
+    reads a false arbitrage from the drift it leaves."""
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        tree = random_tree(rng)
+        X = random_market(rng, tree, d=2)
+        X = AdaptedProcess(tree, X.values * [units, 1.0])
+        assert solve_structure(extract_characteristics(X)).solvable, seed
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_theta_of_a_badly_scaled_factor_is_the_least_squares_one(k):
+    """B = M diag(1e-8, 1) keeps both columns (each is judged against its
+    own norm), so theta is the minimum-norm solution of B^T theta = a."""
+    rng = np.random.default_rng(1)
+    B = rng.standard_normal((k, 2)) * [1e-8, 1.0]
+    a = rng.standard_normal(2)
+    _, _, theta = solve_factor(B, a)
+    want = np.linalg.lstsq(B.T, a, rcond=None)[0]
+    assert np.linalg.norm(theta - want) <= 1e-6 * np.linalg.norm(want)
+
+
+def test_rho_of_a_tiny_first_column_is_the_pseudo_inverse():
+    """sigma = (1e-12, 1)^T: rho = c^+ a = sigma <sigma, a> / |sigma|^4 to
+    1e-12 relative, though the first column of B = sigma^T is tiny."""
+    sigma = np.array([1e-12, 1.0])
+    a = np.array([2.0, 2.0])
+    rho, _, _ = solve_factor(sigma[None], a)
+    np.testing.assert_allclose(rho, sigma * (sigma @ a) / (sigma @ sigma)**2,
+                               rtol=1e-12, atol=0.0)
+
+
 def test_pinv_subnormal_eigenvalue_counts_as_zero():
     # the factor of c = diag(5.3e-309, 0)
     B = np.diag([np.sqrt(5.3e-309), 0.0])
