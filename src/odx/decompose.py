@@ -18,10 +18,10 @@ import numpy as np
 
 from .deflators import numeraire_portfolio
 from .structure import (_factor, _min_norm_solutions, _substitute,
-                        _sum_products, extract_characteristics)
+                        extract_characteristics)
 from .tree import (AdaptedProcess, ArbitrageError, ModelError,
-                   PredictableProcess, SolverError, path_cumsum,
-                   spread_to_children, step_gains)
+                   PredictableProcess, SolverError, _sum_products,
+                   path_cumsum, spread_to_children, step_gains)
 
 SUPERMART_TOL = 1e-10
 FEAS_TOL = 1e-9
@@ -162,7 +162,7 @@ class MarketLP:
             if not verts.size:
                 raise ArbitrageError(
                     f"no martingale measure at node {node}", node=node)
-            vals = verts @ np.asarray(child_values, dtype=float)
+            vals = _sum_products(verts, np.asarray(child_values, dtype=float))
             i = int(np.argmax(vals))
             return float(vals[i]), verts[i]
         A_eq = self._equality_rows(node)
@@ -338,7 +338,8 @@ def decompose_kw(V, X):
     On nodes where the orthogonal residual N exceeds :data:`KW_DEFER_TOL`
     the hedge is deferred to the LP construction (incomplete nodes: the
     continuous-time proof has no discrete counterpart there), and those
-    nodes are reported in the diagnostics.
+    nodes are reported in the diagnostics.  Every gain <., dX> is a
+    :func:`~odx.tree.step_gains` and every regression sum a ``_sum_products``.
     """
     tree = X.tree
     rho_hat, V_hat = numeraire_portfolio(X)
@@ -347,6 +348,7 @@ def decompose_kw(V, X):
     U = V.values[:, 0] / Vh
     ch = extract_characteristics(X)
     a = ch.a.values  # predictable step drift of X
+    growth = 1.0 + step_gains(X, rho)
 
     H_vals = np.zeros((tree.n_nodes, X.dim))
     theta_vals = np.zeros((tree.n_nodes, X.dim))
@@ -357,18 +359,18 @@ def decompose_kw(V, X):
     infeasible = np.zeros(tree.n_nodes, dtype=bool)
     for g, dX, dM, B in zip(tree.branch_groups, ch.dX, ch.dM, ch.B):
         nodes, p = g.nodes, g.p
-        W = (1.0 + np.matvec(dX, rho[nodes])) * g.increments(U)
+        W = growth[g.kids] * g.increments(U)
         # the p-weighted regression of W on dM: B^+ sqrt(p) W, B = Q^T T P
         Q, T, P = _factor(B)
         z = _substitute(T, [_sum_products(q, np.sqrt(p) * W) for q in Q])
         theta = sum(r * zj[:, None] for r, zj in zip(P, z))
-        resid = W - np.matvec(dM, theta)
-        alpha = np.vecdot(p, resid)
+        resid = W - _sum_products(dM, theta[:, None])
+        alpha = _sum_products(p, resid)
         dN = resid - alpha[:, None]
-        dB = np.vecdot(theta, a[nodes]) - alpha
+        dB = _sum_products(theta, a[nodes]) - alpha
         theta_vals[nodes] = theta
         dB_steps[nodes] = dB
-        n_sq[nodes] = np.vecdot(p, dN**2)
+        n_sq[nodes] = _sum_products(p, dN**2)
         scale = np.maximum(1.0, np.max(np.abs(W), axis=1))
         defer[nodes] = np.max(np.abs(dN), axis=1) > KW_DEFER_TOL * scale
         H_vals[nodes] = Vh[nodes, None] * (U[nodes, None] * rho[nodes] + theta)
@@ -378,11 +380,12 @@ def decompose_kw(V, X):
         dV = g.increments(V.values[:, 0])[lp_rows]
         H, feasible = _min_norm_superhedges(dX[lp_rows], dV)
         H_vals[nodes[lp_rows]] = H
-        dC[g.kids[lp_rows]] = np.matvec(dX[lp_rows], H) - dV
         infeasible[nodes[lp_rows]] = ~feasible
     if np.any(infeasible):
         node = int(np.flatnonzero(infeasible)[0])
         raise SolverError(f"deferred LP infeasible at node {node}", node=node)
+    dC = np.where(spread_to_children(tree, defer),
+                  step_gains(X, H_vals) - V.increments()[:, 0], dC)
     nonleaf = tree.nonleaf_nodes
     n_norm = float(np.sqrt(np.mean(n_sq[nonleaf]))) if nonleaf.size else 0.0
     diags = {

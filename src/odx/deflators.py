@@ -18,7 +18,7 @@ from .structure import (PINV_RELTOL, _min_norm_solutions,
                         extract_characteristics)
 from .tree import (AdaptedProcess, ArbitrageError, ModelError,
                    PredictableProcess, child_weighted_sums, path_cumprod,
-                   path_cumsum)
+                   path_cumsum, step_gains)
 
 NEWTON_TOL = 1e-15
 NEWTON_MAXITER = 100
@@ -33,17 +33,18 @@ def stochastic_exponential(Z, strict=False):
 
     Z must be scalar with Z(0) = 0.  The exponential absorbs at zero after
     a jump dZ = -1; with ``strict=True`` any jump dZ <= -1 is rejected so
-    the result is strictly positive.
+    the result is strictly positive.  The error names the first such node.
     """
     if Z.dim != 1:
         raise ModelError("stochastic exponential is defined for scalar Z")
     if abs(Z.values[0, 0]) > 0.0:
         raise ModelError("Z(0) must be 0")
     dZ = Z.increments()[:, 0]
-    if strict and np.any(dZ <= -1.0):
-        raise ModelError("jump dZ <= -1: exponential would not stay positive")
-    if np.any(dZ < -1.0):
-        raise ModelError("jump dZ < -1 is not supported on this backend")
+    bad = np.flatnonzero(dZ <= -1.0 if strict else dZ < -1.0)
+    if bad.size:
+        raise ModelError(f"node {bad[0]}: jump dZ = {float(dZ[bad[0]])!r} " + (
+            "<= -1: exponential would not stay positive" if strict
+            else "< -1: exponential would turn negative"))
     vals = path_cumprod(Z.tree, 1.0 + dZ)
     return AdaptedProcess(Z.tree, vals)
 
@@ -123,15 +124,14 @@ def _log_optimal(p, dX):
 
 
 def numeraire_portfolio(X):
-    """Growth-optimal portfolio rho_hat and its wealth V_hat (V_hat(0) = 1).
+    """Growth-optimal portfolio rho_hat and its wealth V_hat (V_hat(0) = 1),
+    the running product of 1 + :func:`~odx.tree.step_gains` of rho_hat.
 
     Raises :class:`ArbitrageError` with the offending node when log-wealth
     is unbounded there (the node admits arbitrage).
     """
     tree = X.tree
-    d = X.dim
-    rho_vals = np.zeros((tree.n_nodes, d))
-    factors = np.ones(tree.n_nodes)
+    rho_vals = np.zeros((tree.n_nodes, X.dim))
     unbounded = np.zeros(tree.n_nodes, dtype=bool)
     for g, dX in zip(tree.branch_groups, extract_characteristics(X).dX):
         rho, grad = _log_optimal(g.p, dX)
@@ -140,13 +140,13 @@ def numeraire_portfolio(X):
                                > NUMERAIRE_TOL * scale)
                               | (np.max(np.abs(rho), axis=1) > RHO_CAP))
         rho_vals[g.nodes] = rho
-        factors[g.kids] = 1.0 + np.matvec(dX, rho)
     if np.any(unbounded):
         node = int(np.argmax(unbounded))
         raise ArbitrageError(
             f"log-utility unbounded at node {node} (no numeraire portfolio)",
             node=node)
-    V_hat = AdaptedProcess(tree, path_cumprod(tree, factors))
+    V_hat = AdaptedProcess(tree, path_cumprod(
+        tree, 1.0 + step_gains(X, rho_vals)))
     if np.min(V_hat.values) <= 0.0:
         raise ArbitrageError("numeraire wealth not strictly positive")
     return PredictableProcess(tree, rho_vals), V_hat

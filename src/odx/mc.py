@@ -28,9 +28,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .structure import (DEFAULT_STRUCT_TOL, _sum_products, off_range,
-                        solve_factor)
-from .tree import ArbitrageError, ModelError
+from .structure import DEFAULT_STRUCT_TOL, off_range, solve_factor
+from .tree import ArbitrageError, ModelError, _sum_products
 
 DEFAULT_PATHS = 100_000
 DEFAULT_STEPS = 256

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .tree import (AdaptedProcess, ModelError, PredictableProcess,
-                   child_weighted_sums, path_cumsum, spread_to_children)
+                   _sum_products, child_weighted_sums, path_cumsum,
+                   spread_to_children)
 
 # the rank cut of _min_norm_solutions (rows) and of _factor (columns)
 PINV_RELTOL = 1e-13
@@ -82,15 +83,6 @@ def _characteristics(X):
     dM = tuple(x - a[g.nodes][:, None] for g, x in zip(groups, dX))
     B = tuple(np.sqrt(g.p)[:, :, None] * m for g, m in zip(groups, dM))
     return Characteristics(a=PredictableProcess(tree, a), B=B, dX=dX, dM=dM)
-
-
-def _sum_products(a, b):
-    """sum_i a[..., i] * b[..., i], broadcast, added left to right: each
-    entry is rounded by itself, whatever the batch or layout it is in."""
-    s = a[..., 0] * b[..., 0]
-    for i in range(1, a.shape[-1]):
-        s = s + a[..., i] * b[..., i]
-    return s
 
 
 def _gram_schmidt(rows, keep):

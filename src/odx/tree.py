@@ -367,10 +367,20 @@ def spread_to_children(tree, node_values):
     return out
 
 
+def _sum_products(a, b):
+    """sum_i a[..., i] * b[..., i], broadcast, added left to right: each
+    entry is rounded by itself, whatever the batch or layout it is in."""
+    s = a[..., 0] * b[..., 0]
+    for i in range(1, a.shape[-1]):
+        s = s + a[..., i] * b[..., i]
+    return s
+
+
 def step_gains(X, H_vals):
     """Per-node one-step gains <H(parent), dX> of the per-node vectors
-    ``H_vals`` ((n, d)) against X (zero at the root)."""
-    return np.vecdot(X.increments(), spread_to_children(X.tree, H_vals))
+    ``H_vals`` ((n, d)) against X (zero at the root): the one gains
+    primitive, a ``_sum_products``, so no gain depends on BLAS kernels."""
+    return _sum_products(X.increments(), spread_to_children(X.tree, H_vals))
 
 
 def quadratic_covariation(M, N):

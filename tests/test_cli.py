@@ -755,25 +755,41 @@ def _dynamic_arch_openblas():
                     reason="numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS")
 def test_analyze_bytes_do_not_depend_on_the_blas_kernels(tmp_path):
     """``analyze`` solves on the factor B by Gram-Schmidt in plain sums, with
-    no BLAS or LAPACK call, so a process on OpenBLAS's Prescott kernels
-    prints the bytes of one on the host's own: on a seeded d = 1 binary
-    tree and a seeded d = 3 tree of up to six children per node."""
-    models = []
+    no BLAS or LAPACK call, and ``decompose --route lp`` and ``superhedge``
+    take every node maximum, hedge and gain by plain sums too, so a process
+    on OpenBLAS's Prescott kernels prints the bytes of one on the host's
+    own: on a seeded d = 1 binary tree and a seeded d = 3 tree of up to six
+    children per node, the decomposition of a seeded universal
+    supermartingale on each, and an American put on the d = 1 tree.  Of
+    the put, the price and decomposition are compared; its view carries
+    rho_hat of the Newton step, which still rounds by the kernels."""
+    argvs = []
     for seed, d, periods, branches in [(1, 1, 7, 2), (3, 3, 3, 6)]:
         rng = np.random.default_rng(seed)
         tree = random_tree(rng, max_periods=periods, max_branches=branches)
         while tree.horizon < periods:
             tree = random_tree(rng, max_periods=periods, max_branches=branches)
         X = random_market(rng, tree, d=d)
-        models.append(_write(tmp_path, f"m{seed}.json",
-                             odx_io.model_to_json(X)))
+        model = _write(tmp_path, f"m{seed}.json", odx_io.model_to_json(X))
+        value = _write(tmp_path, f"v{seed}.json",
+                       random_universal_supermartingale(rng, X))
+        argvs += [["analyze", model],
+                  ["decompose", model, value, "--route", "lp"]]
+    put = _write(tmp_path, "put.json",
+                 {"odx_schema": 1, "kind": "american", "formula": "put",
+                  "strike": 1.0})
+    argvs.append(["superhedge", argvs[0][1], put])
     code = ("import sys; from odx.cli import main; "
-            f"sys.exit(sum(main(['analyze', m]) for m in {models!r}))")
+            f"sys.exit(sum(main(argv) for argv in {argvs!r}))")
     native = _fresh_python(code)
     prescott = _fresh_python(code, OPENBLAS_CORETYPE="Prescott")
     assert native.returncode == prescott.returncode == 0, native.stderr
     assert native.stdout.count('"SOLVABLE"') == 2
-    assert prescott.stdout == native.stdout
+    assert native.stdout.count('"route": "LP"') == 3
+    # superhedge prints last and sorts its keys, so its view ends stdout
+    outs = [r.stdout.partition('\n  "view": ')[0] for r in (native, prescott)]
+    assert '"price"' in outs[0] and '"view"' in native.stdout
+    assert outs[1] == outs[0]
 
 
 @pytest.mark.skipif(not _dynamic_arch_openblas(),
@@ -1141,6 +1157,22 @@ DEPTH_FIRST_MODEL = {"odx_schema": 1, "tree": {"horizon": 3, "nodes": [
         [0.0, 0.1, -0.1, 0.2, 0.0, 0.3, 0.05, -0.2, -0.25])}}
 
 
+# a jump dX = -1.5 at node 2 would make the price S = E(X - X(0)) negative
+NEGATIVE_PRICE_MODEL = {"odx_schema": 1, "tree": {"horizon": 1, "nodes": [
+    {"id": 0, "time": 0, "parent": None, "p": None},
+    {"id": 1, "time": 1, "parent": 0, "p": 0.5},
+    {"id": 2, "time": 1, "parent": 0, "p": 0.5}]},
+    "X": {"0": [0.0], "1": [0.5], "2": [-1.5]}}
+
+
+def _negative_price_argv(claim):
+    def argv(tmp_path, model):
+        return ["superhedge",
+                _write(tmp_path, "negative.json", NEGATIVE_PRICE_MODEL),
+                _write(tmp_path, "claim.json", claim)]
+    return argv
+
+
 def _unreadable_json_argv(content):
     def argv(tmp_path, model):
         path = tmp_path / "unreadable.json"
@@ -1190,6 +1222,10 @@ def _unreadable_json_argv(content):
     (lambda tmp_path, model: [
         "analyze", _write(tmp_path, "depth_first.json", DEPTH_FIRST_MODEL)],
      "input error: node 7: parent id below that of the node before it"),
+    (_negative_price_argv(PUT), "input error: node 2: jump dZ = -1.5 < -1"),
+    (_negative_price_argv({"odx_schema": 1, "kind": "european",
+                           "payoff": {"0": [0.0], "1": [0.0], "2": [1.0]}}),
+     "input error: node 2: jump dZ = -1.5 < -1"),
     # a UnicodeDecodeError, a ValueError and a RecursionError of json.load
     (_unreadable_json_argv(b'{"tree": "\xff\xfe"}'),
      "unreadable.json: malformed JSON ('utf-8' codec can't decode byte 0xff"),
@@ -1212,7 +1248,8 @@ def _unreadable_json_argv(content):
         "verify-H-length-2", "verify-C-length-2", "out-is-file",
         "out-target-is-dir", "decompose-lp-csv-is-dir",
         "decompose-kw-json-is-dir", "superhedge-csv-is-dir",
-        "depth-first-ids", "undecodable-bytes", "integer-of-5000-digits",
+        "depth-first-ids", "negative-price-put", "negative-price-payoff",
+        "undecodable-bytes", "integer-of-5000-digits",
         "nested-200000-deep", "extras-negative", "extras-2**62",
         "extras-10**20"])
 def test_malformed_input_exit_1(tmp_path, b1_model, capsys, argv, message):

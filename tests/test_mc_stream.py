@@ -23,8 +23,8 @@ from hypothesis.extra.numpy import arrays
 from odx import io as odx_io
 from odx import mc
 from odx.cli import main
-from odx.structure import _sum_products, solve_factor
-from odx.tree import ArbitrageError, ModelError
+from odx.structure import solve_factor
+from odx.tree import ArbitrageError, ModelError, _sum_products
 
 D1 = {"odx_schema": 1, "d": 1, "m": 1, "T": 1.0,
       "drift": {"form": "const", "value": [0.05]},
