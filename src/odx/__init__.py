@@ -8,13 +8,12 @@ superhedges of claims.  A Monte Carlo backend covers Euler-discretized
 diffusions.
 """
 from .tree import (AdaptedProcess, ArbitrageError, EventTree, ModelError,
-                   PredictableProcess, SolverError, build_tree,
-                   conditional_moment, doob_decompose, quadratic_covariation)
+                   PredictableProcess, SolverError, build_tree)
 from .structure import (Characteristics, StructureReport,
                         extract_characteristics, solve_structure)
 from .deflators import (DeflatorFamily, build_deflator_family,
                         numeraire_portfolio, orthogonal_jump_martingale,
-                        stochastic_exponential, verify_deflator)
+                        stochastic_exponential)
 from .decompose import (Decomposition, MarketLP, SupermartingaleCertificate,
                         check_uniqueness, decompose_kw, decompose_lp,
                         is_supermartingale_under_all, reconstruct)
@@ -23,12 +22,11 @@ from .superhedge import (Claim, PortfolioView, SuperhedgeResult,
 
 __all__ = [
     "AdaptedProcess", "ArbitrageError", "EventTree", "ModelError",
-    "PredictableProcess", "SolverError", "build_tree", "conditional_moment",
-    "doob_decompose", "quadratic_covariation",
+    "PredictableProcess", "SolverError", "build_tree",
     "Characteristics", "StructureReport", "extract_characteristics",
     "solve_structure",
     "DeflatorFamily", "build_deflator_family", "numeraire_portfolio",
-    "orthogonal_jump_martingale", "stochastic_exponential", "verify_deflator",
+    "orthogonal_jump_martingale", "stochastic_exponential",
     "Decomposition", "MarketLP", "SupermartingaleCertificate",
     "check_uniqueness", "decompose_kw", "decompose_lp",
     "is_supermartingale_under_all", "reconstruct",

@@ -17,8 +17,7 @@ import numpy as np
 from .structure import (PINV_RELTOL, _min_norm_solutions,
                         extract_characteristics)
 from .tree import (AdaptedProcess, ArbitrageError, ModelError,
-                   PredictableProcess, child_weighted_sums, path_cumprod,
-                   path_cumsum, step_gains)
+                   PredictableProcess, path_cumprod, path_cumsum, step_gains)
 
 NEWTON_TOL = 1e-15
 NEWTON_MAXITER = 100
@@ -237,25 +236,3 @@ def build_deflator_family(X, n_extras=DEFAULT_EXTRAS, seed=0):
             extras.append((L, Y))
     return DeflatorFamily(X=X, rho_hat=rho_hat, V_hat=V_hat, Y_hat=Y_hat,
                           q=q, extras=tuple(extras))
-
-
-def verify_deflator(Y, X, tol=1e-10):
-    """Exact martingale check of Y and Y * X_i at every non-leaf node.
-
-    Returns a dict with the maximal conditional-mean defects and a
-    ``passed`` flag (both defects <= tol).
-    """
-    if Y.dim != 1:
-        raise ModelError("deflators are scalar processes")
-    if np.min(Y.values) <= 0.0:
-        raise ModelError("deflator must be strictly positive")
-    if abs(Y.values[0, 0] - 1.0) > 1e-12:
-        raise ModelError("deflator must start at 1")
-    tree = X.tree
-    YX = AdaptedProcess(tree, Y.values * X.values)
-    y_defect = np.abs(child_weighted_sums(tree, Y.increments()))
-    yx_defect = np.abs(child_weighted_sums(tree, YX.increments()))
-    max_y = float(np.max(y_defect, initial=0.0))
-    max_yx = float(np.max(yx_defect, initial=0.0))
-    return {"max_Y_defect": max_y, "max_YX_defect": max_yx,
-            "passed": max_y <= tol and max_yx <= tol}

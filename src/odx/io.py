@@ -193,6 +193,8 @@ def _spec_array(value, what, shape=None):
         want = " x ".join(map(str, shape))
         raise ModelError(f"diffusion spec: {what} must be {want}, "
                          f"got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ModelError(f"diffusion spec: {what} must be finite")
     return arr
 
 
@@ -260,6 +262,8 @@ def decomposition_from_json(tree, obj):
     if not {"V0", "H", "C"} <= obj.keys():
         raise ModelError("decomposition: need 'V0', 'H' and 'C'")
     V0 = _number(obj["V0"], "decomposition: V0")
+    if not np.isfinite(V0):
+        raise ModelError(f"decomposition: V0 must be finite, got {V0!r}")
     diagnostics = obj.get("diagnostics", {})
     if not isinstance(diagnostics, dict):
         raise ModelError(f"decomposition: diagnostics must be a JSON object, "

@@ -15,8 +15,9 @@ while the steps of the current one run; both the fill and numpy's loops
 over the paths release the GIL.  ``concurrent.futures`` is imported only
 when a run starts: it loads ``logging``, which no tree command needs.
 ``stream_deflated`` takes the martingale tests as the run goes and keeps no
-panel; ``simulate`` and ``deflate_paths`` are the full-panel consumers of
-the same steps.
+panel.  The full-panel reference it must match to the bit, ``simulate``,
+``deflate_paths`` and ``martingale_test`` over the same steps, lives with
+the tests in ``tests/support.py``.
 """
 from __future__ import annotations
 
@@ -98,31 +99,14 @@ class DiffusionSpec:
                     + _sum_products(self.slope[:, None], x[None])).T
 
 
-def scalar_spec(a, sigma, T=1.0, steps=DEFAULT_STEPS, paths=DEFAULT_PATHS,
-                seed=0, x0=0.0):
-    """Constant-coefficient 1-dimensional spec (the workhorse test case)."""
-    return DiffusionSpec(drift=[a], sigma=[[sigma]], T=T, steps=steps,
-                         paths=paths, seed=seed, x0=[x0])
-
-
-@dataclass(frozen=True)
-class PathEnsemble:
-    spec: DiffusionSpec
-    X: np.ndarray          # (paths, steps+1, d)
-    V_hat: np.ndarray | None = None  # (paths, steps+1)
-    Y_hat: np.ndarray | None = None
-    alive: np.ndarray | None = None  # paths surviving deflation
-    abort_fraction: float = 0.0
-
-
 @dataclass(frozen=True)
 class StreamRecord:
-    """What ``stream_deflated`` keeps of a deflated run: the
-    :func:`martingale_test` reports of Y_hat and Y_hat * X[..., 0] over the
+    """What ``stream_deflated`` keeps of a deflated run: the martingale
+    test reports (:func:`_t_report`) of Y_hat and Y_hat * X[..., 0] over the
     paths alive at the end, and Y_hat of those paths at the last step."""
 
-    test_Y: dict           # martingale_test report of Y_hat
-    test_YX: dict          # martingale_test report of Y_hat * X[..., 0]
+    test_Y: dict           # martingale test report of Y_hat
+    test_YX: dict          # martingale test report of Y_hat * X[..., 0]
     Y_terminal: np.ndarray  # (alive,) Y_hat at the last step
     X_head: np.ndarray     # (head, steps+1) X[..., 0] of the first paths
     alive: np.ndarray      # paths surviving deflation
@@ -233,17 +217,6 @@ def _abort_fraction(alive):
     return float(frac)
 
 
-def simulate(spec):
-    """The Euler panel X (paths, steps+1, d) of the streaming kernel, with
-    seeded draws from one sequential Generator: path i is the same whatever
-    the chunking of the normals.  Memory is paths x steps;
-    ``stream_deflated`` avoids the panel."""
-    X = np.empty((spec.paths, spec.steps + 1, spec.d))
-    for step, (x, _) in enumerate(_euler_states(spec)):
-        X[:, step, :] = x
-    return PathEnsemble(spec=spec, X=X)
-
-
 def check_structure(spec, x, step, tol=DEFAULT_STRUCT_TOL, a=None):
     """Pointwise rho = c^+ a(x), (paths, d), at the states x (paths, d) of
     one step, with ``a`` the drift there if the caller formed it: each path
@@ -279,28 +252,13 @@ def check_structure(spec, x, step, tol=DEFAULT_STRUCT_TOL, a=None):
     return rho
 
 
-def deflate_paths(ens):
-    """Numeraire wealth V_hat along the panel ``ens.X`` and Y_hat = 1/V_hat;
-    paths whose wealth would hit zero or go negative are aborted (recorded,
-    expected O(dt) fraction)."""
-    P, n1, _ = ens.X.shape
-    V = np.ones((P, n1))
-    states = ((x, None) for x in ens.X.transpose(1, 0, 2))
-    for step, (_, v, alive) in enumerate(_wealth(ens.spec, states)):
-        V[:, step] = v
-    frac = _abort_fraction(alive)
-    with np.errstate(divide="ignore"):
-        Y = 1.0 / V
-    return PathEnsemble(spec=ens.spec, X=ens.X, V_hat=V, Y_hat=Y,
-                        alive=alive, abort_fraction=frac)
-
-
 def stream_deflated(spec, head=0, tol=DEFAULT_STRUCT_TOL):
     """Simulate and deflate, keeping the martingale tests and not the paths.
 
     The reports, Y_hat at the last step and X[..., 0] of the first ``head``
-    paths are those of ``deflate_paths(simulate(spec))`` to the bit, but
-    memory is a fixed number of (paths,) arrays plus the chunk of normals.
+    paths are those of the full-panel reference of ``tests/support.py``,
+    ``deflate_paths(simulate(spec))``, to the bit, but memory is a fixed
+    number of (paths,) arrays plus the chunk of normals.
     The tests are over the paths alive at the end, so a run in which some
     path aborts runs twice, with the same draws.  ``tol`` bounds the drift
     check of :func:`check_structure`.  A path count that numpy cannot
@@ -347,8 +305,10 @@ def _deflated_pass(spec, tol, rows, edge, X_head):
 
 
 def bucket_edges(n_steps):
-    """Step indices bounding the coarse time buckets of ``martingale_test``
-    (at most :data:`N_BUCKETS`, and at most one per step)."""
+    """Step indices bounding the coarse time buckets of the martingale
+    tests of ``stream_deflated`` and of its full-panel reference in
+    ``tests/support.py`` (at most :data:`N_BUCKETS`, and at most one per
+    step)."""
     return np.linspace(0, n_steps, min(N_BUCKETS, n_steps) + 1).astype(int)
 
 
@@ -362,16 +322,3 @@ def _t_report(t_stats):
     t_stats = np.asarray(t_stats)
     return {"t_stats": t_stats, "max_abs_t": float(np.max(np.abs(t_stats))),
             "passed": bool(np.all(np.abs(t_stats) <= T_MAX))}
-
-
-def martingale_test(Z):
-    """t-statistics of mean increments per coarse time bucket.
-
-    Z is (paths, steps+1); PASS iff every bucket |t| <= :data:`T_MAX`.
-    Only the columns at ``bucket_edges(steps)`` are read, so Z may be just
-    those columns.
-    """
-    Z = np.asarray(Z, dtype=np.float64)
-    edges = bucket_edges(Z.shape[1] - 1)
-    return _t_report([_bucket_t(Z[:, hi] - Z[:, lo])
-                      for lo, hi in zip(edges[:-1], edges[1:])])

@@ -302,27 +302,8 @@ class PredictableProcess:
 
 
 # ---------------------------------------------------------------------------
-# Conditional moments, Doob decomposition, quadratic covariation
+# Per-node sums, the gains primitive and path accumulation
 # ---------------------------------------------------------------------------
-
-def conditional_moment(X, node, order):
-    """Exact conditional moment of the one-step increment of X at a node.
-
-    order 1 returns sum_children p * dX (a vector); order 2 returns
-    sum_children p * dX dX^T (a matrix).
-    """
-    tree = X.tree
-    if tree.is_leaf(node):
-        raise ModelError(f"node {node} is a leaf")
-    kids = tree.children(node)
-    dX = X.values[kids] - X.values[node]
-    w = tree.p[kids]
-    if order == 1:
-        return w @ dX
-    if order == 2:
-        return (w[:, None] * dX).T @ dX
-    raise ModelError("order must be 1 or 2")
-
 
 def child_weighted_sums(tree, node_values):
     """For each non-leaf node, sum of p * value over its children.
@@ -341,22 +322,6 @@ def child_weighted_sums(tree, node_values):
     starts = tree.first_child[nonleaf]
     out = np.add.reduceat(weighted, starts, axis=0)
     return out[:, 0] if squeeze else out
-
-
-def doob_decompose(X):
-    """Doob decomposition X = A + M with A predictable-increment and A(0)=0.
-
-    dA on the step out of a node equals the exact conditional mean of dX,
-    held constant across the node's siblings; M := X - A then has zero
-    conditional one-step mean at every non-leaf node.
-    """
-    tree = X.tree
-    means = np.zeros_like(X.values)
-    means[tree.nonleaf_nodes] = child_weighted_sums(tree, X.increments())
-    drift = path_cumsum(tree, spread_to_children(tree, means))
-    A = AdaptedProcess(tree, drift)
-    M = AdaptedProcess(tree, X.values - drift)
-    return A, M
 
 
 def spread_to_children(tree, node_values):
@@ -381,21 +346,6 @@ def step_gains(X, H_vals):
     ``H_vals`` ((n, d)) against X (zero at the root): the one gains
     primitive, a ``_sum_products``, so no gain depends on BLAS kernels."""
     return _sum_products(X.increments(), spread_to_children(X.tree, H_vals))
-
-
-def quadratic_covariation(M, N):
-    """Pathwise quadratic covariation [M, N].
-
-    Returns an AdaptedProcess of dimension dim(M) * dim(N) holding the
-    row-major flattened matrix sum over the path of dM dN^T.
-    """
-    if M.tree is not N.tree:
-        raise ModelError("mismatched trees")
-    tree = M.tree
-    dM = M.increments()
-    dN = N.increments()
-    step = dM[:, :, None] * dN[:, None, :]
-    return AdaptedProcess(tree, path_cumsum(tree, step.reshape(tree.n_nodes, -1)))
 
 
 def path_cumsum(tree, node_terms):

@@ -16,7 +16,6 @@ from odx.decompose import (Decomposition, check_uniqueness, decompose_kw,
                            decompose_lp, is_supermartingale_under_all,
                            reconstruct)
 from odx.deflators import build_deflator_family, numeraire_portfolio
-from odx.mc import deflate_paths, martingale_test, scalar_spec, simulate
 from odx.random_models import (martingale_value_process,
                                random_admissible_strategy,
                                random_complete_binary_model,
@@ -26,6 +25,7 @@ from odx.random_models import (martingale_value_process,
 from odx.structure import extract_characteristics, solve_structure
 from odx.superhedge import AMERICAN, EUROPEAN, Claim, superhedge, vanilla_claim
 from odx.tree import AdaptedProcess, PredictableProcess, build_tree, step_gains
+from support import deflate_paths, martingale_test, scalar_spec, simulate
 
 N_TREES = 200
 

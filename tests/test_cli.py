@@ -365,7 +365,8 @@ def test_logging_is_imported_only_for_a_run():
         def loaded():
             return [m in sys.modules for m in ("concurrent.futures", "logging")]
         print(loaded())
-        list(mc._normals(mc.scalar_spec(0.0, 0.2, steps=2, paths=3)))
+        list(mc._normals(mc.DiffusionSpec(drift=[0.0], sigma=[[0.2]],
+                                           T=1.0, steps=2, paths=3)))
         print(loaded())
     """
     run = _fresh_python(code)
@@ -995,6 +996,16 @@ def _with(obj, value, *path):
     (_with(SIM_SPEC, 2.5, "m"), "m must be an integer, got 2.5"),
     (_with(SIM_SPEC, 8.5, "steps"), "steps must be an integer, got 8.5"),
     (_with(SIM_SPEC, 100.2, "paths"), "paths must be an integer, got 100.2"),
+    (_with(SIM_SPEC, [float("nan"), 0.0], "x0"), "x0 must be finite"),
+    (_with(SIM_SPEC, [-float("inf"), 0.0], "x0"), "x0 must be finite"),
+    (_with(SIM_SPEC, [[0.2, float("nan")], [0.03, 0.15]], "sigma", "value"),
+     "sigma value must be finite"),
+    (_with(SIM_SPEC, [[0.2, 0.05], [float("inf"), 0.15]], "sigma", "value"),
+     "sigma value must be finite"),
+    (_with(SIM_SPEC, [0.04, float("inf")], "drift", "value"),
+     "drift value must be finite"),
+    (_with(SIM_SPEC, [[-0.2, 0.05], [float("nan"), -0.3]], "drift", "slope"),
+     "drift slope must be finite"),
 ])
 def test_simulate_malformed_spec_exit_1(tmp_path, capsys, spec, message):
     path = _write(tmp_path, "spec.json", spec)
@@ -1197,6 +1208,10 @@ def _unreadable_json_argv(content):
     (_verify_argv(_without(B1_DEC, "H")), "need 'V0', 'H' and 'C'"),
     (_verify_argv(_with(B1_DEC, "abc", "V0")),
      "V0 must be a number, got 'abc'"),
+    (_verify_argv(_with(B1_DEC, float("nan"), "V0")),
+     "input error: decomposition: V0 must be finite, got nan"),
+    (_verify_argv(_with(B1_DEC, float("inf"), "V0")),
+     "input error: decomposition: V0 must be finite, got inf"),
     (_verify_argv(_with(B1_DEC, None, "diagnostics")),
      "diagnostics must be a JSON object, got None"),
     (_verify_argv(_with(B1_DEC, 1.5, "diagnostics")),
@@ -1243,6 +1258,7 @@ def _unreadable_json_argv(content):
      f"cannot hold {10**20} jump martingales: "),
 ], ids=["no-strike", "strike-abc", "asset-3", "asset-0.5", "time-x",
         "horizon-x", "X-value-x", "verify-no-H", "verify-V0-abc",
+        "verify-V0-nan", "verify-V0-inf",
         "verify-diagnostics-null", "verify-diagnostics-number",
         "verify-diagnostics-string", "verify-diagnostics-list",
         "verify-H-length-2", "verify-C-length-2", "out-is-file",

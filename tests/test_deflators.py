@@ -3,12 +3,12 @@ import pytest
 
 from odx.deflators import (build_deflator_family, implied_measure,
                            numeraire_portfolio, orthogonal_jump_martingale,
-                           stochastic_exponential, verify_deflator)
+                           stochastic_exponential)
 from odx.random_models import (random_admissible_strategy, random_market,
                                random_tree, strategy_wealth)
 from odx.tree import (AdaptedProcess, ArbitrageError, ModelError, build_tree,
-                      child_weighted_sums, doob_decompose,
-                      quadratic_covariation, path_cumprod)
+                      child_weighted_sums, path_cumprod)
+from support import doob_decompose, quadratic_covariation, verify_deflator
 
 
 def _chain(dZ_steps):

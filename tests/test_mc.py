@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from odx.mc import (DiffusionSpec, check_structure, deflate_paths,
-                    martingale_test, scalar_spec, simulate)
+from odx.mc import DiffusionSpec, check_structure
 from odx.tree import ModelError
-from support import kw_regress
+from support import (deflate_paths, kw_regress, martingale_test, scalar_spec,
+                     simulate)
 
 
 def test_simulation_deterministic_per_seed():

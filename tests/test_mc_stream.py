@@ -1,8 +1,9 @@
 """The streaming Monte Carlo kernel against the full-panel reference.
 
 ``odx simulate`` runs ``mc.stream_deflated``; its outputs must be those of
-``deflate_paths(simulate(spec))`` to the byte, and its memory must be a
-fixed number of (paths,) arrays, whatever the number of steps.
+the full panel ``deflate_paths(simulate(spec))`` of ``support`` to the
+byte, and its memory must be a fixed number of (paths,) arrays, whatever
+the number of steps.
 """
 import ctypes
 import io
@@ -25,6 +26,7 @@ from odx import mc
 from odx.cli import main
 from odx.structure import solve_factor
 from odx.tree import ArbitrageError, ModelError, _sum_products
+from support import deflate_paths, martingale_test, simulate
 
 D1 = {"odx_schema": 1, "d": 1, "m": 1, "T": 1.0,
       "drift": {"form": "const", "value": [0.05]},
@@ -89,11 +91,11 @@ def _count_passes(monkeypatch):
 def _reference_outputs(obj, paths, steps, seed, csv_path):
     """simulate.json text and paths.csv from the full panels."""
     spec = _spec(obj, paths, steps, seed)
-    ens = mc.deflate_paths(mc.simulate(spec))
+    ens = deflate_paths(simulate(spec))
     y_term = ens.Y_hat[ens.alive, -1]
     yx = ens.Y_hat[:, :, None] * ens.X
-    rep = mc.martingale_test(ens.Y_hat[ens.alive])
-    rep_yx = mc.martingale_test(yx[ens.alive, :, 0])
+    rep = martingale_test(ens.Y_hat[ens.alive])
+    rep_yx = martingale_test(yx[ens.alive, :, 0])
     doc = {
         "odx_schema": odx_io.SCHEMA_VERSION,
         "seed": seed, "paths": paths, "steps": steps,
@@ -181,11 +183,11 @@ def test_stream_keeps_the_bucket_edge_columns(steps):
     for name, obj in SPECS.items():
         spec = _spec(obj, paths=30, steps=steps, seed=2)
         rec = mc.stream_deflated(spec)
-        ens = mc.deflate_paths(mc.simulate(spec))
+        ens = deflate_paths(simulate(spec))
         assert rec.alive.tobytes() == ens.alive.tobytes(), name
-        _same_report(rec.test_Y, mc.martingale_test(ens.Y_hat[ens.alive]))
+        _same_report(rec.test_Y, martingale_test(ens.Y_hat[ens.alive]))
         YX = ens.Y_hat * ens.X[..., 0]
-        _same_report(rec.test_YX, mc.martingale_test(YX[ens.alive]))
+        _same_report(rec.test_YX, martingale_test(YX[ens.alive]))
         assert (rec.Y_terminal.tobytes()
                 == ens.Y_hat[ens.alive, -1].tobytes()), name
 
@@ -352,7 +354,7 @@ def test_non_finite_increment_is_model_error():
     spec = mc.DiffusionSpec(drift=[0.0], slope=[[1e300]], sigma=[[0.2]],
                             T=1.0, steps=8, paths=50, seed=0, x0=[0.0])
     with pytest.raises(ModelError, match="non-finite increment at step"):
-        mc.simulate(spec)
+        simulate(spec)
 
 
 # The normals of a run are drawn by a worker thread one chunk ahead of the
@@ -418,7 +420,7 @@ def _non_finite_increment():
                             T=1.0, steps=40, paths=50, seed=0, x0=[0.0])
     with pytest.raises(ModelError,
                        match="non-finite increment at step 2,") as caught:
-        mc.simulate(spec)
+        simulate(spec)
     return caught
 
 

@@ -3,8 +3,8 @@ import pytest
 
 from odx.random_models import random_market, random_tree
 from odx.tree import (AdaptedProcess, ModelError, build_tree,
-                      child_weighted_sums, conditional_moment, doob_decompose,
-                      quadratic_covariation)
+                      child_weighted_sums)
+from support import conditional_moment, doob_decompose, quadratic_covariation
 
 
 def test_build_b1():
