@@ -416,14 +416,14 @@ def gains_process(H, X):
 
 def check_uniqueness(d1, d2, X):
     """Compare two decompositions of the same V in the theorem's sense:
-    equal consumption and equal stochastic integrals (H itself may differ
-    off the support of the increments).  Reconstructions that differ are
-    a :class:`SolverError` at the node where they differ most."""
+    equal consumption and equal stochastic integrals (H may differ off the
+    support of dX).  Reconstructions more than 1e-7 max(1, max |V|) apart
+    are a :class:`SolverError` at the node where they differ most."""
     G1, G2 = (gains_process(d.H, X).values[:, 0] for d in (d1, d2))
     V1 = float(d1.V0) + G1 - d1.C.values[:, 0]
     V2 = float(d2.V0) + G2 - d2.C.values[:, 0]
     node = int(np.argmax(np.abs(V1 - V2)))
-    if abs(V1[node] - V2[node]) > 1e-7:
+    if abs(V1[node] - V2[node]) > 1e-7 * max(1.0, float(np.max(np.abs(V1)))):
         raise SolverError(f"decompositions reconstruct different processes"
                           f" at node {node}: {float(V1[node])!r} against "
                           f"{float(V2[node])!r}", node=node)

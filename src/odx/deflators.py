@@ -14,10 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .structure import (PINV_RELTOL, _min_norm_solutions,
+from .structure import (_columns, _min_norm_solutions, _substitute,
                         extract_characteristics)
 from .tree import (AdaptedProcess, ArbitrageError, ModelError,
-                   PredictableProcess, path_cumprod, path_cumsum, step_gains)
+                   PredictableProcess, _sum_products, path_cumprod,
+                   path_cumsum)
 
 NEWTON_TOL = 1e-15
 NEWTON_MAXITER = 100
@@ -48,104 +49,103 @@ def stochastic_exponential(Z, strict=False):
     return AdaptedProcess(Z.tree, vals)
 
 
-def _psd_pinv_apply(C, v):
-    """The Newton step: minimum-norm x with C x = v for a stack of PSD
-    (d, d) C, by one ``eigh`` of 0.5 C + 0.5 C^T (halved before the sum, so
-    a finite C does not overflow).  An eigenvalue at most ``PINV_RELTOL`` of
-    its matrix's largest, or with an infinite reciprocal, counts as zero."""
-    w, Q = np.linalg.eigh(0.5 * C + 0.5 * C.mT)
-    with np.errstate(divide="ignore", over="ignore"):
-        inv = 1.0 / w
-    # eigh sorts ascending
-    keep = (w > PINV_RELTOL * np.maximum(w[..., -1:], 0.0)) & np.isfinite(inv)
-    return np.matvec(Q, np.where(keep, inv, 0.0) * np.vecmat(v, Q))
+def _log_optimal(p, U):
+    """Damped Newton solve of sum_c p_c U_c / (1 + <rho, U_c>) = 0 at a
+    stack of nodes: p is (n, k), U is (n, k, d) with orthonormal or zero
+    columns, so |U| <= 1 and no rule needs a unit scale.
 
-
-def _log_optimal(p, dX):
-    """Damped Newton solve of sum_c p_c dX_c / (1 + <rho, dX_c>) = 0 at a
-    stack of nodes: p is (n, k), dX is (n, k, d).
-
-    Every node runs its own iteration: it stops once its gradient is below
-    :data:`NEWTON_TOL` times its increment scale, when its Hessian is not
-    finite (a riskless gain past 1e154 overflows it), when its step stalls
-    at the floating-point floor, when |rho| passes RHO_CAP, or after
-    :data:`NEWTON_MAXITER` steps.  The step is the minimum-norm solve of
-    the PSD Hessian by :func:`_psd_pinv_apply`, so directions that the
-    Hessian cannot see (dX of lower rank than d) are left alone.  Returns the
-    iterate of smallest gradient of each node and the gradient there.
-    """
-    n, _, d = dX.shape
+    Each node stops once its gradient is below :data:`NEWTON_TOL`, when its
+    step stalls at the floating-point floor, when |rho| passes RHO_CAP, or
+    after :data:`NEWTON_MAXITER` steps.  The step is the minimum-norm solve
+    of the Hessian sum_c p_c U_c U_c^T / w_c^2 by ``_min_norm_solutions``,
+    and every sum a ``_sum_products``.  Returns each node's iterate of
+    smallest gradient, its growth factors w_c = 1 + <rho, U_c>, and where
+    log-wealth is unbounded: a gradient there above NUMERAIRE_TOL, or an
+    iterate past RHO_CAP."""
+    n, _, d = U.shape
     rho = np.zeros((n, d))
-    scale = np.maximum(1.0, np.max(np.abs(dX), axis=(1, 2)))
     best_rho = rho.copy()
     best_norm = np.full(n, np.inf)
     live = np.arange(n)
     for _ in range(NEWTON_MAXITER):
-        x, pl, r = dX[live], p[live], rho[live]
-        w = 1.0 + np.matvec(x, r)
-        grad = np.vecmat(pl / w, x)
+        x, pl, r = U[live], p[live], rho[live]
+        w = 1.0 + _sum_products(x, r[:, None])
+        grad = _sum_products(x.mT, (pl / w)[:, None])
         g_norm = np.max(np.abs(grad), axis=1)
         better = g_norm < best_norm[live]
         best_rho[live[better]] = r[better]
         best_norm[live[better]] = g_norm[better]
-        go = g_norm > NEWTON_TOL * scale[live]
+        go = g_norm > NEWTON_TOL
         live, x, pl, r, w, grad = live[go], x[go], pl[go], r[go], w[go], grad[go]
-        with np.errstate(over="ignore", invalid="ignore"):
-            hess = x.mT @ ((pl / w**2)[:, :, None] * x)
-        ok = np.isfinite(hess).all(axis=(1, 2))
-        live, x, pl, r, w, grad, hess = (
-            v[ok] for v in (live, x, pl, r, w, grad, hess))
         if live.size == 0:
             break
-        step = _psd_pinv_apply(hess, grad)
+        hess = _sum_products(x.mT[:, :, None],
+                             ((pl / w**2)[:, None] * x.mT)[:, None])
+        step = _min_norm_solutions(hess, grad)[0]
         # halve until wealth stays positive and log-wealth does not drop
-        obj = np.vecdot(pl, np.log(w))
+        obj = _sum_products(pl, np.log(w))
         todo = np.arange(live.size)
         for _ in range(60):
-            w_new = 1.0 + np.matvec(x[todo], r[todo] + step[todo])
+            w_new = 1.0 + _sum_products(x[todo], (r + step)[todo, None])
             ok = np.min(w_new, axis=1) > 1e-12
-            ok[ok] = (np.vecdot(pl[todo[ok]], np.log(w_new[ok]))
+            ok[ok] = (_sum_products(pl[todo[ok]], np.log(w_new[ok]))
                       >= obj[todo[ok]] - 1e-13)
             todo = todo[~ok]
             if todo.size == 0:
                 break
             step[todo] *= 0.5
-        # stalled at the floating-point floor of rho, whatever its units
+        # stalled at the floating-point floor of rho
         moving = (np.max(np.abs(step), axis=1)
                   > 1e-16 * np.max(np.abs(r), axis=1))
         r = r + step
         rho[live] = r
         live = live[moving & (np.max(np.abs(r), axis=1) <= RHO_CAP)]
-        if live.size == 0:
-            break
-    w = 1.0 + np.matvec(dX, best_rho)
-    return best_rho, np.vecmat(p / w, dX)
+    w = 1.0 + _sum_products(U, best_rho[:, None])
+    return best_rho, w, ((best_norm > NUMERAIRE_TOL)
+                         | (np.max(np.abs(rho), axis=1) > RHO_CAP))
+
+
+def _in_units(rho, L, units):
+    """The minimum-norm rho_hat with <rho_hat, dX_c> = <rho, U_c>, for
+    dX / units = U L^T: y / units, L^T y = rho, projected off ker(dX).  Each
+    e_j - z, L^T z = L^T e_j, is exactly 0 where column j was kept, and
+    those of the dropped columns span ker(dX / units)."""
+    d = len(L)
+    kernel = []
+    for j, row in enumerate(L):
+        z = _substitute(L, row + [0.0] * (d - 1 - j), upper=True)
+        kernel.append((np.eye(d)[j] - np.stack(z, axis=-1)) / units)
+    y = np.stack(_substitute(L, list(rho.T), upper=True), axis=-1)
+    return _min_norm_solutions(np.stack(kernel, axis=-2), v=y / units)[2]
 
 
 def numeraire_portfolio(X):
-    """Growth-optimal portfolio rho_hat and its wealth V_hat (V_hat(0) = 1),
-    the running product of 1 + :func:`~odx.tree.step_gains` of rho_hat.
+    """Growth-optimal portfolio rho_hat and its wealth V_hat (V_hat(0) = 1).
 
-    Raises :class:`ArbitrageError` with the offending node when log-wealth
-    is unbounded there (the node admits arbitrage).
+    Each node's :func:`_log_optimal` runs on U, the orthonormal columns of
+    :func:`~odx.structure._columns` on dX with each asset's column divided
+    by a power of two near its largest |dX|, which is exact, so the iterates
+    do not depend on X's units.  V_hat is the running product of the
+    iteration's growth factors, and rho_hat the iterate in X's units
+    (:func:`_in_units`).  Raises :class:`ArbitrageError` with the offending
+    node when log-wealth is unbounded there (the node admits arbitrage).
     """
     tree = X.tree
     rho_vals = np.zeros((tree.n_nodes, X.dim))
+    growth = np.ones(tree.n_nodes)
     unbounded = np.zeros(tree.n_nodes, dtype=bool)
     for g, dX in zip(tree.branch_groups, extract_characteristics(X).dX):
-        rho, grad = _log_optimal(g.p, dX)
-        scale = np.maximum(1.0, np.max(np.abs(dX), axis=(1, 2)))
-        unbounded[g.nodes] = ((np.max(np.abs(grad), axis=1)
-                               > NUMERAIRE_TOL * scale)
-                              | (np.max(np.abs(rho), axis=1) > RHO_CAP))
-        rho_vals[g.nodes] = rho
+        units = np.ldexp(1.0, np.frexp(np.max(np.abs(dX), axis=1))[1])
+        Q, L = _columns(dX / units[:, None])
+        rho, growth[g.kids], unbounded[g.nodes] = _log_optimal(
+            g.p, np.stack(Q, axis=-1))
+        rho_vals[g.nodes] = _in_units(rho, L, units)
     if np.any(unbounded):
         node = int(np.argmax(unbounded))
         raise ArbitrageError(
             f"log-utility unbounded at node {node} (no numeraire portfolio)",
             node=node)
-    V_hat = AdaptedProcess(tree, path_cumprod(
-        tree, 1.0 + step_gains(X, rho_vals)))
+    V_hat = AdaptedProcess(tree, path_cumprod(tree, growth))
     if np.min(V_hat.values) <= 0.0:
         raise ArbitrageError("numeraire wealth not strictly positive")
     return PredictableProcess(tree, rho_vals), V_hat

@@ -16,7 +16,7 @@ from .tree import (AdaptedProcess, ModelError, PredictableProcess,
                    _sum_products, child_weighted_sums, path_cumsum,
                    spread_to_children)
 
-# the rank cut of _min_norm_solutions (rows) and of _factor (columns)
+# the rank cut of _min_norm_solutions (rows) and of _columns
 PINV_RELTOL = 1e-13
 DEFAULT_STRUCT_TOL = 1e-8
 MASS_THRESHOLD = 1e6
@@ -149,15 +149,19 @@ def _min_norm_solutions(A, b=None, v=None):
     return sum(q * yj[..., None] for q, yj in zip(Q, y)), rank, v
 
 
-def _factor(B):
-    """(Q, T, P) with B = Q^T T P for a stack of (k, d) factors B, as d
-    rows of :func:`_gram_schmidt` each.  Its pass on the columns of B gives
-    B = Q^T L^T and is the one place B's rank is decided: a column counts
-    where its residual r has r^2 > ``PINV_RELTOL`` times its squared norm,
-    c's eigenvalue cut, with 1/r^2 finite.  A pass without a cut on the
-    rows of L^T, zero where a column was dropped, gives L^T = T P."""
-    Q, L = _gram_schmidt(np.moveaxis(B, -1, 0), lambda r2, norm2:
+def _columns(B):
+    """(Q, L) with B = Q^T L^T of :func:`_gram_schmidt` on the columns of a
+    stack of (k, d) factors B, which decides B's rank: a column counts where
+    its residual r has r^2 > ``PINV_RELTOL`` |column|^2 and 1/r^2 finite."""
+    return _gram_schmidt(np.moveaxis(B, -1, 0), lambda r2, norm2:
                          (r2 > PINV_RELTOL * norm2) & np.isfinite(1.0 / r2))
+
+
+def _factor(B):
+    """(Q, T, P) with B = Q^T T P for a stack of (k, d) factors B: the L^T
+    of :func:`_columns`, zero in the rows of dropped columns, splits as
+    L^T = T P by a pass without a cut on its rows."""
+    Q, L = _columns(B)
     zero = np.zeros_like(L[0][0])
     R = [np.stack([row[j] if j < len(row) else zero for row in L], axis=-1)
          for j in range(len(L))]

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from odx import mc
-from odx.deflators import _psd_pinv_apply
+from odx.structure import solve_factor
 from odx.tree import (AdaptedProcess, ModelError, child_weighted_sums,
                       path_cumsum, spread_to_children)
 
@@ -46,7 +46,8 @@ def kw_regress(U, dM):
     projection: per step, regress dU on dM across paths (one global bin).
 
     U is (paths, steps+1); dM is (paths, steps, d).  All steps solve in one
-    stacked ``_psd_pinv_apply`` call on their (d, d) sample covariances.
+    stacked ``solve_factor`` call on the factors of their (d, d) sample
+    covariances.
     Returns theta (steps, d), the cumulative drift B (steps+1,) with
     dB = -(mean residual), and the root-mean-square of the residual after
     drift removal (the statistical size of the orthogonal part)."""
@@ -55,9 +56,8 @@ def kw_regress(U, dM):
     x = np.asarray(dM, dtype=np.float64).transpose(1, 0, 2)  # (steps, paths, d)
     y = np.diff(U, axis=1).T                                  # (steps, paths)
     xc = x - x.mean(axis=1, keepdims=True)
-    cov = xc.mT @ xc / P
     cross = np.vecmat(y - y.mean(axis=1, keepdims=True), xc) / P
-    theta = _psd_pinv_apply(cov, cross)
+    theta = solve_factor(xc / np.sqrt(P), cross)[0]
     resid = y - np.matvec(x, theta)
     dB = -resid.mean(axis=1)
     centered = resid + dB[:, None]

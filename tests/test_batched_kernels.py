@@ -69,24 +69,30 @@ def random_market(seed, d):
 # ---------------------------------------------------------------------------
 
 def reference_newton(p, dX, tol=1e-15, max_iter=100):
-    """The per-node damped Newton iteration of the numeraire."""
-    d = dX.shape[1]
-    rho = np.zeros(d)
-    scale = max(1.0, np.max(np.abs(dX)))
+    """The per-node damped Newton iteration of the numeraire, on U, the
+    columns of a QR factor of dX less those whose diagonal entry is at most
+    sqrt(1e-13) of their column's norm.  Returns the minimum-norm rho with
+    dX rho = U rho_u at the iterate rho_u of smallest gradient, and that
+    gradient on U."""
+    Q, R = np.linalg.qr(dX)
+    m = R.shape[0]
+    U = Q[:, np.abs(np.diag(R)) > np.sqrt(1e-13) * np.linalg.norm(dX[:, :m],
+                                                                  axis=0)]
+    rho = np.zeros(U.shape[1])
     best_rho, best_norm = rho, np.inf
     for _ in range(max_iter):
-        w = 1.0 + dX @ rho
-        grad = (p / w) @ dX
-        g_norm = np.max(np.abs(grad))
+        w = 1.0 + U @ rho
+        grad = (p / w) @ U
+        g_norm = np.max(np.abs(grad), initial=0.0)
         if g_norm < best_norm:
             best_rho, best_norm = rho, g_norm
-        if g_norm <= tol * scale:
-            return rho, grad
-        hess = dX.T @ ((p / w**2)[:, None] * dX)
+        if g_norm <= tol:
+            break
+        hess = U.T @ ((p / w**2)[:, None] * U)
         step = np.linalg.pinv(hess, rcond=1e-13) @ grad
         obj = p @ np.log(w)
         for _ in range(60):
-            w_new = 1.0 + dX @ (rho + step)
+            w_new = 1.0 + U @ (rho + step)
             if np.min(w_new) > 1e-12 and p @ np.log(w_new) >= obj - 1e-13:
                 break
             step *= 0.5
@@ -95,8 +101,8 @@ def reference_newton(p, dX, tol=1e-15, max_iter=100):
         rho = rho + step
         if np.max(np.abs(rho)) > 1e8:
             break
-    w = 1.0 + dX @ best_rho
-    return best_rho, (p / w) @ dX
+    w = 1.0 + U @ best_rho
+    return np.linalg.pinv(dX, rcond=1e-13) @ (U @ best_rho), (p / w) @ U
 
 
 def reference_line_vertices(x):
@@ -251,6 +257,7 @@ def parent_walk(tree, terms, op):
 
 @PROPERTY
 @given(SEEDS, DIMS)
+@example(seed=1055, d=1)  # the reference on dX's own units stopped early
 def test_numeraire_matches_per_node_newton(seed, d):
     _, _, (tree, X, _) = random_market(seed, d)
     rho_hat, V_hat = numeraire_portfolio(X)
@@ -452,22 +459,8 @@ def test_path_prob_matches_level_loop(seed):
 @PROPERTY
 @given(SEEDS, DIMS)
 @example(seed=536870913, d=2)  # vertex enumeration in child order rounded apart
+@example(seed=267620, d=2)  # an ill-conditioned node's Newton in child order
 def test_child_order_leaves_numeraire_and_node_max_unchanged(seed, d):
-    _check_child_order(seed, d)
-
-
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "plain Newton stalls at gradient 4.3e-9 in child order (0, 2, 1) at "
-    "node 0, whose dX has singular values 0.105 and 2.1e-6: V_hat moves "
-    "by 2.9e-12 relative"))
-def test_child_order_flake_seed_267620():
-    """The example of the property above that fails: the Newton iteration
-    on the ill-conditioned node stops at another iterate in another child
-    order.  The whitened Newton of ROADMAP item 5 is the planned fix."""
-    _check_child_order(267620, 2)
-
-
-def _check_child_order(seed, d):
     rng, spec, (tree, X, paths) = random_market(seed, d)
     tree2, X2, paths2 = realise(permuted(spec, rng), d)
     match = {path: i for i, path in enumerate(paths)}

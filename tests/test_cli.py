@@ -755,15 +755,18 @@ def _dynamic_arch_openblas():
 @pytest.mark.skipif(not _dynamic_arch_openblas(),
                     reason="numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS")
 def test_analyze_bytes_do_not_depend_on_the_blas_kernels(tmp_path):
-    """``analyze`` solves on the factor B by Gram-Schmidt in plain sums, with
-    no BLAS or LAPACK call, and ``decompose --route lp`` and ``superhedge``
-    take every node maximum, hedge and gain by plain sums too, so a process
-    on OpenBLAS's Prescott kernels prints the bytes of one on the host's
-    own: on a seeded d = 1 binary tree and a seeded d = 3 tree of up to six
-    children per node, the decomposition of a seeded universal
-    supermartingale on each, and an American put on the d = 1 tree.  Of
-    the put, the price and decomposition are compared; its view carries
-    rho_hat of the Newton step, which still rounds by the kernels."""
+    """Every small solve on a tree runs by Gram-Schmidt in plain sums, with
+    no BLAS or LAPACK call: the structure, the numeraire's Newton step on
+    each node's orthonormal factor, the node maxima, the hedges, the KW
+    regression and every gain.  So a process on OpenBLAS's Prescott kernels
+    prints the bytes of one on the host's own for ``analyze``,
+    ``decompose`` by either route, ``deflate --extras 2`` and the whole
+    ``superhedge`` document of an American put, its view included: on a
+    seeded d = 1 binary tree and a seeded d = 3 tree of up to six children
+    per node, with a seeded universal supermartingale on each."""
+    put = _write(tmp_path, "put.json",
+                 {"odx_schema": 1, "kind": "american", "formula": "put",
+                  "strike": 1.0})
     argvs = []
     for seed, d, periods, branches in [(1, 1, 7, 2), (3, 3, 3, 6)]:
         rng = np.random.default_rng(seed)
@@ -775,22 +778,21 @@ def test_analyze_bytes_do_not_depend_on_the_blas_kernels(tmp_path):
         value = _write(tmp_path, f"v{seed}.json",
                        random_universal_supermartingale(rng, X))
         argvs += [["analyze", model],
-                  ["decompose", model, value, "--route", "lp"]]
-    put = _write(tmp_path, "put.json",
-                 {"odx_schema": 1, "kind": "american", "formula": "put",
-                  "strike": 1.0})
-    argvs.append(["superhedge", argvs[0][1], put])
+                  ["decompose", model, value, "--route", "lp"],
+                  ["decompose", model, value, "--route", "kw"],
+                  ["deflate", model, "--extras", "2"],
+                  ["superhedge", model, put]]
     code = ("import sys; from odx.cli import main; "
             f"sys.exit(sum(main(argv) for argv in {argvs!r}))")
     native = _fresh_python(code)
     prescott = _fresh_python(code, OPENBLAS_CORETYPE="Prescott")
     assert native.returncode == prescott.returncode == 0, native.stderr
     assert native.stdout.count('"SOLVABLE"') == 2
-    assert native.stdout.count('"route": "LP"') == 3
-    # superhedge prints last and sorts its keys, so its view ends stdout
-    outs = [r.stdout.partition('\n  "view": ')[0] for r in (native, prescott)]
-    assert '"price"' in outs[0] and '"view"' in native.stdout
-    assert outs[1] == outs[0]
+    assert native.stdout.count('"route": "LP"') == 4
+    assert native.stdout.count('"route": "KW"') == 2
+    assert native.stdout.count('"rho_hat"') == 2
+    assert native.stdout.count('"view"') == 2
+    assert prescott.stdout == native.stdout
 
 
 @pytest.mark.skipif(not _dynamic_arch_openblas(),
@@ -912,11 +914,13 @@ def test_moving_one_child_node_is_arbitrage(tmp_path, capsys, command, d):
 
 
 def test_route_disagreement_exit_2(tmp_path, capsys):
-    """At s = 1e-12 the LP and KW routes reconstruct different processes:
-    a fault of the solves on valid input, not an input error (it exited 1
-    after printing both route documents).  The check stays at the exit
-    code and streams: a sharper LP feasibility test may turn it into a
-    FAIL witness."""
+    """Two children and three independent assets, at s = 1e-12: an
+    arbitrage, which the numeraire on the node's orthonormal factor finds
+    in any units.  A Newton step in X's own units stopped early here, and
+    the LP and KW routes then reconstructed different processes.  Either
+    way it is a mathematical failure, exit 2, not an input error (it
+    exited 1 after printing both route documents).  The check stays at the
+    exit code and streams."""
     tree = build_tree([[0.24, 0.76]])
     X = AdaptedProcess(tree, 1e-12 * np.array([[-7.73, -7.47, 3.56],
                                                [7.88, 5.04, 6.61],

@@ -170,6 +170,19 @@ def test_uniqueness_tampered(b1_claim):
     assert exc.value.node in (1, 2)  # both moved by 0.01, up to rounding
 
 
+@pytest.mark.parametrize("units", [1e-9, 1e9, 1e100])
+def test_routes_agree_in_the_units_of_V(units):
+    """The two routes' reconstructions differ by the rounding of V's size,
+    so check_uniqueness judges their gap in the units of V, max(1,
+    max |V|): V in units of 1e9 or 1e100 raises no false SolverError."""
+    rng = np.random.default_rng(0)
+    tree = random_tree(rng, max_periods=3, max_branches=5)
+    X = random_market(rng, tree, d=2)
+    V = AdaptedProcess(tree, units * random_universal_supermartingale(
+        rng, X).values)
+    check_uniqueness(decompose_lp(V, X), decompose_kw(V, X), X)
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_theorem_roundtrip_both_directions(seed):
     rng = np.random.default_rng(100 + seed)

@@ -10,10 +10,6 @@ PRODUCTS = {"np.matvec", "np.vecdot", "np.vecmat", "np.dot", "np.einsum"}
 # (module, function) -> why its products may round by the BLAS kernels or
 # einsum's own order; every other product is a tree._sum_products
 PRODUCT_SITES = {
-    ("deflators", "_log_optimal"):
-        "the Newton step of the numeraire, still on BLAS products",
-    ("deflators", "_psd_pinv_apply"):
-        "the Newton step's eigh solve of the Hessian",
     ("mc", "_euler_states"):
         "sigma xi, whose simulate bytes a kernel test already pins",
     ("mc", "_wealth"):

@@ -1,12 +1,9 @@
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from odx import mc
-from odx.deflators import _psd_pinv_apply
 from odx.random_models import random_market, random_tree
 from odx.structure import (PINV_RELTOL, Characteristics,
                            extract_characteristics, solve_factor,
@@ -138,39 +135,6 @@ def test_pinv_subnormal_eigenvalue_counts_as_zero():
     x, kernel_part, _ = solve_factor(B, np.zeros(2))
     np.testing.assert_array_equal(x, [0.0, 0.0])
     np.testing.assert_array_equal(kernel_part, [0.0, 0.0])
-
-
-@pytest.mark.parametrize("stack", [False, True], ids=["matrix", "stack"])
-def test_pinv_near_the_float_range(stack):
-    """Entries of C up to 1.5e308: the symmetric part must not overflow
-    (C + C^T did, with a RuntimeWarning), and the solve is scale-free."""
-    B = np.array([[2.0, 0.5], [0.5, 1.0]])
-    u = np.array([0.3, -0.2])
-    s = 1.5e308 / np.max(np.abs(B))
-    if stack:
-        B, u = B[None], u[None]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        x_s = _psd_pinv_apply(s * B, s * u)
-    x = _psd_pinv_apply(B, u)
-    np.testing.assert_allclose(x_s, x, rtol=1e-12, atol=0.0)
-
-
-@pytest.mark.parametrize("c", [0.0, 5e-324, 1e-300, 0.04, 1.5e308, np.inf])
-def test_pinv_of_1x1_is_the_closed_form(c):
-    """A stack of 1 x 1 Newton matrices C gives the closed form v * (1/c)
-    where c is kept and 0 where it is not, bit for bit.  The vecmat/matvec
-    products add from +0.0, so they return -0.0 as +0.0; adding 0.0 to
-    both sides compares them up to that sign."""
-    rng = np.random.default_rng(7)
-    v = rng.choice([-1.0, 1.0], 300) * 10.0 ** rng.uniform(-300, 0, 300)
-    v = np.concatenate([v, [0.0, -0.0, 1.0, -1.0, 0.04, 1e-300]])[:, None]
-    with np.errstate(divide="ignore", over="ignore"):
-        inv = 1.0 / np.float64(c)
-    keep = c > PINV_RELTOL * c and np.isfinite(inv)
-    want = v * (inv if keep else 0.0)
-    got = _psd_pinv_apply(np.full((v.shape[0], 1, 1), c), v)
-    assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
 
 
 @st.composite
