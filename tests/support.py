@@ -14,7 +14,9 @@ The second paths that the tests check them against live here:
   ``PathEnsemble`` and the one-dimensional ``scalar_spec``;
 * ``kw_regress``, a cross-sectional surrogate of the Kunita-Watanabe
   projection on Monte Carlo paths, and ``covariances``, the c = B^T B that
-  the package keeps as its factor B.
+  the package keeps as its factor B;
+* ``exact_regression``, the KW hedge of one node in ``Fraction``
+  arithmetic, which the float regression of ``odx.decompose`` must match.
 
 The panel functions call the step kernels of ``odx.mc`` through the module,
 so a test that patches one of them there patches the panel too.
@@ -22,6 +24,7 @@ so a test that patches one of them there patches the panel too.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -64,6 +67,42 @@ def kw_regress(U, dM):
     B = np.concatenate([[0.0], np.cumsum(dB)])
     n_norm = float(np.sqrt(np.mean(np.vecdot(centered, centered)) / P))
     return theta, B, n_norm
+
+
+def exact_regression(dM, p, dV):
+    """The p-weighted regression of dV on dM at one node, in exact
+    arithmetic: the minimum-norm h with sum_c p_c dM_c dM_c^T h =
+    sum_c p_c dM_c dV_c, each float input read as the Fraction it is, and
+    h rounded to floats once at the end.  dM is (k, d), p and dV (k,)."""
+    M = [[Fraction(x) for x in row] for row in np.asarray(dM).tolist()]
+    w = [Fraction(x) for x in np.asarray(p).tolist()]
+    y = [Fraction(x) for x in np.asarray(dV).tolist()]
+    d = len(M[0])
+    c = [[sum(wc * m[i] * m[j] for wc, m in zip(w, M)) for j in range(d)]
+         for i in range(d)]
+    b = [sum(wc * m[i] * yc for wc, m, yc in zip(w, M, y)) for i in range(d)]
+    # b lies in the range of c, the span of c's row basis A: h = A^T lam
+    # with A A^T lam = b on those rows
+    rows, reduced = [], []
+    for i, row in enumerate(c):
+        for j, r in reduced:
+            f = row[j] / r[j]
+            row = [x - f * z for x, z in zip(row, r)]
+        pivot = next((j for j, x in enumerate(row) if x), None)
+        if pivot is not None:
+            rows.append(i)
+            reduced.append((pivot, row))
+    A = [c[i] for i in rows]
+    aug = [[sum(x * z for x, z in zip(r, s)) for s in A] + [b[i]]
+           for r, i in zip(A, rows)]
+    for j in range(len(A)):  # Gauss-Jordan; A A^T is positive definite
+        aug[j] = [x / aug[j][j] for x in aug[j]]
+        for i in range(len(A)):
+            if i != j:
+                aug[i] = [x - aug[i][j] * z for x, z in zip(aug[i], aug[j])]
+    lam = [row[-1] for row in aug]
+    return np.array([float(sum(l * r[j] for l, r in zip(lam, A)))
+                     for j in range(d)])
 
 
 # ---------------------------------------------------------------------------

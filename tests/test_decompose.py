@@ -22,7 +22,7 @@ from odx.structure import (PINV_RELTOL, extract_characteristics,
 from odx.superhedge import superhedge, vanilla_claim
 from odx.tree import (AdaptedProcess, ArbitrageError, PredictableProcess,
                       SolverError, build_tree, child_weighted_sums)
-from support import covariances
+from support import covariances, exact_regression
 
 
 def test_polytope_vertices_t1(t1):
@@ -181,6 +181,91 @@ def test_routes_agree_in_the_units_of_V(units):
     V = AdaptedProcess(tree, units * random_universal_supermartingale(
         rng, X).values)
     check_uniqueness(decompose_lp(V, X), decompose_kw(V, X), X)
+
+
+@pytest.mark.parametrize("units", [1.0, 1e9, 1e100])
+def test_uniqueness_is_judged_in_the_units_of_V(units):
+    """On a complete tree both routes replicate V, and their gaps are the
+    rounding of V's size, so ``passed`` judges them against
+    UNIQUENESS_TOL max(1, max |V|), as the reconstruction check does."""
+    tree, X = random_complete_binary_model(np.random.default_rng(1))
+    V = AdaptedProcess(tree, units * martingale_value_process(
+        np.random.default_rng(2), X).values)
+    rep = check_uniqueness(decompose_lp(V, X), decompose_kw(V, X), X)
+    assert rep["passed"], rep
+
+
+# The one-period model cut from node 257 of perfbench's multiasset-tree
+# workload (seed 3, tree wide1): k = 4 children, d = 3 assets, and a
+# numeraire weight near -1.3e4 in one asset, so V_hat (U rho_hat + theta)
+# sums terms up to 80 times larger than the hedge.
+NODE_257_P = [0.22515613492159575, 0.42370954364604907, 0.09718068603614322,
+              0.2539536353962121]
+NODE_257_X = [
+    [0.4302929220536494, 0.06556952590538181, -0.021651220856207437],
+    [0.39585223440172723, 0.1099348963179084, 0.04050143009070946],
+    [0.4085953701182103, 0.02853807860912838, -0.08030902701614276],
+    [0.44448385634849563, 0.049291821837685636, -0.04433249590017853],
+    [0.4678650104984456, 0.04701669631237175, -0.04437417569587135]]
+NODE_257_V = [-0.8466441730775949, -0.8556705072313677, -0.90995742054642,
+              -0.9773813576818682, -1.0002913565547817]
+
+
+@pytest.fixture
+def node_257():
+    tree = build_tree([NODE_257_P])
+    return (tree, AdaptedProcess(tree, np.array(NODE_257_X)),
+            AdaptedProcess(tree, np.array(NODE_257_V)))
+
+
+def test_kw_hedge_is_the_exact_regression_at_node_257(node_257):
+    """The KW hedge is the p-weighted regression of dV on dM, within 1e-12
+    of its exact value; the sum V_hat (U rho_hat + theta), equal to it in
+    exact arithmetic, is 2e-11 off here."""
+    tree, X, V = node_257
+    kw = decompose_kw(V, X)
+    assert not kw.diagnostics["deferred_nodes"]
+    exact = exact_regression(extract_characteristics(X).dM[0][0],
+                             tree.p[1:], V.values[1:, 0] - V.values[0, 0])
+    err = np.max(np.abs(kw.H.values[0] - exact))
+    assert err <= 1e-12 * np.max(np.abs(exact))
+
+
+def test_kw_consumption_is_the_slack_at_node_257(node_257):
+    """Each child's C is max(0, <H, dX_c> - dV_c) to the bit, as on the
+    LP route."""
+    tree, X, V = node_257
+    kw = decompose_kw(V, X)
+    H = kw.H.values[0]
+    for c in tree.children(0):
+        gain = sum(h * x for h, x in zip(H, X.values[c] - X.values[0]))
+        dV = V.values[c, 0] - V.values[0, 0]
+        assert kw.C.values[c, 0] == max(0.0, gain - dV)
+
+
+def test_kw_hedge_is_the_exact_regression_on_random_markets():
+    """At every non-deferred node with more children than assets, the KW
+    hedge is within 1e-12 of the exact regression of dV on dM."""
+    checked = 0
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        tree = random_tree(rng, 3, 5)
+        X = random_market(rng, tree, d=1 + seed % 3)
+        V = random_universal_supermartingale(rng, X)
+        kw = decompose_kw(V, X)
+        v = V.values[:, 0]
+        deferred = kw.diagnostics["deferred_nodes"]
+        for g, dM in zip(tree.branch_groups, extract_characteristics(X).dM):
+            if g.k <= X.dim:
+                continue
+            for node, m, kids in zip(g.nodes, dM, g.kids):
+                if node in deferred:
+                    continue
+                exact = exact_regression(m, tree.p[kids], v[kids] - v[node])
+                err = np.max(np.abs(kw.H.values[node] - exact))
+                assert err <= 1e-12 * np.max(np.abs(exact)), (seed, node)
+                checked += 1
+    assert checked >= 100
 
 
 @pytest.mark.parametrize("seed", range(8))
