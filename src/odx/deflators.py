@@ -129,7 +129,12 @@ def numeraire_portfolio(X):
     iteration's growth factors, and rho_hat the iterate in X's units
     (:func:`_in_units`).  Raises :class:`ArbitrageError` with the offending
     node when log-wealth is unbounded there (the node admits arbitrage).
+    The solve runs once per market: X keeps its result.
     """
+    return X.once(_numeraire)
+
+
+def _numeraire(X):
     tree = X.tree
     rho_vals = np.zeros((tree.n_nodes, X.dim))
     growth = np.ones(tree.n_nodes)
@@ -172,15 +177,10 @@ class DeflatorFamily:
     """The numeraire deflator Y_hat = 1/V_hat plus product deflators
     Y_hat * E(L) built from orthogonal jump martingales L."""
 
-    X: AdaptedProcess
     rho_hat: PredictableProcess
     V_hat: AdaptedProcess
     Y_hat: AdaptedProcess
-    q: np.ndarray  # implied branch weights, (n_nodes,)
     extras: tuple = field(default_factory=tuple)  # of (L, Y) pairs
-
-    def all_deflators(self):
-        return [self.Y_hat] + [Y for _, Y in self.extras]
 
 
 def orthogonal_jump_martingale(X, rng, weights=None, n_samples=1):
@@ -234,5 +234,5 @@ def build_deflator_family(X, n_extras=DEFAULT_EXTRAS, seed=0):
             E = stochastic_exponential(L, strict=True)
             Y = AdaptedProcess(tree, Y_hat.values[:, 0] * E.values[:, 0])
             extras.append((L, Y))
-    return DeflatorFamily(X=X, rho_hat=rho_hat, V_hat=V_hat, Y_hat=Y_hat,
-                          q=q, extras=tuple(extras))
+    return DeflatorFamily(rho_hat=rho_hat, V_hat=V_hat, Y_hat=Y_hat,
+                          extras=tuple(extras))

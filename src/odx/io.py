@@ -27,14 +27,6 @@ def _check_schema(obj, what):
         raise ModelError(f"{what}: unsupported odx_schema {version!r}")
 
 
-def tree_to_json(tree):
-    rows = zip(tree.time.tolist(), tree.parent.tolist(), tree.p.tolist())
-    nodes = [{"id": i, "time": t, "parent": None if q < 0 else q,
-              "p": None if q < 0 else p} for i, (t, q, p) in enumerate(rows)]
-    return {"odx_schema": SCHEMA_VERSION, "horizon": int(tree.horizon),
-            "nodes": nodes}
-
-
 def _number(value, what, kind=float):
     """``kind(value)`` of a JSON scalar: 2, 2.0 and "2" read as 2, True as
     1.  A value that ``kind()`` or ``float()`` cannot read is not a number;
@@ -155,11 +147,6 @@ def load_model(obj):
     tree = tree_from_json(obj["tree"])
     X = adapted_from_json(tree, obj["X"], "X")
     return tree, X
-
-
-def model_to_json(X):
-    return {"odx_schema": SCHEMA_VERSION, "tree": tree_to_json(X.tree),
-            "X": X}
 
 
 def load_claim(obj, X):
@@ -316,14 +303,20 @@ def _write(obj, indent, out, memo):
     elif isinstance(obj, (dict, list, tuple)) and obj:
         inner = indent + "  "
         is_map = isinstance(obj, dict)
-        out.append("{" if is_map else "[")
+        # a map or list of numbers is one chunk, whatever its length
+        flat = all(isinstance(v, (int, float))
+                   for v in (obj.values() if is_map else obj))
+        sink = [] if flat else out
+        sink.append("{" if is_map else "[")
         for j, item in enumerate(sorted(obj.items()) if is_map else obj):
-            out.append(("," if j else "") + inner)
+            sink.append(("," if j else "") + inner)
             if is_map:  # '"key": ' by json's own rules for keys
-                out.append(json.dumps({item[0]: 0})[1:-2])
+                sink.append(json.dumps({item[0]: 0})[1:-2])
                 item = item[1]
-            _write(item, inner, out, memo)
-        out.append(indent + ("}" if is_map else "]"))
+            _write(item, inner, sink, memo)
+        sink.append(indent + ("}" if is_map else "]"))
+        if flat:
+            out.append("".join(sink))
     else:
         out.append(json.dumps(obj))
 

@@ -103,9 +103,6 @@ class EventTree:
     def n_nodes(self):
         return self.time.shape[0]
 
-    def is_leaf(self, node):
-        return self.n_children[node] == 0
-
     def children(self, node):
         lo = self.first_child[node]
         return np.arange(lo, lo + self.n_children[node])
@@ -285,15 +282,17 @@ class AdaptedProcess:
 @dataclass(frozen=True)
 class PredictableProcess:
     """Parent-node-indexed panel: the value in force on the step from a
-    non-leaf node to its children.  Rows at leaves are ignored (zero)."""
+    non-leaf node to its children.  Rows at leaves are ignored (zero).  The
+    panel is a read-only copy, so a kept one, such as the numeraire's
+    rho_hat, can be shared."""
 
     tree: EventTree
     values: np.ndarray  # (n_nodes, dim)
 
     def __post_init__(self):
-        vals = _panel(self.tree, self.values, "PredictableProcess")
-        vals = vals.copy()
+        vals = _panel(self.tree, self.values, "PredictableProcess").copy()
         vals[self.tree.leaves] = 0.0
+        vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
     @property

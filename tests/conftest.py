@@ -54,7 +54,7 @@ def spec_of(X):
     tree = X.tree
 
     def node(i):
-        if tree.is_leaf(i):
+        if tree.n_children[i] == 0:
             return None
         kids = tree.children(i)
         return {"probs": tree.p[kids], "dx": X.values[kids] - X.values[i],

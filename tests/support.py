@@ -16,22 +16,53 @@ The second paths that the tests check them against live here:
   projection on Monte Carlo paths, and ``covariances``, the c = B^T B that
   the package keeps as its factor B;
 * ``exact_regression``, the KW hedge of one node in ``Fraction``
-  arithmetic, which the float regression of ``odx.decompose`` must match.
+  arithmetic, which the float regression of ``odx.decompose`` must match;
+* ``tree_to_json`` and ``model_to_json``, the model document of a market,
+  which the tests write for the commands to read, and ``documents``, which
+  reads back what a command prints.
 
 The panel functions call the step kernels of ``odx.mc`` through the module,
 so a test that patches one of them there patches the panel too.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from odx import mc
+from odx.io import SCHEMA_VERSION
 from odx.structure import solve_factor
 from odx.tree import (AdaptedProcess, ModelError, child_weighted_sums,
                       path_cumsum, spread_to_children)
+
+
+def tree_to_json(tree):
+    rows = zip(tree.time.tolist(), tree.parent.tolist(), tree.p.tolist())
+    nodes = [{"id": i, "time": t, "parent": None if q < 0 else q,
+              "p": None if q < 0 else p} for i, (t, q, p) in enumerate(rows)]
+    return {"odx_schema": SCHEMA_VERSION, "horizon": int(tree.horizon),
+            "nodes": nodes}
+
+
+def model_to_json(X):
+    return {"odx_schema": SCHEMA_VERSION, "tree": tree_to_json(X.tree),
+            "X": X}
+
+
+def documents(text):
+    """The JSON documents printed back to back in ``text``, each checked to
+    be ``json.dumps(doc, indent=2, sort_keys=True)`` and a newline."""
+    docs, pos, decoder = [], 0, json.JSONDecoder()
+    while pos < len(text):
+        doc, end = decoder.raw_decode(text, pos)
+        want = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert text[pos:end + 1] == want, f"document {len(docs)}"
+        docs.append(doc)
+        pos = end + 1
+    return docs
 
 
 def covariances(ch):
@@ -116,7 +147,7 @@ def conditional_moment(X, node, order):
     sum_children p * dX dX^T (a matrix).
     """
     tree = X.tree
-    if tree.is_leaf(node):
+    if tree.n_children[node] == 0:
         raise ModelError(f"node {node} is a leaf")
     kids = tree.children(node)
     dX = X.values[kids] - X.values[node]

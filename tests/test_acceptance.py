@@ -50,7 +50,7 @@ def _verdict(num, ok, detail):
 def _deflator_defects(X, n_extras, seed):
     fam = build_deflator_family(X, n_extras=n_extras, seed=seed)
     worst_y = worst_yx = 0.0
-    for Y in fam.all_deflators():
+    for Y in [fam.Y_hat] + [Y for _, Y in fam.extras]:
         y = Y.values[:, 0]
         tree = X.tree
         dY = y - y[np.maximum(tree.parent, 0)]

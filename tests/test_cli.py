@@ -18,6 +18,7 @@ from odx.random_models import (random_complete_binary_model, random_market,
                                random_tree, random_universal_supermartingale)
 from odx.superhedge import AMERICAN, superhedge, vanilla_claim
 from odx.tree import AdaptedProcess, BranchGroup, build_tree
+from support import model_to_json
 
 
 def _write(tmp_path, name, obj):
@@ -30,21 +31,21 @@ def _write(tmp_path, name, obj):
 def b1_model(tmp_path):
     tree = build_tree([[0.6, 0.4]])
     X = AdaptedProcess(tree, np.array([0.0, 0.1, -0.1]))
-    return _write(tmp_path, "b1.json", odx_io.model_to_json(X))
+    return _write(tmp_path, "b1.json", model_to_json(X))
 
 
 @pytest.fixture
 def t1_model(tmp_path):
     tree = build_tree([[1 / 3, 1 / 3, 1 / 3]])
     X = AdaptedProcess(tree, np.array([0.0, 0.1, 0.0, -0.1]))
-    return _write(tmp_path, "t1.json", odx_io.model_to_json(X))
+    return _write(tmp_path, "t1.json", model_to_json(X))
 
 
 @pytest.fixture
 def a1_model(tmp_path):
     tree = build_tree([[0.5, 0.5]])
     X = AdaptedProcess(tree, np.array([[0.0, 0.0], [1.0, 1.0], [-1.0, 1.0]]))
-    return _write(tmp_path, "a1.json", odx_io.model_to_json(X))
+    return _write(tmp_path, "a1.json", model_to_json(X))
 
 
 def test_analyze_ok(b1_model, capsys):
@@ -68,7 +69,7 @@ def test_analyze_price_units_exit_0(tmp_path, capsys):
     tree = build_tree([[0.2, 0.3, 0.5]])
     X = AdaptedProcess(tree, [[0.0, 0.0], [158.0, 171.0], [-192.0, 49.0],
                               [199.0, -154.0]])
-    model = _write(tmp_path, "prices.json", odx_io.model_to_json(X))
+    model = _write(tmp_path, "prices.json", model_to_json(X))
     assert main(["analyze", model]) == 0
     out, err = capsys.readouterr()
     assert json.loads(out)["status"] == "SOLVABLE" and err == ""
@@ -81,7 +82,7 @@ def test_analyze_near_the_float_range_exit_0(tmp_path, capsys):
     RuntimeWarning, into a false ARBITRAGE at node 0."""
     X = 1.2e154 * np.array([[0.0, 0.0], [1.0, 0.5], [-1.0, 0.2], [0.1, -1.0]])
     X = AdaptedProcess(build_tree([[1 / 3, 1 / 3, 1 / 3]]), X)
-    model = _write(tmp_path, "large.json", odx_io.model_to_json(X))
+    model = _write(tmp_path, "large.json", model_to_json(X))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["analyze", model]) == 0
@@ -94,7 +95,7 @@ PRICE_UNITS_X = [[0.0, 0.0], [158.0, 171.0], [-192.0, 49.0], [199.0, -154.0]]
 
 def _price_units_model(tmp_path, X):
     X = AdaptedProcess(build_tree([[0.2, 0.3, 0.5]]), X)
-    return _write(tmp_path, "model.json", odx_io.model_to_json(X))
+    return _write(tmp_path, "model.json", model_to_json(X))
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -390,7 +391,7 @@ def test_wide_decompose_loads_neither_scipy_nor_numpy_ma(tmp_path):
     tree = build_tree(spec(0))
     X = random_market(rng, tree, d=3)
     V = random_universal_supermartingale(rng, X)
-    model = _write(tmp_path, "model.json", odx_io.model_to_json(X))
+    model = _write(tmp_path, "model.json", model_to_json(X))
     value = _write(tmp_path, "value.json", V)
     code = f"""if True:
         import sys
@@ -460,7 +461,7 @@ def test_superhedge_put(tmp_path, capsys):
     tree = build_tree([[0.5, 0.5], [0.5, 0.5]])
     X = AdaptedProcess(tree,
                        np.array([0.0, 0.1, -0.1, 0.2, 0.0, 0.0, -0.2]))
-    model = _write(tmp_path, "binom.json", odx_io.model_to_json(X))
+    model = _write(tmp_path, "binom.json", model_to_json(X))
     claim = _write(tmp_path, "claim.json",
                    {"odx_schema": 1, "kind": "american", "formula": "put",
                     "strike": 1.05})
@@ -476,7 +477,7 @@ def test_superhedge_european_call(binomial2, tmp_path, capsys):
     replication under q = 1/2 prices it at 0.21 / 4 = 0.0525 with root hedge
     (0.105 - 0) / 0.2 = 0.525."""
     _, X = binomial2
-    model = _write(tmp_path, "binom.json", odx_io.model_to_json(X))
+    model = _write(tmp_path, "binom.json", model_to_json(X))
     claim = _write(tmp_path, "claim.json",
                    {"odx_schema": 1, "kind": "european", "formula": "call",
                     "strike": 1.0})
@@ -491,7 +492,7 @@ def test_superhedge_out_dir(binomial2, tmp_path, capsys):
     """--out writes superhedge.json as printed and hedge_schedule.csv with
     one row per node, V the Snell envelope."""
     tree, X = binomial2
-    model = _write(tmp_path, "binom.json", odx_io.model_to_json(X))
+    model = _write(tmp_path, "binom.json", model_to_json(X))
     claim = _write(tmp_path, "claim.json",
                    {"odx_schema": 1, "kind": "american", "formula": "put",
                     "strike": 1.05})
@@ -512,7 +513,7 @@ def test_superhedge_explicit_payoff(binomial2, tmp_path, capsys):
     hedges to the same bytes as the built-in put; a map that misses a
     node is an input error."""
     _, X = binomial2
-    model = _write(tmp_path, "binom.json", odx_io.model_to_json(X))
+    model = _write(tmp_path, "binom.json", model_to_json(X))
     put = {"odx_schema": 1, "kind": "american", "formula": "put",
            "strike": 1.05}
     payoff = {str(i): row for i, row in enumerate(
@@ -587,7 +588,7 @@ def _random_model(tmp_path, seed, d, max_periods, max_branches, s=1.0):
     X = random_market(rng, tree, d=d)
     V = random_universal_supermartingale(rng, X)
     X, V = AdaptedProcess(tree, s * X.values), AdaptedProcess(tree, s * V.values)
-    return (_write(tmp_path, "model.json", odx_io.model_to_json(X)),
+    return (_write(tmp_path, "model.json", model_to_json(X)),
             _write(tmp_path, "value.json", V), X, V)
 
 
@@ -774,7 +775,7 @@ def test_analyze_bytes_do_not_depend_on_the_blas_kernels(tmp_path):
         while tree.horizon < periods:
             tree = random_tree(rng, max_periods=periods, max_branches=branches)
         X = random_market(rng, tree, d=d)
-        model = _write(tmp_path, f"m{seed}.json", odx_io.model_to_json(X))
+        model = _write(tmp_path, f"m{seed}.json", model_to_json(X))
         value = _write(tmp_path, f"v{seed}.json",
                        random_universal_supermartingale(rng, X))
         argvs += [["analyze", model],
@@ -827,7 +828,7 @@ def test_deflate_in_large_units_exit_0(tmp_path, capsys, s):
     base = np.array([[0.0, 0.0], [1.0, 0.5], [-1.0, 0.2], [0.1, -1.0]])
     rhos = []
     for scale in (1.0, s):
-        model = _write(tmp_path, "m.json", odx_io.model_to_json(
+        model = _write(tmp_path, "m.json", model_to_json(
             AdaptedProcess(tree, scale * base)))
         assert main(["deflate", model, "--extras", "0"]) == 0
         out, err = capsys.readouterr()
@@ -847,7 +848,7 @@ def test_superhedge_with_X0_not_zero(tmp_path, capsys, shift):
     prices = []
     for x in (X.values, X.values + shift):
         model = _write(tmp_path, "m.json",
-                       odx_io.model_to_json(AdaptedProcess(tree, x)))
+                       model_to_json(AdaptedProcess(tree, x)))
         assert main(["superhedge", model, claim]) == 0
         out, err = capsys.readouterr()
         assert err == ""
@@ -866,7 +867,7 @@ def test_solver_failure_exit_2_with_witness(tmp_path, monkeypatch, capsys):
     tree = build_tree([[1 / 3, 1 / 3, 1 / 3]])
     X = AdaptedProcess(tree, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0],
                                        [-1.0, -1.0]]))
-    model = _write(tmp_path, "m.json", odx_io.model_to_json(X))
+    model = _write(tmp_path, "m.json", model_to_json(X))
     value = _write(tmp_path, "v.json", {str(i): [1.0] for i in range(4)})
     monkeypatch.setattr(odx.decompose, "_min_norm_superhedges",
                         lambda dX, dV: (np.zeros(dX.shape[::2]),
@@ -902,7 +903,7 @@ def test_moving_one_child_node_is_arbitrage(tmp_path, capsys, command, d):
                        "formula": "put", "strike": 1.0}}
     argv = [_write(tmp_path, f"{a}.json", files[a]) if a in files else a
             for a in command]
-    argv.insert(1, _write(tmp_path, "m.json", odx_io.model_to_json(X)))
+    argv.insert(1, _write(tmp_path, "m.json", model_to_json(X)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(argv) == 2
@@ -925,7 +926,7 @@ def test_route_disagreement_exit_2(tmp_path, capsys):
     X = AdaptedProcess(tree, 1e-12 * np.array([[-7.73, -7.47, 3.56],
                                                [7.88, 5.04, 6.61],
                                                [12.2, 3.06, 10.24]]))
-    model = _write(tmp_path, "m.json", odx_io.model_to_json(X))
+    model = _write(tmp_path, "m.json", model_to_json(X))
     value = _write(tmp_path, "v.json", {"0": [0.2], "1": [0.1], "2": [-0.3]})
     assert main(["decompose", model, value, "--route", "both"]) == 2
     out, err = capsys.readouterr()

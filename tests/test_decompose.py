@@ -138,6 +138,23 @@ def test_decompose_kw_deferred_infeasible_raises(t1):
     assert exc.value.node == 0
 
 
+def test_decompose_kw_deferred_infeasible_names_its_node():
+    """A binary root over two trinomial d = 1 nodes (k = 3 > d + 1, so both
+    are incomplete): V is linear in dX at node 1, which the regression
+    hedges, and at node 2 exceeds V(2) under every martingale measure.  The
+    KW route defers node 2 to the least-distance hedge, which is
+    infeasible there, and the error names node 2."""
+    tree = build_tree([[0.5, 0.5], [1 / 3, 1 / 3, 1 / 3]])
+    X = AdaptedProcess(tree, [0.0, 0.1, -0.1, 0.2, 0.1, 0.0, 0.0, -0.1,
+                              -0.2])
+    V = AdaptedProcess(tree, [1.0, 1.0, 1.0, 1.1, 1.0, 0.9, 1.0, 1.5, 1.0])
+    assert not is_supermartingale_under_all(V, X).passed
+    with pytest.raises(SolverError,
+                       match=r"^deferred LP infeasible at node 2$") as exc:
+        decompose_kw(V, X)
+    assert exc.value.node == 2
+
+
 def test_decompose_kw_self_deflation(b1):
     tree, X = b1
     rho, Vh = numeraire_portfolio(X)
@@ -294,7 +311,7 @@ def test_deflated_supermartingale_property():
     assert is_supermartingale_under_all(V, X).passed
     # a universal supermartingale deflated by any family member is a
     # supermartingale under the tree probabilities
-    for Y in fam.all_deflators():
+    for Y in [fam.Y_hat] + [Y for _, Y in fam.extras]:
         yv = Y.values[:, 0] * V.values[:, 0]
         d_yv = yv - yv[np.maximum(tree.parent, 0)]
         d_yv[0] = 0.0

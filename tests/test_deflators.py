@@ -3,11 +3,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from odx import deflators
+from odx.decompose import decompose_kw
 from odx.deflators import (build_deflator_family, implied_measure,
                            numeraire_portfolio, orthogonal_jump_martingale,
                            stochastic_exponential)
 from odx.random_models import (random_admissible_strategy, random_market,
-                               random_tree, strategy_wealth)
+                               random_tree, random_universal_supermartingale,
+                               strategy_wealth)
+from odx.superhedge import portfolio_view
 from odx.tree import (AdaptedProcess, ArbitrageError, ModelError, build_tree,
                       child_weighted_sums, path_cumprod)
 from support import doob_decompose, quadratic_covariation, verify_deflator
@@ -223,7 +227,7 @@ def test_family_deflators_pass_verification():
         tree = random_tree(rng)
         X = random_market(rng, tree, d=1 + k % 2)
         fam = build_deflator_family(X, n_extras=4, seed=k)
-        for Y in fam.all_deflators():
+        for Y in [fam.Y_hat] + [Y for _, Y in fam.extras]:
             rep = verify_deflator(Y, X)
             assert rep["passed"], rep
 
@@ -266,3 +270,29 @@ def test_numeraire_on_near_redundant_markets(eps, seed):
     _, V_hat = numeraire_portfolio(X)
     Y = AdaptedProcess(X.tree, 1.0 / V_hat.values[:, 0])
     assert verify_deflator(Y, X, tol=1e-9)["passed"]
+
+
+def test_one_numeraire_solve_per_market(monkeypatch):
+    """The deflator family, the KW route and the portfolio view of one
+    market share one Newton solve: ``_log_optimal`` runs once per branch
+    group, not once per caller."""
+    rng = np.random.default_rng(3)
+    tree = random_tree(rng, max_periods=3, max_branches=4)
+    X = random_market(rng, tree, d=2)
+    V = random_universal_supermartingale(rng, X)
+    calls = []
+
+    def counting(p, U, solve=deflators._log_optimal):
+        calls.append(U.shape)
+        return solve(p, U)
+
+    monkeypatch.setattr(deflators, "_log_optimal", counting)
+    fam = build_deflator_family(X, n_extras=2)
+    decompose_kw(V, X)
+    view = portfolio_view(X)
+    assert len(calls) == len(tree.branch_groups) >= 2
+    rho_hat, V_hat = numeraire_portfolio(X)
+    assert fam.rho_hat is rho_hat and fam.V_hat is V_hat
+    np.testing.assert_array_equal(view.currency.values,
+                                  V_hat.values * rho_hat.values)
+    assert not rho_hat.values.flags.writeable

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -13,8 +14,10 @@ from odx import io as odx_io
 from odx.cli import main
 from odx.decompose import (decompose_kw, decompose_lp,
                            is_supermartingale_under_all)
-from odx.random_models import random_market, random_tree
+from odx.random_models import (random_market, random_tree,
+                               random_universal_supermartingale)
 from odx.tree import AdaptedProcess, ModelError, _finalize_tree, build_tree
+from support import documents, model_to_json, tree_to_json
 
 
 def node_map(P):
@@ -46,7 +49,7 @@ def process(values):
 def test_tree_roundtrip():
     rng = np.random.default_rng(1)
     tree = random_tree(rng)
-    doc = odx_io.tree_to_json(tree)
+    doc = tree_to_json(tree)
     back = odx_io.tree_from_json(doc)
     assert np.array_equal(back.parent, tree.parent)
     assert np.array_equal(back.time, tree.time)
@@ -57,7 +60,7 @@ def test_model_roundtrip_lossless():
     rng = np.random.default_rng(2)
     tree = random_tree(rng)
     X = random_market(rng, tree, d=2)
-    doc = json.loads(dumps(odx_io.model_to_json(X)))
+    doc = json.loads(dumps(model_to_json(X)))
     _, back = odx_io.load_model(doc)
     assert np.array_equal(back.values, X.values)
 
@@ -92,7 +95,7 @@ def test_process_map_validation(b1):
 
 def test_tree_rejects_bad_ids(b1):
     tree, _ = b1
-    doc = odx_io.tree_to_json(tree)
+    doc = tree_to_json(tree)
     doc["nodes"][1]["id"] = 5
     with pytest.raises(ModelError, match="breadth-first"):
         odx_io.tree_from_json(doc)
@@ -103,7 +106,7 @@ def test_tree_rejects_bad_ids(b1):
 def test_tree_from_json_reads_rows_in_any_order(seed, random):
     """Rows out of id order are sorted before they are read: the tree is
     that of the sorted rows."""
-    doc = odx_io.tree_to_json(random_tree(np.random.default_rng(seed)))
+    doc = tree_to_json(random_tree(np.random.default_rng(seed)))
     shuffled = dict(doc, nodes=random.sample(doc["nodes"], len(doc["nodes"])))
     want = odx_io.tree_from_json(doc)
     got = odx_io.tree_from_json(shuffled)
@@ -239,7 +242,7 @@ def test_complete_market_deflators_render_once(tmp_path, capsys, monkeypatch):
     X = random_market(np.random.default_rng(4),
                       build_tree([[0.5, 0.5]] * 3), d=1)
     model = tmp_path / "model.json"
-    odx_io.dump_json(odx_io.model_to_json(X), path=model)
+    odx_io.dump_json(model_to_json(X), path=model)
     renders = []
 
     def counted(vals, indent):
@@ -251,6 +254,44 @@ def test_complete_market_deflators_render_once(tmp_path, capsys, monkeypatch):
     assert main(["--seed", "3", "deflate", str(model), "--extras", "8"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["extras"]) == 8 and len(renders) == 5
+
+
+class _CountingRaw(io.RawIOBase):
+    """A raw byte sink that counts the writes it is handed."""
+
+    def __init__(self):
+        self.writes, self.data = 0, bytearray()
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        self.writes += 1
+        self.data += b
+        return len(b)
+
+
+def test_a_map_of_numbers_is_one_write(tmp_path, monkeypatch):
+    """With PYTHONUNBUFFERED set, stdout writes through: each text chunk
+    of a document is one write(2).  A map or list of numbers is one chunk,
+    so ``decompose --route both`` on a binary d = 1 tree of 511 non-leaf
+    nodes, whose KW document holds a ``node_N_norm`` map of 511 entries,
+    makes fewer than 100 writes, and each document it prints is still
+    ``json.dumps(doc, indent=2, sort_keys=True)`` and a newline."""
+    rng = np.random.default_rng(2)
+    X = random_market(rng, build_tree([[0.5, 0.5]] * 9), d=1)
+    V = random_universal_supermartingale(rng, X)
+    model, value = tmp_path / "model.json", tmp_path / "value.json"
+    odx_io.dump_json(model_to_json(X), path=model)
+    odx_io.dump_json(V, path=value)
+    raw = _CountingRaw()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(
+        raw, encoding="utf-8", write_through=True))
+    assert main(["decompose", str(model), str(value), "--route", "both"]) == 0
+    sys.stdout.flush()
+    _, kw, _ = documents(raw.data.decode())
+    assert len(kw["diagnostics"]["node_N_norm"]) == 511
+    assert raw.writes < 100
 
 
 def reference_process_values(tree, obj, name, require_all):

@@ -57,7 +57,6 @@ ENTRY = ("cli", "main")
 UNREACHED = {
     ("random_models", None):
         "perfbench's tracer and make_trinomial.py import the module",
-    ("io", "model_to_json"): "the README CI job writes its models with it",
 }
 
 
